@@ -8,7 +8,7 @@ frustration free: the network state is an exact zero-energy eigenstate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .tensor import NonInjectiveError, Tensor
 
 PINV_RTOL = 1e-12
 DENSE_DIM_LIMIT = 1 << 14
-DENSE_EIG_CUTOFF = 2048
+DENSE_EIG_CUTOFF = 256
 DEGENERACY_TOL = 1e-8
 
 
@@ -106,65 +106,58 @@ def parent_term(net: PepsNetwork, edge_id: str) -> Observable:
 
 @dataclass(frozen=True)
 class ParentHamiltonian:
-    """Sum of per-edge parent terms over a fixed vertex ordering."""
+    """Sum of per-edge parent terms over a fixed vertex ordering.
+
+    Construction prepares every term once: its matrix, the axis permutation
+    that brings its support to the front of the state tensor, and the inverse
+    of that permutation.  ``matvec``, ``to_dense`` and ``term_norms`` all read
+    these prepared terms.
+    """
 
     vertices: tuple
     dims: tuple
     terms: tuple  # of Observable
+    _prepared: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n = len(self.dims)
+        prepared = []
+        for obs in self.terms:
+            ax = [self.vertices.index(v) for v in obs.support]
+            perm = ax + [i for i in range(n) if i not in ax]
+            prepared.append((obs.matrix(), tuple(perm), tuple(np.argsort(perm).tolist())))
+        object.__setattr__(self, "_prepared", tuple(prepared))
 
     @property
     def dim(self) -> int:
         return int(np.prod(self.dims, dtype=np.int64))
 
     def term_norms(self) -> list:
-        out = []
-        for obs in self.terms:
-            m = obs.matrix()
-            out.append(float(np.linalg.norm(m, ord=2)))
-        return out
-
-    def _axes_of(self, vertex: int) -> int:
-        return self.vertices.index(vertex)
+        return [float(np.linalg.norm(m, ord=2)) for m, _, _ in self._prepared]
 
     def matvec(self, vec: np.ndarray) -> np.ndarray:
         psi = np.asarray(vec, dtype=np.complex128).reshape(self.dims)
         out = np.zeros_like(psi)
-        n = len(self.dims)
-        for obs in self.terms:
-            ax = [self._axes_of(v) for v in obs.support]
-            dloc = [self.dims[a] for a in ax]
-            m = obs.matrix().reshape(dloc + dloc)
-            contrib = np.tensordot(m, psi, axes=(list(range(len(ax), 2 * len(ax))), ax))
-            contrib = np.moveaxis(contrib, list(range(len(ax))), ax)
-            out += contrib
+        for m, perm, inv in self._prepared:
+            front = psi.transpose(perm).reshape(m.shape[0], -1)
+            contrib = (m @ front).reshape([self.dims[a] for a in perm])
+            out += contrib.transpose(inv)
         return out.reshape(-1)
 
     def to_dense(self) -> np.ndarray:
         dim = self.dim
         if dim > DENSE_DIM_LIMIT:
             raise GuardExceeded("Hamiltonian dimension exceeds the dense guard", dim, DENSE_DIM_LIMIT)
+        n = len(self.dims)
         h = np.zeros((dim, dim), dtype=np.complex128)
-        eye_cache = {}
-        for obs in self.terms:
-            h += self._embed_dense(obs, eye_cache)
+        for m, perm, inv in self._prepared:
+            # kron with the identity on the other sites in the permuted order,
+            # then undo the permutation on the row and the column axes.
+            big = np.kron(m, np.eye(dim // m.shape[0], dtype=np.complex128))
+            shape = [self.dims[a] for a in perm]
+            big = big.reshape(shape + shape).transpose(list(inv) + [n + i for i in inv])
+            h += big.reshape(dim, dim)
         return h
-
-    def _embed_dense(self, obs: Observable, eye_cache) -> np.ndarray:
-        # kron over the vertex order with the term sitting on its support;
-        # non-adjacent supports are handled by a permutation of axes.
-        n = len(self.vertices)
-        ax = [self._axes_of(v) for v in obs.support]
-        dloc = [self.dims[a] for a in ax]
-        rest = [i for i in range(n) if i not in ax]
-        m = obs.matrix()
-        drest = int(np.prod([self.dims[i] for i in rest], dtype=np.int64))
-        big = np.kron(m, np.eye(drest, dtype=np.complex128))
-        order = ax + rest
-        shape = [self.dims[i] for i in order]
-        big = big.reshape(shape + shape)
-        inv = np.argsort(order)
-        big = big.transpose(list(inv) + [n + i for i in inv])
-        return big.reshape(self.dim, self.dim)
 
 
 def parent_hamiltonian(net: PepsNetwork) -> ParentHamiltonian:
@@ -197,21 +190,26 @@ class SpectrumReport:
 
 
 def _low_spectrum(ham: ParentHamiltonian, k: int):
+    import scipy.linalg
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     dim = ham.dim
     k = max(2, min(k, dim - 1))
     if dim <= DENSE_EIG_CUTOFF:
-        vals, vecs = np.linalg.eigh(ham.to_dense())
-        return vals[:k], vecs[:, :k], "dense"
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
+        vals, vecs = scipy.linalg.eigh(ham.to_dense(), subset_by_index=[0, k - 1])
+        return vals, vecs, "dense"
     op = LinearOperator(
         (dim, dim),
         matvec=lambda v: ham.matvec(v),
         dtype=np.complex128,
     )
+    # A fixed start vector makes the report repeatable.  It must not be the
+    # network state: an exact eigenvector ends the Krylov space at once.
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     # sigma-free Lanczos on a PSD operator; shift-invert is not worth the
     # factorization cost at these sizes.
-    vals, vecs = eigsh(op, k=k, which="SA", tol=1e-11, maxiter=5000)
+    vals, vecs = eigsh(op, k=k, which="SA", tol=1e-11, maxiter=5000, v0=v0)
     order = np.argsort(vals)
     return vals[order], vecs[:, order], "lanczos"
 

@@ -18,6 +18,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import tensor as tz
+from .errors import GuardExceeded
 from .tensor import Tensor
 
 PHYS = "phys"
@@ -250,7 +251,7 @@ def assemble_state_vector(net: PepsNetwork) -> Tensor:
     for v in net.graph.vertices:
         total *= net.phys_dim(v)
         if total > STATE_DIM_GUARD:
-            raise ValueError(f"total physical dimension exceeds {STATE_DIM_GUARD}")
+            raise GuardExceeded("total physical dimension exceeds the state guard", total, STATE_DIM_GUARD)
     acc = tz.scalar(1.0)
     added: set[str] = set()
     for v in net.graph.vertices:

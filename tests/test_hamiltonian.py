@@ -74,8 +74,10 @@ def test_parent_term_requires_injective_sites():
         pl.parent_term(net, "h0.0")
 
 
-def test_hamiltonian_matvec_matches_dense():
-    net = pl.random_network(2, 2, delta=0.5, seed=2)
+# 1x5: every term acts on adjacent axes; 2x2: the vertical bonds do not.
+@pytest.mark.parametrize("rows,cols", [(2, 2), (1, 5)], ids=["2x2", "1x5"])
+def test_hamiltonian_matvec_matches_dense(rows, cols):
+    net = pl.random_network(rows, cols, delta=0.5, seed=2)
     ham = pl.parent_hamiltonian(net)
     assert ham.dim == 256
     h = ham.to_dense()
@@ -96,17 +98,38 @@ def test_spectrum_report_dense_path():
     assert len(rep.eigenvalues) == 5
 
 
-def test_lanczos_path_agrees_with_dense(monkeypatch):
-    net = pl.random_network(2, 2, delta=0.6, seed=5)
+# 2x2 (dim 256) is solved densely by default, 1x4 at bond dim 3 (dim 729) by
+# Lanczos; each is compared with the other route, forced through the cutoff.
+@pytest.mark.parametrize(
+    "rows,cols,bond_dim,default_solver",
+    [(2, 2, 2, "dense"), (1, 4, 3, "lanczos")],
+    ids=["2x2", "1x4"],
+)
+def test_lanczos_path_agrees_with_dense(monkeypatch, rows, cols, bond_dim, default_solver):
+    net = pl.random_network(rows, cols, bond_dim, delta=0.6, seed=5)
     ham = pl.parent_hamiltonian(net)
-    dense = pl.spectrum_report(ham, net, k=4)
-    monkeypatch.setattr(hamiltonian, "DENSE_EIG_CUTOFF", 1)
-    sparse = pl.spectrum_report(ham, net, k=4)
+    default = pl.spectrum_report(ham, net, k=4)
+    assert default.solver == default_solver
+    forced_cutoff = 1 if default_solver == "dense" else ham.dim
+    monkeypatch.setattr(hamiltonian, "DENSE_EIG_CUTOFF", forced_cutoff)
+    forced = pl.spectrum_report(ham, net, k=4)
+    dense, sparse = (default, forced) if default_solver == "dense" else (forced, default)
+    assert dense.solver == "dense"
     assert sparse.solver == "lanczos"
     assert sparse.eigenvalues[0] == pytest.approx(dense.eigenvalues[0], abs=1e-8)
     assert sparse.gap == pytest.approx(dense.gap, abs=1e-7)
     assert sparse.degeneracy == dense.degeneracy
     assert sparse.overlap == pytest.approx(dense.overlap, abs=1e-8)
+
+
+def test_lanczos_report_is_repeatable():
+    net = pl.random_network(1, 4, 3, delta=0.6, seed=9)
+    ham = pl.parent_hamiltonian(net)
+    first = pl.spectrum_report(ham, net, k=4)
+    second = pl.spectrum_report(ham, net, k=4)
+    assert first.solver == "lanczos"
+    assert first.eigenvalues == second.eigenvalues
+    assert first.gap == second.gap
 
 
 def test_spectrum_report_without_state_overlap():

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import pepslab as pl
+from pepslab import network
 from pepslab import tensor as tz
+from pepslab.errors import GuardExceeded
 from pepslab.network import (
     Edge,
     explicit_graph,
@@ -115,6 +117,15 @@ def test_assemble_state_vector_matches_brute_force(rows, cols, seed):
     assert set(av.labels) == set(labs)
     got = tz.matrix_view(av, labs, []).reshape([net.phys_dim(v) for v in net.graph.vertices])
     np.testing.assert_allclose(got, dense_state(net), atol=1e-12)
+
+
+def test_assemble_state_vector_guard_is_a_resource_refusal(monkeypatch):
+    net = pl.random_network(2, 2, seed=5)  # total physical dimension 256
+    monkeypatch.setattr(network, "STATE_DIM_GUARD", 64)
+    with pytest.raises(GuardExceeded) as exc:
+        pl.assemble_state_vector(net)
+    assert exc.value.limit == 64
+    assert exc.value.required > 64
 
 
 def test_normalize_sigma1_rescales_without_moving_nev():
