@@ -6,7 +6,7 @@ brickwork circuits into site tensors, a dense density-matrix simulator, and
 Wang-tiling counters built on the same contraction engine.
 """
 
-from .backend import backend_name, set_backend
+from .backend import backend_name
 from .channels import QuantumChannel, depolarize, kraus_orthonormal_completion
 from .circuits import Circuit, Gate, circuit_from_json, circuit_to_json, random_circuit
 from .contraction import (
@@ -124,7 +124,6 @@ __all__ = [
     "random_network",
     "readout_observable",
     "run_noisy_circuit",
-    "set_backend",
     "singular_values",
     "site_injectivity",
     "spectrum_report",

@@ -13,7 +13,6 @@ import sys
 
 import numpy as np
 
-from . import backend
 from .circuits import load_circuit
 from .contraction import (
     BOUNDARY_GUARD,
@@ -222,7 +221,7 @@ def cmd_tile_count(args) -> dict:
         out["exhaustive"] = exhaustive
         if exhaustive != report["count"]:
             raise ValueError(
-                f"norm count {report['count']} disagrees with enumeration {exhaustive}"
+                f"norm count {report['count']} disagrees with transfer-matrix count {exhaustive}"
             )
     return out
 
@@ -233,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Injective tensor network states: contraction, parent Hamiltonians, "
         "circuit embedding, noisy simulation and tiling counts.",
     )
-    parser.add_argument("--backend", choices=["auto", "numba", "numpy"],
-                        help="kernel backend override (default: PEPSLAB_BACKEND or auto)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("norm", help="exact squared norm of a network state")
@@ -293,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--cols", type=int, required=True)
     p.add_argument("--check", action="store_true",
-                   help="cross-check against direct enumeration")
+                   help="cross-check against the exact transfer-matrix count")
     p.add_argument("--extrapolate", action="store_true",
                    help="use only well-conditioned interpolated networks")
     p.add_argument("--force", action="store_true")
@@ -305,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.backend:
-        backend.set_backend(args.backend)
     try:
         result = args.func(args)
     except GuardExceeded as exc:

@@ -113,12 +113,6 @@ def _absorb(layers: dict[int, Tensor], order: Sequence[int],
     return acc
 
 
-@dataclass(frozen=True)
-class ContractionValue:
-    value: complex
-    abs_scale: float | None = None
-
-
 def _contract_network(layers: dict[int, Tensor], order: Sequence[int],
                       closures: dict[str, Tensor], prefactor: float,
                       observable: Observable | None, guard: int | None,

@@ -194,8 +194,9 @@ def _low_spectrum(ham: ParentHamiltonian, k: int):
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     dim = ham.dim
-    k = max(2, min(k, dim - 1))
     if dim <= DENSE_EIG_CUTOFF:
+        # all of the spectrum when k >= dim, so the ground space always fits
+        k = max(2, min(k, dim))
         vals, vecs = scipy.linalg.eigh(ham.to_dense(), subset_by_index=[0, k - 1])
         return vals, vecs, "dense"
     op = LinearOperator(
@@ -209,6 +210,7 @@ def _low_spectrum(ham: ParentHamiltonian, k: int):
     v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     # sigma-free Lanczos on a PSD operator; shift-invert is not worth the
     # factorization cost at these sizes.
+    k = max(2, min(k, dim - 1))  # eigsh needs k < dim
     vals, vecs = eigsh(op, k=k, which="SA", tol=1e-11, maxiter=5000, v0=v0)
     order = np.argsort(vals)
     return vals[order], vecs[:, order], "lanczos"
@@ -228,6 +230,12 @@ def spectrum_report(ham: ParentHamiltonian, net: PepsNetwork = None, k: int = 6)
     deg = int(np.sum(vals <= e0 + DEGENERACY_TOL))
     if deg < len(vals):
         gap = float(vals[deg] - e0)
+    elif deg < ham.dim:
+        # the ground space may be larger still, and the overlap would be read
+        # off an arbitrary part of it
+        raise ValueError(
+            f"all {deg} computed eigenvalues lie in the ground space; raise k above {deg}"
+        )
     else:
         gap = float("nan")
     norms = ham.term_norms()

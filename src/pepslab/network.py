@@ -188,7 +188,6 @@ class Observable:
 
     support: tuple[int, ...]
     operator: Tensor
-    hermitian: bool = True
 
     HERMITICITY_TOL = 1e-12
 
@@ -210,7 +209,6 @@ class Observable:
         m = self.matrix()
         if not np.allclose(m, m.conj().T, atol=self.HERMITICITY_TOL * max(1.0, np.abs(m).max())):
             raise ValueError("observable operator is not Hermitian")
-        object.__setattr__(self, "hermitian", True)
 
     def matrix(self) -> np.ndarray:
         n = len(self.support)

@@ -6,7 +6,7 @@ operation, so callers never track axis permutations by hand. Tensors are
 value-like: operations return new instances and the stored array is read-only.
 
 Pairwise contraction is implemented as permute -> fuse -> matrix multiply, with
-the multiply dispatched through :mod:`pepslab.backend`.
+the multiply done by :func:`pepslab.backend.matmul`.
 """
 
 from __future__ import annotations

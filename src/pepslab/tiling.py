@@ -19,13 +19,15 @@ import numpy as np
 from . import backend
 from . import tensor as tz
 from .contraction import BOUNDARY_GUARD, peps_norm
+from .errors import GuardExceeded
 from .network import PHYS, PepsNetwork, periodic_grid
 from .tensor import Tensor
 
 SIDES = ("left", "top", "right", "bottom")
 
 INTEGER_RESIDUE_TOL = 1e-6
-EXHAUSTIVE_GUARD = 1 << 26
+TRANSFER_GUARD = 1 << 10
+INT64_MAX = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -123,19 +125,24 @@ def tiling_network(ts: WangTileSet, rows: int, cols: int, delta: float = None) -
     return PepsNetwork(graph, tensors)
 
 
-def count_tilings_exhaustive(ts: WangTileSet, rows: int, cols: int, periodic: bool = True) -> int:
-    """Direct enumeration over all tile assignments (oracle route)."""
-    total = ts.count ** (rows * cols)
-    if total > EXHAUSTIVE_GUARD:
-        raise ValueError(
-            f"enumeration space {total} exceeds {EXHAUSTIVE_GUARD}; use the norm route"
-        )
-    tiles = np.array(ts.tiles, dtype=np.int64)
-    return int(
-        backend.count_tilings(
-            tiles[:, 0], tiles[:, 1], tiles[:, 2], tiles[:, 3], rows, cols, periodic
-        )
-    )
+def count_tilings_exhaustive(ts: WangTileSet, rows: int, cols: int) -> int:
+    """Exact torus tiling count by a row transfer matrix, independent of the norm route.
+
+    Integer arithmetic only: the count is trace(T**rows), where T says which
+    horizontally matched rows of tiles may sit on top of one another.  Work
+    and memory grow with the t**min(rows, cols) candidate rows, not with the
+    t**(rows*cols) assignments, and both are guarded: the candidate rows by
+    TRANSFER_GUARD, and the assignments by the int64 range every partial
+    count must fit in.
+    """
+    t = ts.count
+    states = t ** min(rows, cols)
+    if states > TRANSFER_GUARD:
+        raise GuardExceeded("transfer-matrix row states exceed guard", states, TRANSFER_GUARD)
+    if t ** (rows * cols) > INT64_MAX:
+        raise GuardExceeded("tiling count may overflow int64", t ** (rows * cols), INT64_MAX)
+    left, top, right, bottom = np.array(ts.tiles, dtype=np.int64).T
+    return backend.count_tilings(left, top, right, bottom, rows, cols)
 
 
 def tiling_count_via_norm(ts: WangTileSet, rows: int, cols: int, *, guard: int = BOUNDARY_GUARD) -> dict:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import pepslab as pl
-from pepslab import backend
 from pepslab.circuits import Circuit, Gate, save_circuit
 from pepslab.cli import main
 from pepslab.network import network_to_json, observable_to_json
@@ -20,13 +19,6 @@ CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128
 )
 Z = np.diag([1.0, -1.0]).astype(np.complex128)
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    prev = backend.backend_name()
-    yield
-    backend.set_backend(prev)
 
 
 def run_json(capsys, *argv):
@@ -194,6 +186,19 @@ def test_tile_count_with_enumeration_check(capsys, tmp_path):
     assert out["residue"] < 1e-6
 
 
+def test_tile_count_check_guard_exits_2(capsys, tmp_path):
+    # the norm route counts this 3x3 board; the check's 11**3 row states do not fit
+    tilef = write_json(tmp_path / "tiles.json", tileset_to_json(random_tileset(0, count=11)))
+    code = main(["tile", "count", "--tiles", tilef, "--rows", "3", "--cols", "3"])
+    assert code == 0
+    capsys.readouterr()
+    code = main(["tile", "count", "--tiles", tilef, "--rows", "3", "--cols", "3", "--check"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "row states" in err
+
+
 def test_tile_count_extrapolated(capsys, tmp_path):
     ts = random_tileset(3)
     tilef = write_json(tmp_path / "tiles.json", tileset_to_json(ts))
@@ -247,8 +252,3 @@ def test_missing_source_exits_1(capsys):
     out, err = capsys.readouterr()
     assert code == 1
     assert "--network" in err
-
-
-def test_backend_flag_selects_kernels(capsys):
-    run_json(capsys, "--backend", "numpy", "norm", "--random", "2x2", "--seed", "0")
-    assert backend.backend_name() == "numpy"

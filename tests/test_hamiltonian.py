@@ -132,6 +132,28 @@ def test_lanczos_report_is_repeatable():
     assert first.gap == second.gap
 
 
+def test_spectrum_report_refuses_a_ground_space_that_fills_k():
+    # physical dim 8 above virtual dim 2 on the end sites: the ground space is
+    # larger than 4, so k=4 can neither count it nor read the overlap off it
+    net = pl.random_network(1, 3, phys_dim=8, delta=0.6, seed=5)
+    ham = pl.parent_hamiltonian(net)
+    with pytest.raises(ValueError, match="raise k"):
+        pl.spectrum_report(ham, net, k=4)
+
+
+@pytest.mark.parametrize("k", [16, 100])
+def test_spectrum_report_takes_the_whole_spectrum_when_k_reaches_dim(k):
+    net = pl.random_network(1, 2, phys_dim=4, delta=0.6, seed=1)
+    ham = pl.parent_hamiltonian(net)
+    assert ham.dim == 16
+    rep = pl.spectrum_report(ham, net, k=k)
+    want = np.linalg.eigvalsh(ham.to_dense())
+    np.testing.assert_allclose(rep.eigenvalues, want, atol=1e-10)
+    assert rep.degeneracy == int(np.sum(want <= want[0] + hamiltonian.DEGENERACY_TOL))
+    assert rep.gap > 0
+    assert rep.overlap == pytest.approx(1.0, abs=1e-8)
+
+
 def test_spectrum_report_without_state_overlap():
     net = pl.random_network(2, 2, delta=0.7, seed=6)
     rep = pl.spectrum_report(pl.parent_hamiltonian(net), k=3)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pepslab import tensor as tz
+from pepslab.errors import GuardExceeded
 from pepslab.tiling import (
     WangTileSet,
     count_tilings_exhaustive,
@@ -87,10 +88,24 @@ def test_norm_route_reports_the_scaled_norm():
     assert report["z"] == pytest.approx(2.0, abs=1e-9)
 
 
-def test_exhaustive_guard_trips_on_large_grids():
-    ts = random_tileset(5)
-    with pytest.raises(ValueError, match="enumeration space"):
-        count_tilings_exhaustive(ts, 4, 4)
+def test_exhaustive_count_accepts_4x4_five_tile_boards():
+    # 5**16 assignments, far past any enumeration, but only 5**4 row states
+    for seed in (5, 6):
+        ts = random_tileset(seed)
+        assert count_tilings_exhaustive(ts, 4, 4) == tiling_count_via_norm(ts, 4, 4)["count"]
+
+
+def test_exhaustive_count_refuses_oversized_boards():
+    many = random_tileset(0, count=11)  # 11**3 candidate row states
+    with pytest.raises(GuardExceeded, match="row states"):
+        count_tilings_exhaustive(many, 3, 3)
+    with pytest.raises(GuardExceeded, match="row states"):
+        count_tilings_exhaustive(many, 4, 3)
+    # with 2**63 assignments or more the count need not fit in int64
+    for rows, cols in ((7, 9), (8, 8)):
+        with pytest.raises(GuardExceeded, match="int64"):
+            count_tilings_exhaustive(UNIFORM2, rows, cols)
+    assert count_tilings_exhaustive(UNIFORM2, 2, 31) == 2
 
 
 def test_interpolated_tensor_definition_and_bound():
