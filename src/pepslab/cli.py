@@ -14,13 +14,7 @@ import sys
 import numpy as np
 
 from .circuits import load_circuit
-from .contraction import (
-    BOUNDARY_GUARD,
-    decide_nev,
-    nev_report,
-    patch_nev,
-    peps_norm,
-)
+from .contraction import BOUNDARY_GUARD, _decision, nev_report, patch_nev, peps_norm
 from .embed import compile_circuit, eta_from_delta, readout_observable
 from .errors import GuardExceeded
 from .hamiltonian import parent_hamiltonian, spectrum_report
@@ -115,14 +109,14 @@ def _guard(args) -> int | None:
 
 def cmd_norm(args) -> dict:
     net = _network_from_args(args)
-    return {"norm": peps_norm(net, guard=_guard(args), sweep=args.sweep)}
+    return {"norm": peps_norm(net, guard=_guard(args))}
 
 
 def cmd_nev(args) -> dict:
     net = _network_from_args(args)
     obs = observable_from_json(_load_json(args.observable))
-    report = nev_report(net, obs, guard=_guard(args), sweep=args.sweep)
-    report["decision"] = decide_nev(net, obs, guard=_guard(args))
+    report = nev_report(net, obs, guard=_guard(args))
+    report["decision"] = _decision(report["value"])
     return report
 
 
@@ -236,13 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("norm", help="exact squared norm of a network state")
     _add_network_args(p)
-    p.add_argument("--sweep", choices=["cols", "rows"], default="cols")
     p.set_defaults(func=cmd_norm)
 
     p = sub.add_parser("nev", help="normalized expectation value of an observable")
     _add_network_args(p)
     p.add_argument("--observable", required=True, help="observable JSON file")
-    p.add_argument("--sweep", choices=["cols", "rows"], default="cols")
     p.set_defaults(func=cmd_nev)
 
     p = sub.add_parser("inject", help="injectivity (sigma_min / sigma_1) per site")

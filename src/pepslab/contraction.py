@@ -1,19 +1,30 @@
 """Exact double-layer contraction of PEPS networks.
 
 The engine squares each site tensor into a double-layer tensor whose bra and
-ket bond indices are fused per edge, then absorbs sites one at a time in a
-deterministic sweep (grid geometries: left-to-right columns, bottom-to-top
-within a column; explicit geometries: ascending vertex id). Bonds contract
-automatically when both endpoints have been absorbed, so open, periodic and
-explicit graphs all go through the same path. Each bond's pair-state
-normalization contributes a factor 1/dim.
+ket bond indices are fused per edge, then absorbs the layers one at a time.
+Bonds contract when both endpoints have been absorbed, so open, periodic and
+explicit graphs all go through the same path; a bond that leaves the
+contracted sites (the edge of a patch) is closed with the maximally mixed
+pair. Each bond's pair-state normalization contributes a factor 1/dim.
 
-Costs are bounded before any allocation by a dry run over leg labels; the
-largest intermediate is guarded (default 2**20 entries).
+The order comes from a dry run over leg labels, made before anything is
+allocated. Grids have two candidate sweeps (column by column, bottom to top
+within a column; row by row, left to right), a patch the same two restricted
+to its interior, and explicit graphs their ascending vertex ids. The candidate
+with the smallest peak boundary runs, columns on a tie. When even that peak
+exceeds the guard (default 2**20 entries), the contraction is refused with a
+:class:`GuardExceeded` carrying the best peak.
+
+The environment is split at an observable's support: the sites before the
+first support site are contracted once, forwards, and the sites after the
+last support site once, backwards. Both are closed twice through the sites in
+between, with the plain layers for the norm and with the observable's layers
+for the numerator, so an expectation value costs about one norm.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +36,8 @@ from .network import PHYS, Observable, PepsNetwork
 from .tensor import Tensor
 
 BOUNDARY_GUARD = 1 << 20
+
+_SWEEPS = ("cols", "rows")
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -66,115 +79,141 @@ def mixed_closure(edge_dim: int, label: str) -> Tensor:
 
 
 def sweep_order(graph, sweep: str = "cols") -> list[int]:
+    """Vertex order of a sweep; explicit graphs have one order, their vertex ids."""
+    if sweep not in _SWEEPS:
+        raise ValueError(f"unknown sweep {sweep!r}")
     if graph.rows is None:
         return list(graph.vertices)
     rows, cols = graph.rows, graph.cols
     if sweep == "cols":
         return [r * cols + c for c in range(cols) for r in range(rows - 1, -1, -1)]
-    if sweep == "rows":
-        return [r * cols + c for r in range(rows) for c in range(cols)]
-    raise ValueError(f"unknown sweep {sweep!r}")
+    return [r * cols + c for r in range(rows) for c in range(cols)]
 
 
-def _dry_run(layers: dict[int, Tensor], order: Sequence[int],
-             closures: dict[str, Tensor], guard: int | None) -> None:
-    if guard is None:
-        return
+def _layer_legs(net: PepsNetwork, v: int, open_phys: bool) -> list[tuple[str, int]]:
+    """Legs of ``double_layer(net, v, open_phys=open_phys)`` without building it."""
+    legs = [(e.id, e.dim * e.dim) for e in net.graph.incident(v)]
+    if open_phys:
+        legs += [(f"bra@{v}", net.phys_dim(v)), (f"ket@{v}", net.phys_dim(v))]
+    return legs
+
+
+def _peak(legs: dict[int, list], order: Sequence[int], closures: dict[str, Tensor]) -> int:
+    """Largest boundary, in entries, left after absorbing each site of ``order``."""
     open_legs: dict[str, int] = {}
     worst = 1
     for v in order:
-        t = layers[v]
-        for label, dim in t.legs:
+        for label, dim in legs[v]:
             if label in open_legs:
                 del open_legs[label]
-            else:
+            elif label not in closures:
                 open_legs[label] = dim
-        for label in list(open_legs):
-            if label in closures:
-                del open_legs[label]
-        size = 1
-        for d in open_legs.values():
-            size *= d
-        worst = max(worst, size)
-        if worst > guard:
-            raise GuardExceeded("contraction boundary exceeds guard", worst, guard)
+        worst = max(worst, math.prod(open_legs.values()))
+    return worst
 
 
-def _absorb(layers: dict[int, Tensor], order: Sequence[int],
+def _absorb(acc: Tensor, layers: dict[int, Tensor], order: Sequence[int],
             closures: dict[str, Tensor]) -> Tensor:
-    acc = tz.scalar(1.0)
     for v in order:
-        t = layers[v]
-        shared = [l for l in acc.labels if l in set(t.labels)]
-        acc = tz.contract(acc, t, [(l, l) for l in shared])
+        labels = set(layers[v].labels)
+        acc = tz.contract(acc, layers[v], [(l, l) for l in acc.labels if l in labels])
         for label in acc.labels:
             if label in closures:
                 acc = tz.contract(acc, closures[label], [(label, label)])
     return acc
 
 
-def _contract_network(layers: dict[int, Tensor], order: Sequence[int],
-                      closures: dict[str, Tensor], prefactor: float,
-                      observable: Observable | None, guard: int | None,
-                      absolute: bool = False) -> complex:
-    if absolute:
-        layers = {v: Tensor(t.legs, np.abs(t.data)) for v, t in layers.items()}
-        closures = {l: Tensor(t.legs, np.abs(t.data)) for l, t in closures.items()}
-    _dry_run(layers, order, closures, guard)
-    acc = _absorb(layers, order, closures)
-    if observable is not None:
-        op = observable.operator
-        if absolute:
-            op = Tensor(op.legs, np.abs(op.data))
-        pairs = []
-        for i, v in enumerate(observable.support):
-            pairs += [(f"bra@{v}", f"out{i}"), (f"ket@{v}", f"in{i}")]
-        acc = tz.contract(acc, op, pairs)
-    return acc.item() * prefactor
+def _absolute(tensors: dict) -> dict:
+    return {k: Tensor(t.legs, np.abs(t.data)) for k, t in tensors.items()}
 
 
-def _norm_layers(net: PepsNetwork, observable: Observable | None):
-    """Double layers, deferred-observable flag, closures and bond prefactor for a network."""
-    single = observable is not None and len(observable.support) == 1
-    layers = {}
-    for v in net.graph.vertices:
-        if single and v == observable.support[0]:
-            layers[v] = double_layer(net, v, observable_factor=observable.operator)
-        elif observable is not None and not single and v in observable.support:
-            layers[v] = double_layer(net, v, open_phys=True)
-        else:
-            layers[v] = double_layer(net, v)
-    deferred = observable if (observable is not None and not single) else None
-    prefactor = 1.0
-    for e in net.graph.edges:
-        prefactor /= e.dim
-    return layers, deferred, prefactor
-
-
-def _real_scalar(value: complex, abs_scale_fn, *, what: str) -> float:
-    """Validate that a contraction result is real (and clamp norm round-off)."""
+def _real_scalar(value: complex, abs_scale_fn) -> float:
+    """Validate that a contracted norm is real (and clamp its round-off)."""
     real, imag = value.real, value.imag
     if real >= 0.0 and abs(imag) <= 1e-10 * max(1.0, abs(real)):
         return real
     tol = max(1e-12, 4096.0 * _EPS * abs_scale_fn())
     if real < -tol:
-        raise ValueError(f"{what} is negative beyond round-off: {real}")
+        raise ValueError(f"norm is negative beyond round-off: {real}")
     if abs(imag) > max(1e-10 * max(1.0, abs(real)), tol):
-        raise ValueError(f"{what} has imaginary residue {imag}")
+        raise ValueError(f"norm has imaginary residue {imag}")
     return max(real, 0.0)
 
 
-def peps_norm(net: PepsNetwork, *, guard: int | None = BOUNDARY_GUARD,
-              sweep: str = "cols") -> float:
-    """Exact squared norm of the physical state."""
-    layers, _, prefactor = _norm_layers(net, None)
-    order = sweep_order(net.graph, sweep)
-    value = _contract_network(layers, order, {}, prefactor, None, guard)
-    return _real_scalar(
-        value,
-        lambda: abs(_contract_network(layers, order, {}, prefactor, None, guard, absolute=True)),
-        what="norm",
-    )
+def _contract(net: PepsNetwork, sites: Sequence[int], observable: Observable | None = None, *,
+              guard: int | None, sweep: str | None) -> tuple[float, complex | None]:
+    """Norm and numerator of ``observable`` over ``sites``, each double layer built once.
+
+    Bonds with both ends in ``sites`` carry 1/dim; bonds with one end there are
+    closed with :func:`mixed_closure`. ``sweep=None`` dry-runs every sweep and
+    runs the one with the smallest peak. The norm is checked by
+    :func:`_real_scalar`; the numerator is None without an observable.
+    """
+    inside = set(sites)
+    prefactor = 1.0
+    closures: dict[str, Tensor] = {}
+    for e in net.graph.edges:
+        if e.u in inside and e.v in inside:
+            prefactor /= e.dim
+        elif e.u in inside or e.v in inside:
+            closures[e.id] = mixed_closure(e.dim, e.id)
+    support = observable.support if observable is not None else ()
+    single = len(support) == 1
+    legs = {v: _layer_legs(net, v, False) for v in inside}
+    observed = legs | {v: _layer_legs(net, v, not single) for v in support}
+
+    def peak(order: list[int]) -> int:
+        # forward through the last support site, backwards through the suffix
+        last = max((order.index(v) for v in support), default=len(order) - 1)
+        return max(_peak(observed, order[:last + 1], closures),
+                   _peak(legs, order[:last:-1], closures))
+
+    orders: list[list[int]] = []
+    for name in _SWEEPS if sweep is None else (sweep,):
+        order = [v for v in sweep_order(net.graph, name) if v in inside]
+        if order not in orders:
+            orders.append(order)
+    peaks = [peak(order) for order in orders]
+    best = min(peaks)
+    if guard is not None and best > guard:
+        raise GuardExceeded("contraction boundary of the best order exceeds guard", best, guard)
+    order = orders[peaks.index(best)]
+    first = min((order.index(v) for v in support), default=len(order))
+    last = max((order.index(v) for v in support), default=len(order) - 1)
+
+    layers = {v: double_layer(net, v) for v in order}
+    special = {v: double_layer(net, v, observable.operator if single else None, not single)
+               for v in support}
+
+    def run(layers: dict[int, Tensor], closures: dict[str, Tensor],
+            special: dict[int, Tensor]) -> tuple[complex, complex | None]:
+        prefix = _absorb(tz.scalar(1.0), layers, order[:first], closures)
+        suffix = _absorb(tz.scalar(1.0), layers, order[:last:-1], closures)
+        middle, pairs = order[first:last + 1], [(l, l) for l in suffix.labels]
+        norm = tz.contract(_absorb(prefix, layers, middle, closures), suffix, pairs)
+        if not special:
+            return norm.item() * prefactor, None
+        numer = tz.contract(_absorb(prefix, layers | special, middle, closures), suffix, pairs)
+        if not single:
+            numer = tz.contract(numer, observable.operator,
+                                [p for i, v in enumerate(support)
+                                 for p in ((f"bra@{v}", f"out{i}"), (f"ket@{v}", f"in{i}"))])
+        return norm.item() * prefactor, numer.item() * prefactor
+
+    norm, numer = run(layers, closures, special)
+    norm = _real_scalar(norm, lambda: abs(run(_absolute(layers), _absolute(closures), {})[0]))
+    return norm, numer
+
+
+def _expectation(norm: float, numer: complex, what: str) -> tuple[float, float]:
+    """Normalized value and imaginary residue; refuses a zero norm or a complex value."""
+    if norm < 1e-300:
+        raise ValueError(f"{what} has numerically zero norm; expectation undefined")
+    value = numer / norm
+    residue = abs(value.imag)
+    if residue > 1e-10 * max(1.0, abs(value.real)):
+        raise ValueError(f"{what} expectation has imaginary residue {residue}")
+    return float(value.real), float(residue)
 
 
 def _check_support(net: PepsNetwork, obs: Observable) -> None:
@@ -187,41 +226,38 @@ def _check_support(net: PepsNetwork, obs: Observable) -> None:
             )
 
 
+def peps_norm(net: PepsNetwork, *, guard: int | None = BOUNDARY_GUARD,
+              sweep: str | None = None) -> float:
+    """Exact squared norm of the physical state; ``sweep=None`` picks the order."""
+    return _contract(net, net.graph.vertices, guard=guard, sweep=sweep)[0]
+
+
 def nev_report(net: PepsNetwork, obs: Observable, *, guard: int | None = BOUNDARY_GUARD,
-               sweep: str = "cols") -> dict:
+               sweep: str | None = None) -> dict:
     """Normalized expectation value with its imaginary residue and the norm."""
     _check_support(net, obs)
-    nlayers, _, prefactor = _norm_layers(net, None)
-    order = sweep_order(net.graph, sweep)
-    denom = _real_scalar(
-        _contract_network(nlayers, order, {}, prefactor, None, guard),
-        lambda: abs(_contract_network(nlayers, order, {}, prefactor, None, guard, absolute=True)),
-        what="norm",
-    )
-    if denom < 1e-300:
-        raise ValueError("state has numerically zero norm; expectation undefined")
-    olayers, deferred, _ = _norm_layers(net, obs)
-    numer = _contract_network(olayers, order, {}, prefactor, deferred, guard)
-    value = numer / denom
-    residue = abs(value.imag)
-    if residue > 1e-10 * max(1.0, abs(value.real)):
-        raise ValueError(f"expectation of Hermitian observable has imaginary residue {residue}")
-    return {"value": float(value.real), "imag_residue": float(residue), "norm": float(denom)}
+    norm, numer = _contract(net, net.graph.vertices, obs, guard=guard, sweep=sweep)
+    value, residue = _expectation(norm, numer, "state")
+    return {"value": value, "imag_residue": residue, "norm": norm}
 
 
 def peps_nev(net: PepsNetwork, obs: Observable, *, guard: int | None = BOUNDARY_GUARD,
-             sweep: str = "cols") -> float:
+             sweep: str | None = None) -> float:
     return nev_report(net, obs, guard=guard, sweep=sweep)["value"]
 
 
-def decide_nev(net: PepsNetwork, obs: Observable, *, guard: int | None = BOUNDARY_GUARD) -> str:
-    """Promise-problem wrapper: accept at >= 2/3, reject at <= 1/3, else undetermined."""
-    value = peps_nev(net, obs, guard=guard)
+def _decision(value: float) -> str:
+    """Promise-problem thresholds: accept at >= 2/3, reject at <= 1/3, else undetermined."""
     if value >= 2.0 / 3.0:
         return "accept"
     if value <= 1.0 / 3.0:
         return "reject"
     return "undetermined"
+
+
+def decide_nev(net: PepsNetwork, obs: Observable, *, guard: int | None = BOUNDARY_GUARD) -> str:
+    """Promise-problem wrapper around :func:`peps_nev`."""
+    return _decision(peps_nev(net, obs, guard=guard))
 
 
 # ---------------------------------------------------------------------------
@@ -285,39 +321,5 @@ def patch_nev(net: PepsNetwork, obs: Observable, radius: int, *,
     """
     _check_support(net, obs)
     patch = make_patch(net, obs.support, radius)
-    if patch.covers_lattice:
-        return peps_nev(net, obs, guard=guard)
-    inside = set(patch.interior)
-    ring = set(patch.ring)
-    closures: dict[str, Tensor] = {}
-    prefactor = 1.0
-    for e in net.graph.edges:
-        u_in, v_in = e.u in inside, e.v in inside
-        if u_in and v_in:
-            prefactor /= e.dim
-        elif u_in != v_in and (e.u in ring or e.v in ring):
-            closures[e.id] = mixed_closure(e.dim, e.id)
-    order = [v for v in sweep_order(net.graph) if v in inside]
-
-    def run(observable: Observable | None) -> complex:
-        single = observable is not None and len(observable.support) == 1
-        layers = {}
-        for v in patch.interior:
-            if observable is not None and v in observable.support:
-                if single:
-                    layers[v] = double_layer(net, v, observable_factor=observable.operator)
-                else:
-                    layers[v] = double_layer(net, v, open_phys=True)
-            else:
-                layers[v] = double_layer(net, v)
-        deferred = observable if (observable is not None and not single) else None
-        return _contract_network(layers, order, closures, prefactor, deferred, guard)
-
-    denom = run(None).real
-    if denom <= 1e-300:
-        raise ValueError("patch has numerically zero weight")
-    value = run(obs) / denom
-    residue = abs(value.imag)
-    if residue > 1e-10 * max(1.0, abs(value.real)):
-        raise ValueError(f"patch expectation has imaginary residue {residue}")
-    return float(value.real)
+    norm, numer = _contract(net, patch.interior, obs, guard=guard, sweep=None)
+    return _expectation(norm, numer, "patch")[0]

@@ -1,8 +1,9 @@
 """Reference implementations used to cross-check the package.
 
-Everything in here is deliberately dumb: explicit python loops, dense
-vectors, and no shared code paths with the library beyond the public
-tensor container.  Slow is fine, these only ever run on tiny instances.
+Everything in here is deliberately dumb: explicit python loops (or, for
+the dense state, one einsum over every bond index), dense vectors, and no
+shared code paths with the library beyond the public tensor container.
+Slow is fine, these only ever run on tiny instances.
 """
 
 import itertools
@@ -57,30 +58,22 @@ def loop_contract(a, a_legs, b, b_legs, pairs):
 def dense_state(net):
     """Coefficient tensor of the physical state, one axis per vertex.
 
-    Sums every virtual bond index explicitly.  Each bond carries the
-    normalized pair state, so each edge contributes 1/sqrt(dim).
+    Sums every virtual bond index explicitly, as one ``np.einsum`` with an
+    index per bond and per site (no library contraction code).  Each bond
+    carries the normalized pair state, so each edge contributes 1/sqrt(dim).
     """
     verts = list(net.graph.vertices)
     edges = list(net.graph.edges)
-    epos = {e.id: k for k, e in enumerate(edges)}
-    site = {}
+    bond = {e.id: k for k, e in enumerate(edges)}
+    phys = {v: len(edges) + k for k, v in enumerate(verts)}
+    operands = []
     for v in verts:
         t = net.site(v)
-        site[v] = (arr(t), list(t.labels))
-    out = np.zeros(tuple(net.phys_dim(v) for v in verts), dtype=complex)
+        operands += [arr(t), [phys[v] if lab == "phys" else bond[lab] for lab in t.labels]]
+    out = np.einsum(*operands, [phys[v] for v in verts], optimize=True)
     scale = 1.0
     for e in edges:
         scale /= np.sqrt(e.dim)
-    for assign in itertools.product(*(range(e.dim) for e in edges)):
-        term = None
-        for v in verts:
-            a, labs = site[v]
-            idx = tuple(
-                slice(None) if lab == "phys" else assign[epos[lab]] for lab in labs
-            )
-            vec = a[idx]
-            term = vec if term is None else np.multiply.outer(term, vec)
-        out += term
     return out * scale
 
 

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import pepslab as pl
+from pepslab import contraction
 from pepslab.circuits import Circuit, Gate, save_circuit
 from pepslab.cli import main
 from pepslab.network import network_to_json, observable_to_json
 from pepslab.sim import expectation_value, postselected_expectation, run_noisy_circuit
 from pepslab.tiling import tileset_to_json
 
-from oracles import random_hermitian, random_tileset
+from oracles import dense_nev, random_hermitian, random_tileset
 
 H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
 CNOT = np.array(
@@ -42,12 +43,6 @@ def test_norm_matches_library_call(capsys):
     out = run_json(capsys, "norm", "--random", "2x3", "--delta", "0.8", "--seed", "3")
     net = pl.random_network(2, 3, bond_dim=2, delta=0.8, seed=3)
     assert out["norm"] == pytest.approx(pl.peps_norm(net), rel=1e-12)
-
-
-def test_norm_sweep_directions_agree(capsys):
-    a = run_json(capsys, "norm", "--random", "3x2", "--seed", "4")
-    b = run_json(capsys, "norm", "--random", "3x2", "--seed", "4", "--sweep", "rows")
-    assert a["norm"] == pytest.approx(b["norm"], rel=1e-12)
 
 
 def test_emit_network_reproduces_the_run(capsys, tmp_path):
@@ -84,6 +79,47 @@ def test_nev_with_observable_file(capsys, tmp_path):
     assert set(out) == {"value", "imag_residue", "norm", "decision"}
     assert out["value"] == pytest.approx(0.8, abs=1e-12)
     assert out["decision"] == "accept"
+
+
+def test_nev_on_a_long_grid_runs_the_sweep_that_fits(capsys, tmp_path):
+    # the cols sweep of a 10x3 D=2 grid peaks at 4**11 entries, rows at 4**4
+    net = pl.random_network(10, 3, bond_dim=2, delta=0.9, seed=17)
+    site = net.graph.vertex_at(5, 1)
+    obs = pl.observable_from_matrix((site,), random_hermitian(net.phys_dim(site), 8))
+    netf = write_json(tmp_path / "net.json", network_to_json(net))
+    obsf = write_json(tmp_path / "obs.json", observable_to_json(obs))
+    out = run_json(capsys, "nev", "--network", netf, "--observable", obsf)
+    assert out["value"] == pytest.approx(pl.peps_nev(net, obs, sweep="rows"), abs=1e-12)
+    value = out["value"]
+    want = "accept" if value >= 2 / 3 else "reject" if value <= 1 / 3 else "undetermined"
+    assert out["decision"] == want
+
+
+def test_norm_on_a_long_random_grid(capsys):
+    out = run_json(capsys, "norm", "--random", "10x3")
+    assert out["norm"] == pytest.approx(
+        pl.peps_norm(pl.random_network(10, 3), sweep="rows"), rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("support", [(4,), (0, 5)])
+def test_nev_builds_each_double_layer_once(capsys, tmp_path, monkeypatch, support):
+    net = pl.random_network(3, 3, phys_dim=2, seed=22)
+    obs = pl.observable_from_matrix(support, random_hermitian(2 ** len(support), 4),
+                                    dims=(2,) * len(support))
+    netf = write_json(tmp_path / "net.json", network_to_json(net))
+    obsf = write_json(tmp_path / "obs.json", observable_to_json(obs))
+    built = []
+    real = contraction.double_layer
+    monkeypatch.setattr(contraction, "double_layer",
+                        lambda *args, **kwargs: built.append(args[1]) or real(*args, **kwargs))
+    value = pl.nev_report(net, obs)["value"]
+    assert len(built) == 9 + len(support)
+    assert value == pytest.approx(dense_nev(net, support, obs.matrix()), abs=1e-11)
+    built.clear()
+    out = run_json(capsys, "nev", "--network", netf, "--observable", obsf)
+    assert len(built) == 9 + len(support)
+    assert out["value"] == value
 
 
 def test_patch_nev_command(capsys, tmp_path):

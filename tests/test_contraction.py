@@ -5,6 +5,7 @@ import pytest
 
 import pepslab as pl
 from pepslab import tensor as tz
+from pepslab.circuits import random_circuit
 from pepslab.contraction import double_layer, mixed_closure, sweep_order
 from pepslab.errors import GuardExceeded
 
@@ -26,13 +27,26 @@ def test_norm_matches_dense_oracle(case):
     assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_single_site_nev_matches_dense_oracle(case):
+# Support first in the order (no prefix), inside it (prefix and suffix) and
+# last (no suffix). A one-site observable leaves every peak as it is for the
+# norm, so these cases run the cols order (tie or smaller peak); the interior
+# cases keep the plain case ids.
+SINGLE_SITE = [
+    pytest.param(case, where, id=f"case{i}" if where == "interior" else f"case{i}-{where}")
+    for i, case in enumerate(CASES) for where in ("first", "interior", "last")
+]
+
+
+@pytest.mark.parametrize("case,where", SINGLE_SITE)
+def test_single_site_nev_matches_dense_oracle(case, where):
     net = pl.random_network(**case)
-    v = net.graph.vertices[-1]
+    order = sweep_order(net.graph, "cols")
+    v = order[{"first": 0, "interior": len(order) // 2, "last": -1}[where]]
     m = random_hermitian(net.phys_dim(v), case["seed"] + 50)
     obs = pl.observable_from_matrix((v,), m)
-    assert pl.peps_nev(net, obs) == pytest.approx(dense_nev(net, (v,), m), abs=1e-11)
+    want = dense_nev(net, (v,), m)
+    assert pl.peps_nev(net, obs) == pytest.approx(want, abs=1e-11)
+    assert pl.peps_nev(net, obs, sweep="cols") == pytest.approx(want, abs=1e-11)
 
 
 def test_adjacent_pair_nev_matches_dense_oracle():
@@ -48,6 +62,23 @@ def test_distant_pair_nev_matches_dense_oracle():
     m = random_hermitian(4, 61)
     obs = pl.observable_from_matrix((0, 3), m, dims=(2, 2))
     assert pl.peps_nev(net, obs) == pytest.approx(dense_nev(net, (0, 3), m), abs=1e-11)
+
+
+def test_norm_round_off_below_zero_is_clamped():
+    # site 1 carries w and -w on its two bond values, so the state cancels to
+    # zero and the contracted norm comes out at about -5e-16
+    rng = np.random.default_rng(0)
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    w = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    net = pl.PepsNetwork(pl.open_grid(1, 3), {
+        0: tz.Tensor((("h0.0", 2), ("phys", 2)), np.stack([v, v])),
+        1: tz.Tensor((("h0.0", 2), ("h0.1", 2), ("phys", 2)), np.stack([w, -w])),
+        2: tz.Tensor((("h0.1", 2), ("phys", 2)), u),
+    })
+    assert pl.peps_norm(net) == 0.0
+    with pytest.raises(ValueError, match="zero norm"):
+        pl.nev_report(net, pl.observable_from_matrix((0,), np.eye(2)))
 
 
 def test_periodic_norm_matches_dense_oracle():
@@ -66,6 +97,62 @@ def test_row_and_column_sweeps_agree():
 def test_isometric_network_has_unit_norm(rows, cols):
     net = pl.isometric_network(rows, cols, seed=rows * 10 + cols)
     assert pl.peps_norm(net) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_unknown_sweep_is_rejected_on_every_geometry():
+    circuit_net = pl.compile_circuit(random_circuit(4, 2, seed=1), 0.5).network
+    for graph in (pl.open_grid(2, 2), pl.periodic_grid(2, 2), circuit_net.graph):
+        with pytest.raises(ValueError, match="unknown sweep"):
+            sweep_order(graph, "diagonal")
+    with pytest.raises(ValueError, match="unknown sweep"):
+        pl.peps_norm(circuit_net, sweep="diagonal")
+
+
+def test_split_environment_fits_where_whole_sweeps_do_not():
+    # the deferred pair on (0, 1) peaks at 4096 (cols) and 16384 (rows) entries
+    # when the whole network is swept with the open layers
+    net = pl.random_network(3, 4, bond_dim=2, phys_dim=2, seed=21)
+    m = random_hermitian(4, 5)
+    obs = pl.observable_from_matrix((0, 1), m, dims=(2, 2))
+    assert pl.peps_nev(net, obs, guard=1024) == pytest.approx(dense_nev(net, (0, 1), m), abs=1e-11)
+
+
+@pytest.mark.parametrize("rows,cols,fits,refused",
+                         [(10, 3, "rows", "cols"), (3, 10, "cols", "rows")])
+def test_long_grids_run_the_sweep_that_fits(rows, cols, fits, refused):
+    net = pl.random_network(rows, cols, bond_dim=2, seed=23)
+    with pytest.raises(GuardExceeded):
+        pl.peps_norm(net, sweep=refused)
+    assert pl.peps_norm(net) == pytest.approx(pl.peps_norm(net, sweep=fits), rel=1e-12)
+    v = net.graph.vertex_at(rows // 2, cols // 2)
+    obs = pl.observable_from_matrix((v,), random_hermitian(net.phys_dim(v), 6))
+    got, want = pl.nev_report(net, obs), pl.nev_report(net, obs, sweep=fits)
+    assert got["value"] == pytest.approx(want["value"], abs=1e-12)
+    assert got["norm"] == pytest.approx(want["norm"], rel=1e-12)
+
+
+# 3x3 D=6: four fused legs of 36 in either sweep; 10x3 D=2: the rows sweep's
+# row of three plus one leg, four legs of 4, where cols peaks at 4**11.
+@pytest.mark.parametrize("rows,cols,bond_dim,guard,best", [
+    (3, 3, 6, pl.BOUNDARY_GUARD, 36 ** 4), (10, 3, 2, 1, 4 ** 4)])
+def test_refusal_reports_the_best_peak(rows, cols, bond_dim, guard, best):
+    net = pl.random_network(rows, cols, bond_dim=bond_dim, phys_dim=2, seed=24)
+    peaks = []
+    for sweep in ("cols", "rows"):
+        with pytest.raises(GuardExceeded) as err:
+            pl.peps_norm(net, guard=guard, sweep=sweep)
+        peaks.append(err.value.required)
+    with pytest.raises(GuardExceeded) as err:
+        pl.peps_norm(net, guard=guard)
+    assert err.value.required == min(peaks) == best
+    assert err.value.limit == guard
+    # a one-site observable keeps the norm's peak; on 10x3 site 0 opens the
+    # rows order (all else is suffix) and the last site closes it
+    for v in (net.graph.vertices[0], net.graph.vertices[-1]):
+        obs = pl.observable_from_matrix((v,), np.eye(2))
+        with pytest.raises(GuardExceeded) as err:
+            pl.peps_nev(net, obs, guard=guard)
+        assert err.value.required == best
 
 
 def test_sweep_order_layouts():
