@@ -121,7 +121,9 @@ def kraus_orthonormal_completion(kraus, dim: int) -> list:
     Input operators are rescaled to unit HS norm and must be mutually
     orthogonal.  The remaining dim^2 - m directions are filled by running
     Gram-Schmidt over the matrix units in row-major order, skipping candidates
-    whose residual norm falls below 1e-10.  The procedure is deterministic.
+    whose residual norm falls below 1e-10.  Each candidate is projected against
+    all kept rows at once with one matrix product, applied twice.  The
+    procedure is deterministic.
     """
     ops = [np.asarray(k, dtype=np.complex128) for k in kraus]
     if len(ops) > dim * dim:
@@ -138,18 +140,21 @@ def kraus_orthonormal_completion(kraus, dim: int) -> list:
             if abs(hs_inner(basis[a], basis[b])) > HS_TOL:
                 raise ValueError("Kraus operators must be HS-orthogonal")
 
-    for i in range(dim):
-        for j in range(dim):
-            if len(basis) == dim * dim:
-                return basis
-            cand = np.zeros((dim, dim), dtype=np.complex128)
-            cand[i, j] = 1.0
-            for b in basis:
-                cand = cand - hs_inner(b, cand) * b
-            rem = np.linalg.norm(cand)
-            if rem < 1e-10:
-                continue
-            basis.append(cand / rem)
-    if len(basis) != dim * dim:
+    rows = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
+    kept = len(basis)
+    rows[:kept] = np.reshape(basis, (kept, dim * dim))
+    for unit in range(dim * dim):
+        if kept == dim * dim:
+            break
+        cand = np.zeros(dim * dim, dtype=np.complex128)
+        cand[unit] = 1.0
+        for _ in range(2):
+            cand -= (rows[:kept].conj() @ cand) @ rows[:kept]
+        rem = np.linalg.norm(cand)
+        if rem < 1e-10:
+            continue
+        rows[kept] = cand / rem
+        kept += 1
+    if kept != dim * dim:
         raise ValueError("failed to complete the Kraus basis")
-    return basis
+    return list(rows.reshape(dim * dim, dim, dim))

@@ -30,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import backend
 from . import tensor as tz
 from .errors import GuardExceeded
 from .network import PHYS, Observable, PepsNetwork
@@ -50,26 +51,31 @@ def double_layer(net: PepsNetwork, site: int, observable_factor: Tensor | None =
     endpoints, so fused legs contract directly across a bond. With
     ``observable_factor`` (legs ``in0``/``out0``) the physical pair is sandwiched
     instead of traced; with ``open_phys`` it stays open as ``bra@<site>`` /
-    ``ket@<site>``.
+    ``ket@<site>``. The site is viewed as a matrix ``T[bonds, phys]``, so the
+    square is one matrix product (or one outer product) and one transpose that
+    interleaves the bra and ket bond indices.
     """
     t = net.site(site)
     edge_ids = net.virtual_labels(site)
-    bra = t.conj().relabeled({l: f"b:{l}" for l in edge_ids} | {PHYS: "_bp"})
-    ket = t.relabeled({l: f"k:{l}" for l in edge_ids} | {PHYS: "_kp"})
     if observable_factor is not None and open_phys:
         raise ValueError("choose either an observable factor or open physical legs")
-    if observable_factor is not None:
-        half = tz.contract(bra, observable_factor, [("_bp", "out0")])
-        e = tz.contract(half, ket, [("in0", "_kp")])
-    elif open_phys:
-        e = tz.contract(bra, ket, [])
-        e = e.relabeled({"_bp": f"bra@{site}", "_kp": f"ket@{site}"})
+    mat = tz.matrix_view(t, edge_ids, [PHYS])
+    dims = [t.dim(l) for l in edge_ids]
+    m = len(dims)
+    order = [ax for i in range(m) for ax in (i, m + i)]
+    legs = [(l, d * d) for l, d in zip(edge_ids, dims)]
+    if open_phys:
+        p = t.dim(PHYS)
+        sq = mat.conj()[:, None, :, None] * mat[None, :, None, :]
+        order += [2 * m, 2 * m + 1]
+        legs += [(f"bra@{site}", p), (f"ket@{site}", p)]
+    elif observable_factor is not None:
+        op = tz.matrix_view(observable_factor, ["out0"], ["in0"])
+        sq = backend.matmul(mat.conj(), backend.matmul(op, mat.T))
     else:
-        e = tz.contract(bra, ket, [("_bp", "_kp")])
-    for l in edge_ids:
-        e = tz.fuse_legs(e, [f"b:{l}", f"k:{l}"], l)
-    order = edge_ids + ([f"bra@{site}", f"ket@{site}"] if open_phys else [])
-    return tz.permute_legs(e, order)
+        sq = backend.matmul(mat.conj(), mat.T)
+    sq = sq.reshape(dims + dims + list(sq.shape[2:])).transpose(order)
+    return Tensor(legs, sq.reshape([d for _, d in legs]))
 
 
 def mixed_closure(edge_dim: int, label: str) -> Tensor:

@@ -1,11 +1,22 @@
 """Small dense density-matrix simulator for noisy brickwork circuits.
 
-Wire 0 is the most significant bit of the computational index.  Noise acts at
-the cell level: with rate eta the two-wire cell output is replaced by the
-maximally mixed state of the pair (times the input trace), otherwise the
-cell's channel is applied.  Projections are therefore leaky: a postselected
-wrong branch survives with weight eta per projection instead of being
-annihilated.
+Wire 0 is the most significant bit of the computational index.  Every local
+map on k wires is applied in superoperator (Liouville) form: one
+``4**k x 4**k`` matrix over the (ket wires, bra wires) index pair,
+``S = sum_a K_a (x) conj(K_a)``, moved onto the state's matching axes with one
+move-axes/reshape, one matrix product and one move-axes back.  Noise acts at
+the cell level: with rate eta the cell output is replaced by the maximally
+mixed state of its wires (times the input trace), so a noisy map is
+``(1 - eta) S + eta |vec I><vec I| / 2**k``.  Projections are therefore leaky:
+a postselected wrong branch survives with weight eta per projection instead of
+being annihilated.
+
+Postselection with copies adds one ancilla at a time: copy the postselected
+wire onto a fresh wire with a CNOT, project the ancilla, trace it out, and go
+on to the next copy; the postselected wire itself is projected last.  The
+CNOTs share their control and commute with the other copies' projections, so
+this equals copying onto every ancilla first, while the state never holds more
+than the body width + 1 wires.
 """
 
 from __future__ import annotations
@@ -57,14 +68,6 @@ class DensityState:
     def trace(self) -> float:
         return float(np.trace(self.rho).real)
 
-    def validate(self, herm_tol: float = 1e-12, psd_tol: float = 1e-10) -> None:
-        scale = max(1.0, float(np.abs(self.rho).max()))
-        if np.max(np.abs(self.rho - self.rho.conj().T)) > herm_tol * scale:
-            raise ValueError("density matrix is not Hermitian")
-        evals = np.linalg.eigvalsh(self.rho)
-        if evals[0] < -psd_tol * scale:
-            raise ValueError(f"density matrix has negative eigenvalue {evals[0]:.3e}")
-
     def _nd(self) -> np.ndarray:
         return self.rho.reshape([2] * (2 * self.wires))
 
@@ -79,65 +82,36 @@ def basis_state(bits: str) -> DensityState:
     return DensityState(n, rho, check=False)
 
 
-def _contract_op(rho_nd: np.ndarray, op_nd: np.ndarray, positions) -> np.ndarray:
-    m = len(positions)
-    out = np.tensordot(op_nd, rho_nd, axes=(list(range(m, 2 * m)), list(positions)))
-    return np.moveaxis(out, list(range(m)), list(positions))
+def _superoperator(kraus, eta: float = 0.0) -> np.ndarray:
+    """Liouville matrix of a (noisy) local map over the (ket, bra) index pair."""
+    ops = np.asarray(kraus, dtype=np.complex128)
+    d = ops.shape[-1]
+    s = np.einsum("aij,akl->ikjl", ops, ops.conj()).reshape(d * d, d * d)
+    if eta == 0.0:
+        return s
+    vec_id = np.eye(d, dtype=np.complex128).ravel()
+    return (1.0 - eta) * s + (eta / d) * np.outer(vec_id, vec_id)
 
 
-def _apply_kraus_nd(rho_nd: np.ndarray, kraus, wires, n: int) -> np.ndarray:
-    ket = list(wires)
-    bra = [w + n for w in wires]
-    out = np.zeros_like(rho_nd)
-    for k in kraus:
-        k_nd = np.asarray(k, dtype=np.complex128).reshape([2] * (2 * len(wires)))
-        tmp = _contract_op(rho_nd, k_nd, ket)
-        out += _contract_op(tmp, k_nd.conj(), bra)
-    return out
-
-
-def _replace_with_identity(rho_nd: np.ndarray, wires, n: int) -> np.ndarray:
-    """Trace out ``wires`` and reinsert the maximally mixed state there."""
-    idx = list(range(2 * n))
-    for w in wires:
-        idx[n + w] = idx[w]
-    kept = [i for i in range(n) if i not in set(wires)]
-    reduced_idx = [idx[i] for i in kept] + [idx[n + i] for i in kept]
-    reduced = np.einsum(rho_nd, idx, reduced_idx)
-    out_idx = list(range(2 * n))
-    ops = [reduced, reduced_idx]
-    fresh = 2 * n
-    for w in wires:
-        ops += [_EYE2 / 2.0, [fresh, fresh + 1]]
-        out_idx[w] = fresh
-        out_idx[n + w] = fresh + 1
-        fresh += 2
-    return np.einsum(*ops, out_idx)
+def _apply_superoperator(state: DensityState, s: np.ndarray, wires) -> DensityState:
+    """Apply a Liouville matrix on ``wires`` as one GEMM on the (ket, bra) axes."""
+    n, k = state.wires, len(wires)
+    axes = list(wires) + [n + w for w in wires]
+    front = list(range(2 * k))
+    nd = np.moveaxis(state._nd(), axes, front).reshape(s.shape[1], -1)
+    out = np.moveaxis((s @ nd).reshape([2] * (2 * n)), front, axes)
+    return DensityState(n, out.reshape(state.dim, state.dim), check=False)
 
 
 def apply_unitary(state: DensityState, u: np.ndarray, wires) -> DensityState:
-    u = np.asarray(u, dtype=np.complex128)
-    out = _apply_kraus_nd(state._nd(), [u], list(wires), state.wires)
-    return DensityState(state.wires, out.reshape(state.dim, state.dim), check=False)
-
-
-def apply_kraus(state: DensityState, kraus, wires) -> DensityState:
-    out = _apply_kraus_nd(state._nd(), kraus, list(wires), state.wires)
-    return DensityState(state.wires, out.reshape(state.dim, state.dim), check=False)
+    return _apply_superoperator(state, _superoperator([u]), list(wires))
 
 
 def apply_noisy_cell(state: DensityState, kraus, wires, eta: float) -> DensityState:
     """(1 - eta) * cell channel + eta * tr_pair[rho] (x) maximally mixed pair."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    nd = state._nd()
-    coherent = _apply_kraus_nd(nd, kraus, list(wires), state.wires)
-    if eta == 0.0:
-        out = coherent
-    else:
-        mixed = _replace_with_identity(nd, list(wires), state.wires)
-        out = (1.0 - eta) * coherent + eta * mixed
-    return DensityState(state.wires, out.reshape(state.dim, state.dim), check=False)
+    return _apply_superoperator(state, _superoperator(kraus, eta), list(wires))
 
 
 def noisy_projection(state: DensityState, wire: int, eta: float) -> DensityState:
@@ -148,14 +122,7 @@ def noisy_projection(state: DensityState, wire: int, eta: float) -> DensityState
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    nd = state._nd()
-    proj = _apply_kraus_nd(nd, [_P00], [wire], state.wires)
-    if eta == 0.0:
-        out = proj
-    else:
-        mixed = _replace_with_identity(nd, [wire], state.wires)
-        out = (1.0 - eta) * proj + eta * mixed
-    return DensityState(state.wires, out.reshape(state.dim, state.dim), check=False)
+    return _apply_superoperator(state, _superoperator([_P00], eta), [wire])
 
 
 def partial_trace(state: DensityState, traced) -> DensityState:
@@ -281,7 +248,9 @@ def postselected_expectation(
     eta) or an already-prepared DensityState.  The postselected register is
     copied onto copies-1 fresh wires with ideal CNOTs, every copy is projected
     with the leaky projection at rate eta, and the projected wires are traced
-    out.  Returns the normalized expectation and the surviving trace weight.
+    out.  The copies are made one at a time, each traced out before the next,
+    so the state peaks at the body width + 1 wires.  Returns the normalized
+    expectation and the surviving trace weight.
     """
     if copies < 1:
         raise ValueError("copies must be >= 1")
@@ -297,20 +266,13 @@ def postselected_expectation(
     if post_wire == out_wire:
         raise ValueError("post and out wires must differ")
 
-    ancillas = []
-    if copies > 1:
-        base = state.wires
-        state = extend_with_zeros(state, copies - 1)
-        ancillas = list(range(base, base + copies - 1))
-        for a in ancillas:
-            state = apply_unitary(state, CNOT, (post_wire, a))
-
-    traced = [post_wire] + ancillas
-    for w in traced:
-        state = noisy_projection(state, w, eta)
-    kept = [w for w in range(state.wires) if w not in traced]
-    state = partial_trace(state, traced)
-    out_pos = kept.index(out_wire)
+    for _ in range(copies - 1):
+        a = state.wires
+        state = extend_with_zeros(state, 1)
+        state = apply_unitary(state, CNOT, (post_wire, a))
+        state = partial_trace(noisy_projection(state, a, eta), [a])
+    state = partial_trace(noisy_projection(state, post_wire, eta), [post_wire])
+    out_pos = out_wire - (out_wire > post_wire)
 
     obs = np.asarray(observable, dtype=np.complex128)
     if obs.shape != (2, 2):

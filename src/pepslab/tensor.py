@@ -187,19 +187,6 @@ def contract(a: Tensor, b: Tensor, pairs: Sequence[tuple[str, str]]) -> Tensor:
     return Tensor(legs, out.reshape([d for _, d in legs]))
 
 
-def trace_pairs(t: Tensor, pairs: Sequence[tuple[str, str]]) -> Tensor:
-    """Trace out pairs of legs of a single tensor (used to close wrapped bonds)."""
-    out = t
-    for la, lb in pairs:
-        if out.dim(la) != out.dim(lb):
-            raise ValueError(f"trace dim mismatch {la!r}/{lb!r}")
-        i, j = out.axis(la), out.axis(lb)
-        data = np.trace(out.data, axis1=i, axis2=j)
-        legs = tuple(leg for k, leg in enumerate(out.legs) if k not in (i, j))
-        out = Tensor(legs, np.ascontiguousarray(data))
-    return out
-
-
 def matrix_view(t: Tensor, row_legs: Sequence[str], col_legs: Sequence[str]) -> np.ndarray:
     """Reshape to a matrix with the given row/col leg groups (row-major within each)."""
     if sorted(list(row_legs) + list(col_legs)) != sorted(t.labels):

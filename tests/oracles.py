@@ -132,3 +132,85 @@ def random_tileset(seed, count=4, colors=2):
     while len(tiles) < count:
         tiles.add(tuple(int(x) for x in rng.integers(0, colors, 4)))
     return WangTileSet(colors, tuple(sorted(tiles)))
+
+
+def full_space_operator(op, wires, n):
+    """Matrix of ``op`` acting on ``wires`` of an n-wire register, built with np.kron.
+
+    ``op`` is expanded over matrix units |o><i| of its wires (first listed
+    wire most significant); each unit is a kron chain over all n wires, with
+    the identity on wires outside ``wires``.  Wire 0 is the most significant.
+    """
+    op = np.asarray(op, dtype=complex)
+    wires = list(wires)
+    k = len(wires)
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for o in itertools.product((0, 1), repeat=k):
+        for i in itertools.product((0, 1), repeat=k):
+            coeff = op[int("".join(map(str, o)), 2), int("".join(map(str, i)), 2)]
+            term = np.eye(1, dtype=complex)
+            for w in range(n):
+                if w in wires:
+                    unit = np.zeros((2, 2), dtype=complex)
+                    unit[o[wires.index(w)], i[wires.index(w)]] = 1.0
+                else:
+                    unit = np.eye(2, dtype=complex)
+                term = np.kron(term, unit)
+            out += coeff * term
+    return out
+
+
+def replace_with_mixed(rho, wires, n):
+    """tr_wires[rho] with 1/2**k reinserted on ``wires``, by an explicit partial trace."""
+    dim = 2**n
+    kept = [w for w in range(n) if w not in wires]
+
+    def bits(index):
+        return [(index >> (n - 1 - w)) & 1 for w in range(n)]
+
+    reduced = {}
+    for i in range(dim):
+        for j in range(dim):
+            bi, bj = bits(i), bits(j)
+            if all(bi[w] == bj[w] for w in wires):
+                key = (tuple(bi[w] for w in kept), tuple(bj[w] for w in kept))
+                reduced[key] = reduced.get(key, 0.0) + rho[i, j]
+    out = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim):
+        for j in range(dim):
+            bi, bj = bits(i), bits(j)
+            if all(bi[w] == bj[w] for w in wires):
+                key = (tuple(bi[w] for w in kept), tuple(bj[w] for w in kept))
+                out[i, j] = reduced[key] / 2 ** len(wires)
+    return out
+
+
+def noisy_map(rho, kraus, wires, n, eta):
+    """(1 - eta) sum_a K_a rho K_a^dag + eta tr_wires[rho] (x) mixed, on full-space matrices."""
+    coherent = np.zeros_like(rho, dtype=complex)
+    for k in kraus:
+        big = full_space_operator(k, wires, n)
+        coherent += big @ rho @ big.conj().T
+    return (1 - eta) * coherent + eta * replace_with_mixed(rho, wires, n)
+
+
+def kraus_completion_one_at_a_time(kraus, dim):
+    """Orthonormal completion by modified Gram-Schmidt, one inner product at a time.
+
+    Normalized input first, then the matrix units in row-major order, each
+    projected against every kept element in turn; a candidate whose residual
+    norm falls below 1e-10 is skipped.
+    """
+    basis = [np.asarray(k, dtype=complex) / np.linalg.norm(k) for k in kraus]
+    for i in range(dim):
+        for j in range(dim):
+            if len(basis) == dim * dim:
+                return basis
+            cand = np.zeros((dim, dim), dtype=complex)
+            cand[i, j] = 1.0
+            for b in basis:
+                cand = cand - np.trace(b.conj().T @ cand) * b
+            rem = np.linalg.norm(cand)
+            if rem >= 1e-10:
+                basis.append(cand / rem)
+    return basis

@@ -11,7 +11,10 @@ from pepslab.channels import (
     unitary_channel,
 )
 
-from oracles import random_hermitian
+from pepslab.circuits import Circuit, Gate
+from pepslab.embed import cell_kraus
+
+from oracles import kraus_completion_one_at_a_time, random_hermitian
 
 
 def random_unitary(dim, seed):
@@ -141,6 +144,34 @@ def test_completion_basis_resolves_identity():
     rho = random_density(d, 13)
     acc = sum(k @ rho @ k.conj().T for k in full)
     np.testing.assert_allclose(acc, np.trace(rho) * np.eye(d), atol=1e-12)
+
+
+P0 = np.diag([1.0, 0.0]).astype(complex)
+R01 = np.array([[0, 1], [0, 0]], dtype=complex)
+
+
+def cell_family(kind):
+    """Kraus family of one brickwork cell of the given kind."""
+    if kind == "reset-row":
+        return [np.kron(a, b) for a in (P0, R01) for b in (P0, R01)]
+    gate = {
+        "unitary": Gate("unitary2", 0, 0, random_unitary(4, 16)),
+        "reset": Gate("reset", 0, 0),
+        "project0": Gate("project0", 0, 1),
+    }[kind]
+    return cell_kraus(Circuit(2, 1, (gate,)).cell(0, 0))
+
+
+@pytest.mark.parametrize("kind", ["unitary", "reset", "project0", "reset-row"])
+def test_completion_is_orthonormal_and_matches_one_at_a_time(kind):
+    kraus = cell_family(kind)
+    full = kraus_orthonormal_completion(kraus, 4)
+    b = np.reshape(full, (16, 16))
+    assert np.linalg.norm(b @ b.conj().T - np.eye(16)) <= 1e-13
+    for got, k in zip(full, kraus):
+        np.testing.assert_allclose(got, k / np.linalg.norm(k), rtol=0, atol=1e-15)
+    want = kraus_completion_one_at_a_time(kraus, 4)
+    np.testing.assert_allclose(b, np.reshape(want, (16, 16)), rtol=0, atol=1e-12)
 
 
 def test_hs_normalization_rescales_uniformly():

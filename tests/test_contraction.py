@@ -9,7 +9,7 @@ from pepslab.circuits import random_circuit
 from pepslab.contraction import double_layer, mixed_closure, sweep_order
 from pepslab.errors import GuardExceeded
 
-from oracles import dense_nev, dense_norm, random_hermitian
+from oracles import arr, dense_nev, dense_norm, random_hermitian
 
 CASES = [
     dict(rows=1, cols=3, bond_dim=2, phys_dim=2, seed=1),
@@ -188,6 +188,54 @@ def test_double_layer_is_a_gram_matrix():
     np.testing.assert_allclose(m, a.conj().T @ a, atol=1e-13)
     np.testing.assert_allclose(m, m.conj().T, atol=1e-13)
     assert np.linalg.eigvalsh(m).min() > -1e-12
+
+
+def _layer_sites():
+    # a bulk cell of a compiled circuit (phys 16, legs relabeled to wire edges)
+    # and the last column of a periodic grid, whose wrap edge comes first
+    compiled = pl.compile_circuit(random_circuit(4, 2, seed=1), 0.5).network
+    periodic = pl.random_network(3, 3, delta=0.8, seed=3, geometry="periodic-grid")
+    return {"compiled": (compiled, 2), "periodic": (periodic, 2)}
+
+
+def _einsum_layer(net, v, kind, op):
+    """Double layer by one np.einsum over the stored leg order, bra-major fused per bond."""
+    t = net.site(v)
+    virt = net.virtual_labels(v)
+    a = arr(t)
+    bra = [2 * i if lab != "phys" else 50 for i, lab in enumerate(t.labels)]
+    ket = [2 * i + 1 if lab != "phys" else (50 if kind == "plain" else 51)
+           for i, lab in enumerate(t.labels)]
+    out = [x for lab in virt for x in (2 * t.labels.index(lab), 2 * t.labels.index(lab) + 1)]
+    dims = [t.dim(lab) ** 2 for lab in virt]
+    if kind == "plain":
+        ref = np.einsum(a.conj(), bra, a, ket, out)
+    elif kind == "sandwiched":
+        ref = np.einsum(a.conj(), bra, op, [50, 51], a, ket, out)
+    else:
+        ref = np.einsum(a.conj(), bra, a, ket, out + [50, 51])
+        dims += [t.dim("phys")] * 2
+    return ref.reshape(dims)
+
+
+@pytest.mark.parametrize("kind", ["plain", "sandwiched", "open"])
+@pytest.mark.parametrize("which", ["compiled", "periodic"])
+def test_double_layer_matches_einsum_reference(which, kind):
+    net, v = _layer_sites()[which]
+    t = net.site(v)
+    virt = net.virtual_labels(v)
+    p = net.phys_dim(v)
+    if which == "periodic":
+        assert virt != sorted(virt)
+    m = random_hermitian(p, 7)
+    obs = pl.observable_from_matrix((v,), m)
+    got = double_layer(net, v, obs.operator if kind == "sandwiched" else None, kind == "open")
+    legs = tuple((lab, t.dim(lab) ** 2) for lab in virt)
+    if kind == "open":
+        legs += ((f"bra@{v}", p), (f"ket@{v}", p))
+    assert got.legs == legs
+    want = _einsum_layer(net, v, kind, m)
+    np.testing.assert_allclose(arr(got), want, rtol=0, atol=1e-14)
 
 
 def test_guard_refuses_then_force_runs():

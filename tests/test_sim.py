@@ -19,6 +19,9 @@ from pepslab.sim import (
     projection_error_coeffs,
     run_noisy_circuit,
 )
+from pepslab.errors import GuardExceeded
+
+from oracles import full_space_operator, noisy_map
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -132,6 +135,29 @@ def test_noisy_cell_depolarizing_law():
     np.testing.assert_allclose(got.rho, (1 - eta) * coherent + eta * mixed, atol=1e-13)
 
 
+P0 = np.diag([1.0, 0.0]).astype(complex)
+R01 = np.array([[0, 1], [0, 0]], dtype=complex)
+RESET_RESET = [np.kron(a, b) for a in (P0, R01) for b in (P0, R01)]
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.3])
+@pytest.mark.parametrize("wires", [(2, 0), (1, 3)])
+@pytest.mark.parametrize("cell", ["reset-reset", "haar"])
+def test_noisy_cell_matches_kron_oracle(cell, wires, eta):
+    kraus = RESET_RESET if cell == "reset-reset" else [random_unitary(4, 9)]
+    s = random_state(4, 10)
+    got = apply_noisy_cell(s, kraus, wires, eta)
+    want = noisy_map(s.rho, kraus, wires, 4, eta)
+    np.testing.assert_allclose(got.rho, want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.3])
+def test_noisy_projection_matches_kron_oracle(eta):
+    s = random_state(4, 11)
+    got = noisy_projection(s, 3, eta)
+    np.testing.assert_allclose(got.rho, noisy_map(s.rho, [P0], [3], 4, eta), rtol=0, atol=1e-13)
+
+
 def test_run_matches_manual_cell_composition():
     c = random_circuit(4, 2, seed=8)
     eta = 0.11
@@ -241,3 +267,38 @@ def test_postselected_expectation_accepts_circuits():
     out = postselected_expectation(c, 0.02, 2, Z, post_wire=0, out_wire=1)
     assert 0.0 < out["residual_trace"] < 1.0
     assert -1.0 <= out["expectation"] <= 1.0
+
+
+def test_postselection_with_post_wire_above_out_wire():
+    # post_wire 2 sits after out_wire 0, so the readout keeps its position;
+    # the oracle copies onto every ancilla first, then projects them all
+    eta, copies = 0.2, 3
+    body = random_state(3, 12)
+    out = postselected_expectation(body, eta, copies, Z, post_wire=2, out_wire=0)
+    n = 3 + copies - 1
+    anc = np.zeros((4, 4), dtype=complex)
+    anc[0, 0] = 1.0
+    rho = np.kron(body.rho, anc)
+    for a in (3, 4):
+        big = full_space_operator(CNOT, (2, a), n)
+        rho = big @ rho @ big.conj().T
+    for w in (2, 3, 4):
+        rho = noisy_map(rho, [P0], [w], n, eta)
+    zo = full_space_operator(Z, [0], n)
+    assert out["residual_trace"] == pytest.approx(np.trace(rho).real, abs=1e-13)
+    assert out["expectation"] == pytest.approx((np.trace(zo @ rho) / np.trace(rho)).real, abs=1e-13)
+
+
+def test_postselection_holds_one_ancilla_at_a_time():
+    # a width-9 Bell body with 3 copies never needs more than 10 wires
+    eta = 0.05
+    state = apply_unitary(basis_state("0" * 9), H, [0])
+    state = apply_unitary(state, CNOT, [0, 1])
+    out = postselected_expectation(state, eta, 3, Z, post_wire=0, out_wire=1)
+    assert out["residual_trace"] - 0.5 == pytest.approx(0.5 * eta**3, rel=1e-9)
+
+
+def test_postselection_refuses_beyond_the_wire_guard():
+    with pytest.raises(GuardExceeded) as err:
+        postselected_expectation(basis_state("0" * 10), 0.1, 2, Z, post_wire=0, out_wire=1)
+    assert err.value.required == 11

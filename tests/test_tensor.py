@@ -90,14 +90,6 @@ def test_fuse_split_roundtrip():
     )
 
 
-def test_trace_pairs():
-    a = rnd((3, 4, 3), 2)
-    t = tz.Tensor([("i", 3), ("j", 4), ("i2", 3)], a)
-    got = tz.trace_pairs(t, [("i", "i2")])
-    assert [lab for lab, _ in got.legs] == ["j"]
-    np.testing.assert_allclose(arr(got), np.einsum("aja->j", a), atol=1e-13)
-
-
 def test_permute_legs_is_a_view_change_only():
     a = rnd((2, 3, 4), 5)
     t = mk("ijk", a)
