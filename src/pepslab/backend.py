@@ -16,17 +16,21 @@ def backend_name() -> str:
     return "numpy"
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Complex matrix product.
+def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Complex matrix product, written into ``out`` when it is given.
 
-    Inputs are promoted to C-contiguous complex128 2-D arrays. This is the
-    single multiply primitive behind every tensor contraction in the package.
+    Inputs are complex128 2-D arrays (others are converted). They are not
+    copied: a C- or Fortran-ordered view, such as a transposed matrix or a
+    slice of rows, goes to BLAS as it is. ``out`` must be a C-ordered
+    complex128 array of the product's shape, for instance a block of rows of
+    a larger output. This is the single multiply primitive behind every tensor
+    contraction in the package.
     """
-    a = np.ascontiguousarray(a, dtype=np.complex128)
-    b = np.ascontiguousarray(b, dtype=np.complex128)
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return np.matmul(a, b)
+    return np.matmul(a, b, out=out)
 
 
 def count_tilings(left, top, right, bottom, rows: int, cols: int) -> int:

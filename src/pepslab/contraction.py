@@ -19,11 +19,13 @@ The environment is split at an observable's support: the sites before the
 first support site are contracted once, forwards, and the sites after the
 last support site once, backwards. Both are closed twice through the sites in
 between, with the plain layers for the norm and with the observable's layers
-for the numerator, so an expectation value costs about one norm.
+for the numerator, so an expectation value costs about one norm. The last of
+these passes consumes the prefix, which is freed after its first step.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -75,7 +77,7 @@ def double_layer(net: PepsNetwork, site: int, observable_factor: Tensor | None =
     else:
         sq = backend.matmul(mat.conj(), mat.T)
     sq = sq.reshape(dims + dims + list(sq.shape[2:])).transpose(order)
-    return Tensor(legs, sq.reshape([d for _, d in legs]))
+    return Tensor._trusted(tuple(legs), sq)
 
 
 def mixed_closure(edge_dim: int, label: str) -> Tensor:
@@ -134,7 +136,9 @@ def _absolute(tensors: dict) -> dict:
 
 
 def _real_scalar(value: complex, abs_scale_fn) -> float:
-    """Validate that a contracted norm is real (and clamp its round-off)."""
+    """Validate that a contracted norm is finite and real (and clamp its round-off)."""
+    if not cmath.isfinite(value):
+        raise ValueError(f"norm is not finite: {value}")
     real, imag = value.real, value.imag
     if real >= 0.0 and abs(imag) <= 1e-10 * max(1.0, abs(real)):
         return real
@@ -152,8 +156,10 @@ def _contract(net: PepsNetwork, sites: Sequence[int], observable: Observable | N
 
     Bonds with both ends in ``sites`` carry 1/dim; bonds with one end there are
     closed with :func:`mixed_closure`. ``sweep=None`` dry-runs every sweep and
-    runs the one with the smallest peak. The norm is checked by
-    :func:`_real_scalar`; the numerator is None without an observable.
+    runs the one with the smallest peak. Intermediates are not scanned for
+    finiteness: a non-finite entry anywhere reaches the final scalars, so
+    :func:`_real_scalar` (the norm) and :func:`_expectation` (the numerator)
+    refuse it there. The numerator is None without an observable.
     """
     inside = set(sites)
     prefactor = 1.0
@@ -193,13 +199,17 @@ def _contract(net: PepsNetwork, sites: Sequence[int], observable: Observable | N
 
     def run(layers: dict[int, Tensor], closures: dict[str, Tensor],
             special: dict[int, Tensor]) -> tuple[complex, complex | None]:
-        prefix = _absorb(tz.scalar(1.0), layers, order[:first], closures)
         suffix = _absorb(tz.scalar(1.0), layers, order[:last:-1], closures)
+        # the last pass through the middle takes the prefix out of this list, so
+        # the prefix is freed once that pass has absorbed its first site
+        prefix = [_absorb(tz.scalar(1.0), layers, order[:first], closures)]
         middle, pairs = order[first:last + 1], [(l, l) for l in suffix.labels]
-        norm = tz.contract(_absorb(prefix, layers, middle, closures), suffix, pairs)
+        norm = tz.contract(_absorb(prefix[0] if special else prefix.pop(), layers, middle,
+                                   closures), suffix, pairs)
         if not special:
             return norm.item() * prefactor, None
-        numer = tz.contract(_absorb(prefix, layers | special, middle, closures), suffix, pairs)
+        numer = tz.contract(_absorb(prefix.pop(), layers | special, middle, closures),
+                            suffix, pairs)
         if not single:
             numer = tz.contract(numer, observable.operator,
                                 [p for i, v in enumerate(support)
@@ -212,10 +222,18 @@ def _contract(net: PepsNetwork, sites: Sequence[int], observable: Observable | N
 
 
 def _expectation(norm: float, numer: complex, what: str) -> tuple[float, float]:
-    """Normalized value and imaginary residue; refuses a zero norm or a complex value."""
+    """Normalized value and imaginary residue.
+
+    Refuses a non-finite norm or numerator, a zero norm, and a non-finite or
+    complex value.
+    """
+    if not (math.isfinite(norm) and cmath.isfinite(numer)):
+        raise ValueError(f"{what} norm {norm} or numerator {numer} is not finite")
     if norm < 1e-300:
         raise ValueError(f"{what} has numerically zero norm; expectation undefined")
     value = numer / norm
+    if not cmath.isfinite(value):
+        raise ValueError(f"{what} expectation is not finite: {value}")
     residue = abs(value.imag)
     if residue > 1e-10 * max(1.0, abs(value.real)):
         raise ValueError(f"{what} expectation has imaginary residue {residue}")

@@ -5,12 +5,21 @@ A :class:`Tensor` couples a row-major complex array with an ordered tuple of
 operation, so callers never track axis permutations by hand. Tensors are
 value-like: operations return new instances and the stored array is read-only.
 
-Pairwise contraction is implemented as permute -> fuse -> matrix multiply, with
-the multiply done by :func:`pepslab.backend.matmul`.
+The public constructor copies its input and checks its legs and finiteness.
+Results of :func:`contract` are built by the private ``Tensor._trusted``
+instead: the freshly computed array is frozen in place, with no copy and no
+scan, and the contraction engine checks its final values once.
+
+Pairwise contraction is a matrix multiply by :func:`pepslab.backend.matmul`.
+An operand whose contracted legs already sit at its head or tail is viewed as
+a matrix without a copy; one that needs a permutation is copied one block of
+at most ``_BLOCK`` entries at a time, each block multiplied straight into its
+rows of the output, so a step allocates its output and one block.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -24,6 +33,10 @@ class NonInjectiveError(ValueError):
 
 
 RANK_TOL = 1e-14
+
+# Entries of one permuted block in :func:`contract`: 2**14 complex128 entries,
+# 256 KiB, small enough to stay in cache between its copy and its GEMM.
+_BLOCK = 1 << 14
 
 
 def _as_legs(legs: Iterable) -> tuple[tuple[str, int], ...]:
@@ -66,6 +79,20 @@ class Tensor:
         arr.setflags(write=False)
         object.__setattr__(self, "legs", legs)
         object.__setattr__(self, "data", arr)
+
+    @classmethod
+    def _trusted(cls, legs: tuple[tuple[str, int], ...], arr: np.ndarray) -> Tensor:
+        """Engine result: a fresh complex128 ``arr`` that nothing else holds, frozen in place.
+
+        There is no finiteness scan, and no copy unless ``arr`` is not C-ordered
+        (a transposed view); ``legs`` must already be valid.
+        """
+        arr = np.ascontiguousarray(arr).reshape([d for _, d in legs])
+        arr.setflags(write=False)
+        t = object.__new__(cls)
+        object.__setattr__(t, "legs", legs)
+        object.__setattr__(t, "data", arr)
+        return t
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -123,30 +150,8 @@ def permute_legs(t: Tensor, order: Sequence) -> Tensor:
     return Tensor(legs, np.ascontiguousarray(np.transpose(t.data, axes)))
 
 
-def fuse_legs(t: Tensor, group: Sequence[str], new_label: str) -> Tensor:
-    """Fuse ``group`` (in the given order) into one leg placed at the group's first slot.
-
-    The fused index is row-major over the group, so splitting with the original
-    sub-leg list is an exact inverse.
-    """
-    if not group:
-        raise ValueError("empty fuse group")
-    axes = [t.axis(l) for l in group]
-    rest = [i for i in range(len(t.legs)) if i not in axes]
-    insert = sum(1 for i in rest if i < axes[0])
-    order = rest[:insert] + axes + rest[insert:]
-    moved = np.ascontiguousarray(np.transpose(t.data, order))
-    fused_dim = int(np.prod([t.legs[a][1] for a in axes], dtype=np.int64))
-    legs = (
-        tuple(t.legs[i] for i in rest[:insert])
-        + ((new_label, fused_dim),)
-        + tuple(t.legs[i] for i in rest[insert:])
-    )
-    return Tensor(legs, moved.reshape([d for _, d in legs]))
-
-
 def split_leg(t: Tensor, label: str, sublegs: Iterable) -> Tensor:
-    """Split one leg into ``sublegs``; inverse of :func:`fuse_legs` for matching dims."""
+    """Split one leg into row-major ``sublegs`` whose dims multiply to its dim."""
     sublegs = _as_legs(sublegs)
     ax = t.axis(label)
     if int(np.prod([d for _, d in sublegs], dtype=np.int64)) != t.legs[ax][1]:
@@ -155,12 +160,62 @@ def split_leg(t: Tensor, label: str, sublegs: Iterable) -> Tensor:
     return Tensor(legs, t.data.reshape([d for _, d in legs]))
 
 
+def _view(x: np.ndarray, lead: list[int], tail: list[int]) -> np.ndarray | None:
+    """``x`` as a matrix with ``lead`` axes as rows and ``tail`` as columns, or None.
+
+    Only a copy-free view is returned: the groups must already sit in that
+    order, or in the reverse one (a transposed view, which BLAS reads as is).
+    """
+    rows = math.prod(x.shape[i] for i in lead)
+    cols = math.prod(x.shape[i] for i in tail)
+    if lead + tail == list(range(x.ndim)):
+        return x.reshape(rows, cols)
+    if tail + lead == list(range(x.ndim)):
+        return x.reshape(cols, rows).T
+    return None
+
+
+def _blocked_matmul(x: np.ndarray, axes: list[int], other: np.ndarray, out: np.ndarray) -> None:
+    """``out = transpose(x, axes)``, viewed as ``(rows, k)``, times ``other`` ``(k, n)``.
+
+    The permuted operand is never copied whole. Its leading axes are walked in
+    blocks of at most ``_BLOCK`` entries; each block is copied and multiplied
+    straight into its rows of ``out``. When one row alone exceeds a block (a
+    pairing to a scalar), the walk goes on into the contracted axes and each
+    row sums its partial products.
+    """
+    p = x.transpose(axes)
+    k = other.shape[0]
+    # the axes from `split` on fit in one block; chunks of the axis before it fill one
+    split, inner = p.ndim, 1
+    while split > 0 and inner * p.shape[split - 1] <= _BLOCK:
+        split -= 1
+        inner *= p.shape[split]
+    walk = max(split - 1, 0)
+    step = _BLOCK // math.prod(p.shape[walk + 1:])
+    pos = 0
+    for idx in np.ndindex(*p.shape[:walk]):
+        for start in range(0, p.shape[walk], step):
+            block = np.ascontiguousarray(p[idx + (slice(start, start + step),)]).reshape(-1)
+            row, col = divmod(pos, k)
+            if block.size % k == 0:
+                backend.matmul(block.reshape(-1, k), other, out=out[row:row + block.size // k])
+            elif col == 0:
+                out[row] = backend.matmul(block[None], other[:block.size])[0]
+            else:
+                out[row] += backend.matmul(block[None], other[col:col + block.size])[0]
+            pos += block.size
+
+
 def contract(a: Tensor, b: Tensor, pairs: Sequence[tuple[str, str]]) -> Tensor:
     """Contract ``a`` with ``b`` over label pairs ``(leg_of_a, leg_of_b)``.
 
-    Implemented as permute -> fuse -> matmul: contracted legs of ``a`` move to
-    its tail and those of ``b`` to its head, both sides fuse, and the backend
-    GEMM does the sum. Result legs are a's free legs followed by b's.
+    One matrix product by the backend GEMM; result legs are a's free legs
+    followed by b's. The contracted legs take their order in the larger
+    operand, so that it is multiplied as a view when they sit at its head or
+    tail. An operand that needs a permutation is walked block by block; when
+    both do, the smaller one is copied whole. The result is a new read-only
+    array that shares no buffer with ``a`` or ``b``.
     """
     a_con = [p[0] for p in pairs]
     b_con = [p[1] for p in pairs]
@@ -171,20 +226,37 @@ def contract(a: Tensor, b: Tensor, pairs: Sequence[tuple[str, str]]) -> Tensor:
             raise ValueError(
                 f"dim mismatch contracting {la!r} ({a.dim(la)}) with {lb!r} ({b.dim(lb)})"
             )
-    a_free = [l for l in a.labels if l not in a_con]
-    b_free = [l for l in b.labels if l not in b_con]
-    overlap = set(a_free) & set(b_free)
+    a_ax = [a.axis(l) for l in a_con]
+    b_ax = [b.axis(l) for l in b_con]
+    a_free = [i for i in range(len(a.legs)) if i not in a_ax]
+    b_free = [i for i in range(len(b.legs)) if i not in b_ax]
+    legs = tuple(a.legs[i] for i in a_free) + tuple(b.legs[i] for i in b_free)
+    overlap = {a.legs[i][0] for i in a_free} & {b.legs[i][0] for i in b_free}
     if overlap:
         raise ValueError(f"result would carry duplicate labels {sorted(overlap)}")
 
-    ap = np.transpose(a.data, [a.axis(l) for l in a_free + a_con])
-    bp = np.transpose(b.data, [b.axis(l) for l in b_con + b_free])
-    m = int(np.prod([a.dim(l) for l in a_free], dtype=np.int64))
-    k = int(np.prod([a.dim(l) for l in a_con], dtype=np.int64))
-    n = int(np.prod([b.dim(l) for l in b_free], dtype=np.int64))
-    out = backend.matmul(ap.reshape(m, k), bp.reshape(k, n))
-    legs = tuple((l, a.dim(l)) for l in a_free) + tuple((l, b.dim(l)) for l in b_free)
-    return Tensor(legs, out.reshape([d for _, d in legs]))
+    a_big = a.size >= b.size
+    perm = sorted(range(len(pairs)), key=(a_ax if a_big else b_ax).__getitem__)
+    a_ax = [a_ax[i] for i in perm]
+    b_ax = [b_ax[i] for i in perm]
+    m = math.prod(a.legs[i][1] for i in a_free)
+    n = math.prod(b.legs[i][1] for i in b_free)
+    a_mat = _view(a.data, a_free, a_ax)
+    b_mat = _view(b.data, b_ax, b_free)
+    if a_mat is None and b_mat is None:  # copy the smaller whole, walk the larger
+        if a_big:
+            b_mat = np.ascontiguousarray(b.data.transpose(b_ax + b_free)).reshape(-1, n)
+        else:
+            a_mat = np.ascontiguousarray(a.data.transpose(a_free + a_ax)).reshape(m, -1)
+    out = np.empty((m, n), dtype=np.complex128)
+    if a_mat is None:
+        _blocked_matmul(a.data, a_free + a_ax, b_mat, out)
+    elif b_mat is None:
+        # out.T = b^T a^T: the walk over b writes blocks of columns of out
+        _blocked_matmul(b.data, b_free + b_ax, a_mat.T, out.T)
+    else:
+        backend.matmul(a_mat, b_mat, out=out)
+    return Tensor._trusted(legs, out)
 
 
 def matrix_view(t: Tensor, row_legs: Sequence[str], col_legs: Sequence[str]) -> np.ndarray:

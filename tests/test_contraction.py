@@ -1,12 +1,16 @@
 """Exact contraction engine against dense brute-force oracles."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
 import pepslab as pl
+from pepslab import contraction
 from pepslab import tensor as tz
 from pepslab.circuits import random_circuit
-from pepslab.contraction import double_layer, mixed_closure, sweep_order
+from pepslab.contraction import _expectation, _real_scalar, double_layer, mixed_closure, sweep_order
 from pepslab.errors import GuardExceeded
 
 from oracles import arr, dense_nev, dense_norm, random_hermitian
@@ -79,6 +83,98 @@ def test_norm_round_off_below_zero_is_clamped():
     assert pl.peps_norm(net) == 0.0
     with pytest.raises(ValueError, match="zero norm"):
         pl.nev_report(net, pl.observable_from_matrix((0,), np.eye(2)))
+
+
+@pytest.mark.parametrize("what", ["peps_norm", "nev_report", "patch_nev"])
+def test_overflowing_network_is_refused(what):
+    # every site scaled by 1e40: the squared norm, about 1e1280, overflows to
+    # inf or nan inside the contraction, and the check of the final scalars
+    # refuses it (no intermediate is scanned)
+    net = pl.random_network(4, 4, seed=23)
+    net = pl.PepsNetwork(net.graph, {v: net.site(v).scaled(1e40) for v in net.graph.vertices})
+    site = net.graph.vertex_at(1, 1)
+    obs = pl.observable_from_matrix((site,), random_hermitian(net.phys_dim(site), 4))
+    calls = {"peps_norm": lambda: pl.peps_norm(net),
+             "nev_report": lambda: pl.nev_report(net, obs),
+             "patch_nev": lambda: pl.patch_nev(net, obs, 3)}  # radius 3 covers the lattice
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        calls[what]()
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(np.inf, 0.0),
+                                 complex(1.0, np.nan), complex(-np.inf, 1.0)])
+def test_non_finite_norm_and_numerator_are_refused(bad):
+    # max(nan, 0.0) is nan, so the clamp alone would pass a nan norm through
+    with pytest.raises(ValueError, match="finite"):
+        _real_scalar(bad, lambda: 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        _expectation(1.0, bad, "state")
+
+
+@pytest.mark.parametrize("norm", [np.nan, np.inf])
+def test_non_finite_norm_gives_no_expectation(norm):
+    with pytest.raises(ValueError, match="finite"):
+        _expectation(norm, 0.5, "state")
+
+
+def test_peak_memory_stays_near_the_largest_boundary(monkeypatch):
+    # 5x5 D=3: the largest boundary holds 531441 entries (8.1 MiB). A step holds
+    # its input, its output and one block; nev_report also holds the suffix.
+    net = pl.random_network(5, 5, bond_dim=3, seed=0)
+    centre = net.graph.vertex_at(2, 2)
+    obs = pl.observable_from_matrix((centre,), random_hermitian(net.phys_dim(centre), 5))
+    sizes = []
+    contract = tz.contract
+
+    def recorded(a, b, pairs):
+        out = contract(a, b, pairs)
+        sizes.append(out.size)
+        return out
+
+    with monkeypatch.context() as patched:
+        patched.setattr(tz, "contract", recorded)
+        pl.nev_report(net, obs)
+    boundary = 16 * max(sizes)
+    assert max(sizes) == 3 ** 12
+
+    def peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: pl.peps_norm(net)) <= 2.5 * boundary
+    assert peak(lambda: pl.nev_report(net, obs)) <= 3.5 * boundary
+
+
+def test_last_pass_consumes_the_prefix(monkeypatch):
+    # centre of a 3x3 grid: a prefix and a suffix of four sites each
+    net = pl.random_network(3, 3, phys_dim=2, seed=4)
+    centre = net.graph.vertex_at(1, 1)
+    obs = pl.observable_from_matrix((centre,), random_hermitian(2, 7))
+    absorbed, prefix_alive = [], []
+    absorb, contract = contraction._absorb, tz.contract
+
+    def recorded_absorb(acc, *rest):
+        box = [acc]  # hand the start over without keeping a reference here
+        del acc
+        out = absorb(box.pop(), *rest)
+        absorbed.append(weakref.ref(out))
+        return out
+
+    def recorded_contract(a, b, pairs):
+        # the engine builds the suffix first, so the second result is the prefix
+        prefix_alive.append(len(absorbed) > 1 and absorbed[1]() is not None)
+        return contract(a, b, pairs)
+
+    monkeypatch.setattr(contraction, "_absorb", recorded_absorb)
+    monkeypatch.setattr(tz, "contract", recorded_contract)
+    pl.nev_report(net, obs)
+    # alive through the norm pass, gone before the numerator's final pairing
+    assert prefix_alive.count(True) >= 2
+    assert prefix_alive[-1] is False
 
 
 def test_periodic_norm_matches_dense_oracle():

@@ -76,18 +76,87 @@ def test_constructor_copies_input():
     assert arr(t)[0, 0] == 0.0
 
 
-def test_fuse_split_roundtrip():
-    a = rnd((2, 3, 2), 11)
+def test_split_leg_matches_numpy_reshape():
+    a = rnd((2, 6, 3), 11)
     t = mk("ijk", a)
-    fused = tz.fuse_legs(t, ["i", "k"], "ik")
-    assert fused.dim("ik") == 4
-    # fused index runs row-major over the group order
-    want = np.transpose(a, (0, 2, 1)).reshape(4, 3)
-    np.testing.assert_allclose(tz.matrix_view(fused, ["ik"], ["j"]), want, atol=1e-14)
-    back = tz.split_leg(fused, "ik", [("i", 2), ("k", 2)])
-    np.testing.assert_allclose(
-        tz.matrix_view(back, ["i", "j", "k"], []).ravel(), a.ravel(), atol=1e-14
-    )
+    split = tz.split_leg(t, "j", [("j1", 2), ("j2", 3)])
+    assert split.legs == (("i", 2), ("j1", 2), ("j2", 3), ("k", 3))
+    # the split index runs row-major over the sub-legs
+    np.testing.assert_array_equal(arr(split), a.reshape(2, 2, 3, 3))
+    with pytest.raises(ValueError):
+        tz.split_leg(t, "j", [("j1", 4), ("j2", 2)])
+
+
+def test_constructor_rejects_non_finite_data():
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+        data = np.ones((2, 2), dtype=complex)
+        data[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            mk("ij", data)
+
+
+# Each case names a's legs, b's legs and the contracted labels (same label on
+# both sides). The contracted legs of the larger operand a sit at its head, its
+# tail, in its middle, or split; "scalar" pairs two tensors over every leg in
+# different orders; "b larger" walks b; "few rows" keeps two small free legs
+# of a while its contracted part alone exceeds a block.
+CONTRACT_CASES = {
+    "head": ("vwxyz", "vwp", "vw"),
+    "tail": ("xyzvw", "wvp", "vw"),
+    "middle": ("xvwyz", "pvw", "vw"),
+    "split": ("vxywz", "wpv", "vw"),
+    "scalar": ("vwxyz", "zxvyw", "vwxyz"),
+    "outer": ("vwxyz", "pq", ""),
+    "b larger": ("pw", "xywvz", "w"),
+    "few rows": ("vpwxqyz", "zyxwv", "vwxyz"),
+}
+SMALL_LEGS = {"p": 3, "q": 2}
+
+
+@pytest.mark.parametrize("case", CONTRACT_CASES)
+@pytest.mark.parametrize("dim", [3, 8], ids=["below-block", "above-block"])
+def test_contract_matches_einsum(case, dim, monkeypatch):
+    la, lb, con = CONTRACT_CASES[case]
+    dims = {l: SMALL_LEGS.get(l, dim) for l in la + lb}
+    a = rnd([dims[l] for l in la], 1)
+    b = rnd([dims[l] for l in lb], 2)
+    big = max(a.size, b.size)
+    assert (big > tz._BLOCK) == (dim == 8)
+    flops = []
+    matmul = tz.backend.matmul
+
+    def counted(x, y, out=None):
+        flops.append(8 * x.shape[0] * x.shape[1] * y.shape[1])
+        return matmul(x, y, out=out)
+
+    monkeypatch.setattr(tz.backend, "matmul", counted)
+    ta, tb = mk(la, a), mk(lb, b)
+    got = tz.contract(ta, tb, [(l, l) for l in con])
+    free = "".join(l for l in la + lb if l not in con)
+    assert "".join(got.labels) == free
+    want = np.einsum(f"{la},{lb}->{free}", a, b)
+    np.testing.assert_allclose(arr(got), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    # the blocks together do exactly the work of one GEMM
+    m = np.prod([dims[l] for l in la if l not in con])
+    k = np.prod([dims[l] for l in con])
+    n = np.prod([dims[l] for l in lb if l not in con])
+    assert sum(flops) == 8 * m * k * n
+    assert not got.data.flags.writeable
+    assert not np.shares_memory(got.data, ta.data)
+    assert not np.shares_memory(got.data, tb.data)
+
+
+def test_contract_walks_blocks_of_every_size(monkeypatch):
+    # a tiny block makes every walk cross several axes and split rows
+    monkeypatch.setattr(tz, "_BLOCK", 5)
+    for la, lb, con in CONTRACT_CASES.values():
+        dims = {l: SMALL_LEGS.get(l, 3) for l in la + lb}
+        a = rnd([dims[l] for l in la], 3)
+        b = rnd([dims[l] for l in lb], 4)
+        got = tz.contract(mk(la, a), mk(lb, b), [(l, l) for l in con])
+        free = "".join(l for l in la + lb if l not in con)
+        np.testing.assert_allclose(arr(got), np.einsum(f"{la},{lb}->{free}", a, b),
+                                   rtol=1e-12, atol=1e-12)
 
 
 def test_permute_legs_is_a_view_change_only():
