@@ -7,13 +7,28 @@ explicit graphs all go through the same path; a bond that leaves the
 contracted sites (the edge of a patch) is closed with the maximally mixed
 pair. Each bond's pair-state normalization contributes a factor 1/dim.
 
-The order comes from a dry run over leg labels, made before anything is
-allocated. Grids have two candidate sweeps (column by column, bottom to top
+Only live bond indices are contracted. A site's layer can be nonzero at a
+fused index ``(a, b)`` only when the site tensor is nonzero at bond index
+``a`` (the bra) and at ``b`` (the ket), with physical indices the layer
+joins: equal ones for the plain layer, the operator's nonzeros at a one-site
+support, any pair for open physical legs. An index is kept when it is live at
+both ends of its bond (at a cut bond, the closure's diagonal), and each layer
+and closure is sliced to the kept indices. Every product through a dropped
+index is exactly zero, so pruning moves a value only through the order of
+summation, and integer tile counts stay exact. A site tensor with no zero
+entry costs one count and is scanned no further. The indicator tensors of a
+tiling keep at most D of the D**2 indices of each bond. A bond with no live
+index makes the norm and the numerator exactly zero, returned without
+contracting.
+
+The order comes from a dry run over the live leg dims, made before anything
+is allocated but the masks: the layers are built only once the guard has
+passed. Grids have two candidate sweeps (column by column, bottom to top
 within a column; row by row, left to right), a patch the same two restricted
-to its interior, and explicit graphs their ascending vertex ids. The candidate
-with the smallest peak boundary runs, columns on a tie. When even that peak
-exceeds the guard (default 2**20 entries), the contraction is refused with a
-:class:`GuardExceeded` carrying the best peak.
+to its interior, and explicit graphs their ascending vertex ids. The
+candidate with the smallest peak boundary runs, columns on a tie. When even
+that peak exceeds the guard (default 2**20 entries), the contraction is
+refused with a :class:`GuardExceeded` carrying the best peak.
 
 The environment is split at an observable's support: the sites before the
 first support site are contracted once, forwards, and the sites after the
@@ -98,14 +113,6 @@ def sweep_order(graph, sweep: str = "cols") -> list[int]:
     return [r * cols + c for r in range(rows) for c in range(cols)]
 
 
-def _layer_legs(net: PepsNetwork, v: int, open_phys: bool) -> list[tuple[str, int]]:
-    """Legs of ``double_layer(net, v, open_phys=open_phys)`` without building it."""
-    legs = [(e.id, e.dim * e.dim) for e in net.graph.incident(v)]
-    if open_phys:
-        legs += [(f"bra@{v}", net.phys_dim(v)), (f"ket@{v}", net.phys_dim(v))]
-    return legs
-
-
 def _peak(legs: dict[int, list], order: Sequence[int], closures: dict[str, Tensor]) -> int:
     """Largest boundary, in entries, left after absorbing each site of ``order``."""
     open_legs: dict[str, int] = {}
@@ -118,6 +125,83 @@ def _peak(legs: dict[int, list], order: Sequence[int], closures: dict[str, Tenso
                 open_legs[label] = dim
         worst = max(worst, math.prod(open_legs.values()))
     return worst
+
+
+def _layer_legs(net: PepsNetwork, v: int, open_phys: bool,
+                keep: dict[str, np.ndarray]) -> list[tuple[str, int]]:
+    """Legs of ``double_layer(net, v, open_phys=open_phys)`` sliced to ``keep``, unbuilt."""
+    legs = [(e.id, keep[e.id].size if e.id in keep else e.dim * e.dim)
+            for e in net.graph.incident(v)]
+    if open_phys:
+        legs += [(f"bra@{v}", net.phys_dim(v)), (f"ket@{v}", net.phys_dim(v))]
+    return legs
+
+
+def _live_pairs(net: PepsNetwork, v: int, phys: np.ndarray | None) -> dict[str, np.ndarray]:
+    """Per bond leg of site ``v``, the fused ``(bra, ket)`` pairs its layer can reach.
+
+    ``phys`` is the boolean pattern joining the bra's physical index to the
+    ket's: None for the plain layer (equal indices), the operator's nonzeros
+    (and the identity) at a one-site support, all ones for open physical legs.
+    A bond index reaches a physical index when the site tensor is nonzero at
+    both, and a pair is live when its bra and its ket reach physical indices
+    that ``phys`` joins. Every other pair of the layer is exactly zero. A site
+    tensor with no zero entry costs one count and returns ``{}``: every pair
+    of every leg is live.
+    """
+    t = net.site(v)
+    if np.count_nonzero(t.data) == t.size:
+        return {}
+    nonzero = t.data != 0
+    labels = t.labels
+    p_axis = labels.index(PHYS)
+    live = {}
+    for axis, label in enumerate(labels):
+        if axis != p_axis:
+            reach = nonzero.any(axis=tuple(j for j in range(len(labels))
+                                           if j != axis and j != p_axis))
+            if axis > p_axis:
+                reach = reach.T
+            live[label] = (reach @ reach.T if phys is None else reach @ phys @ reach.T).ravel()
+    return live
+
+
+def _sliced(t: Tensor, keep: dict[str, np.ndarray]) -> Tensor:
+    """``t`` restricted to the ``keep`` indices of its legs; other legs stay whole."""
+    data, legs = t.data, list(t.legs)
+    for axis, (label, _) in enumerate(t.legs):
+        if label in keep:
+            data = data.take(keep[label], axis=axis)
+            legs[axis] = (label, keep[label].size)
+    return t if data is t.data else Tensor._trusted(tuple(legs), data)
+
+
+def _prune(net: PepsNetwork, sites: Sequence[int], phys: dict[int, np.ndarray],
+           closures: dict[str, Tensor]) -> dict[str, np.ndarray] | None:
+    """Kept indices of each fused bond leg: those live at both of its ends.
+
+    An end is a site of ``sites``, with its ``phys`` pattern at a support site
+    (see :func:`_live_pairs`), or, for a cut bond, its closure. Bonds that
+    keep every index are left out; None means some bond keeps none, so every
+    term of the contraction, and the contraction itself, is exactly zero.
+    """
+    masks = {v: _live_pairs(net, v, phys.get(v)) for v in sites}
+    keep = {}
+    for e in net.graph.edges:
+        # a bond has two ends: two sites, or one site and the cut bond's closure
+        ends = [masks[x].get(e.id) for x in (e.u, e.v) if x in masks]
+        if e.id in closures:
+            ends.append(closures[e.id].data != 0)
+        ends = [m for m in ends if m is not None]
+        if not ends:
+            continue
+        live = ends[0] if len(ends) == 1 else ends[0] & ends[1]
+        count = np.count_nonzero(live)
+        if count == 0:
+            return None
+        if count < live.size:
+            keep[e.id] = np.flatnonzero(live)
+    return keep
 
 
 def _absorb(acc: Tensor, layers: dict[int, Tensor], order: Sequence[int],
@@ -155,9 +239,13 @@ def _contract(net: PepsNetwork, sites: Sequence[int], observable: Observable | N
     """Norm and numerator of ``observable`` over ``sites``, each double layer built once.
 
     Bonds with both ends in ``sites`` carry 1/dim; bonds with one end there are
-    closed with :func:`mixed_closure`. ``sweep=None`` dry-runs every sweep and
-    runs the one with the smallest peak. Intermediates are not scanned for
-    finiteness: a non-finite entry anywhere reaches the final scalars, so
+    closed with :func:`mixed_closure`. The dry run, the guard and the
+    contraction see the bond indices :func:`_prune` keeps, read from the site
+    tensors; the layers are built after the guard and sliced to them. A bond
+    with no live index gives an exact zero norm (and numerator) without
+    contracting anything. ``sweep=None`` dry-runs every sweep and runs the one
+    with the smallest peak. Intermediates are not scanned for finiteness: a
+    non-finite entry anywhere reaches the final scalars, so
     :func:`_real_scalar` (the norm) and :func:`_expectation` (the numerator)
     refuse it there. The numerator is None without an observable.
     """
@@ -171,8 +259,17 @@ def _contract(net: PepsNetwork, sites: Sequence[int], observable: Observable | N
             closures[e.id] = mixed_closure(e.dim, e.id)
     support = observable.support if observable is not None else ()
     single = len(support) == 1
-    legs = {v: _layer_legs(net, v, False) for v in inside}
-    observed = legs | {v: _layer_legs(net, v, not single) for v in support}
+    if single:
+        op = tz.matrix_view(observable.operator, ["out0"], ["in0"]) != 0
+        phys = {support[0]: op | np.eye(len(op), dtype=bool)}
+    else:
+        phys = {v: np.ones((net.phys_dim(v),) * 2, dtype=bool) for v in support}
+    keep = _prune(net, sites, phys, closures)
+    if keep is None:
+        return 0.0, (None if observable is None else 0j)
+    closures = {label: _sliced(t, keep) for label, t in closures.items()}
+    legs = {v: _layer_legs(net, v, False, keep) for v in inside}
+    observed = legs | {v: _layer_legs(net, v, not single, keep) for v in support}
 
     def peak(order: list[int]) -> int:
         # forward through the last support site, backwards through the suffix
@@ -193,8 +290,9 @@ def _contract(net: PepsNetwork, sites: Sequence[int], observable: Observable | N
     first = min((order.index(v) for v in support), default=len(order))
     last = max((order.index(v) for v in support), default=len(order) - 1)
 
-    layers = {v: double_layer(net, v) for v in order}
-    special = {v: double_layer(net, v, observable.operator if single else None, not single)
+    layers = {v: _sliced(double_layer(net, v), keep) for v in order}
+    special = {v: _sliced(double_layer(net, v, observable.operator if single else None,
+                                       not single), keep)
                for v in support}
 
     def run(layers: dict[int, Tensor], closures: dict[str, Tensor],

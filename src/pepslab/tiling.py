@@ -2,10 +2,15 @@
 
 Each lattice site carries the indicator tensor of a tile set: physical index =
 tile id, virtual legs = edge colors.  The network norm times D^(2 * rows *
-cols) counts valid tilings exactly.  A delta-interpolated variant connects the
-(generally non-injective) tile tensor at delta=0 to a perfectly injective
-tensor at delta=1; its norm is a polynomial of degree 2 * rows * cols in
-delta, so the count at delta=0 is recoverable from samples at delta > 1/2 by
+cols) counts valid tilings exactly.  A tile fixes its four colors, so the
+indicator's double layer is zero unless bra and ket carry the same color on
+every bond: the contraction engine drops the other (bra, ket) pairs, and a
+board contracts at bond dim D, not D^2.  The 6x6 torus of the tile set
+(0,0,0,1), (0,1,1,0), (1,0,0,0), (1,1,0,1) peaks at 2^14 boundary entries,
+not 2^28.  A delta-interpolated variant connects the (generally
+non-injective) tile tensor at delta=0 to a perfectly injective tensor at
+delta=1; its norm is a polynomial of degree 2 * rows * cols in delta, so the
+count at delta=0 is recoverable from samples at delta > 1/2 by
 polynomial extrapolation.
 """
 
@@ -150,7 +155,11 @@ def tiling_count_via_norm(ts: WangTileSet, rows: int, cols: int, *, guard: int =
 
     <Psi|Psi> sums |amplitude|^2 over tile assignments; amplitudes are
     D^(-edges/2) on valid tilings and 0 otherwise, so the count is the norm
-    times D^(2 * rows * cols).  The result must sit on an integer to within
+    times D^(2 * rows * cols).  The indicator's double layer is diagonal in
+    each bond's (bra, ket) color pair, so the engine contracts the board at
+    bond dim D (at most; fewer where a color never meets itself across a
+    bond), and a bond whose two sides share no color counts 0 without
+    contracting.  The result must sit on an integer to within
     INTEGER_RESIDUE_TOL.
     """
     net = tiling_network(ts, rows, cols)

@@ -118,6 +118,32 @@ def count_tilings_python(ts, rows, cols):
     return total
 
 
+def count_tilings_transfer_python(ts, rows, cols):
+    """Torus tiling count as trace(T**rows), in Python integers.  No numpy.
+
+    A state is a row of ``cols`` tiles whose touching sides match, the last
+    wrapping onto the first; T[s][u] is 1 when row u can sit under row s.  The
+    trace is summed one start row at a time, by counting the ways to walk
+    ``rows`` steps from it back to itself.
+    """
+    tiles = ts.tiles
+    states = [s for s in itertools.product(range(len(tiles)), repeat=cols)
+              if all(tiles[s[c]][2] == tiles[s[(c + 1) % cols]][0] for c in range(cols))]
+    below = {s: [u for u in states if all(tiles[s[c]][3] == tiles[u[c]][1] for c in range(cols))]
+             for s in states}
+    total = 0
+    for start in states:
+        ways = {start: 1}
+        for _ in range(rows):
+            step = {}
+            for s, n in ways.items():
+                for u in below[s]:
+                    step[u] = step.get(u, 0) + n
+            ways = step
+        total += ways.get(start, 0)
+    return total
+
+
 def random_hermitian(dim, seed):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

@@ -11,7 +11,7 @@ from pepslab.circuits import Circuit, Gate, save_circuit
 from pepslab.cli import main
 from pepslab.network import network_to_json, observable_to_json
 from pepslab.sim import expectation_value, postselected_expectation, run_noisy_circuit
-from pepslab.tiling import tileset_to_json
+from pepslab.tiling import WangTileSet, count_tilings_exhaustive, tileset_to_json
 
 from oracles import dense_nev, random_hermitian, random_tileset
 
@@ -261,12 +261,24 @@ def test_contraction_guard_exits_2_and_force_lifts_it(capsys):
 
 
 def test_tile_guard_exits_2(capsys, tmp_path):
-    ts = random_tileset(2, count=4, colors=3)
+    # every color on every side: each bond keeps all 4 of its (color, color)
+    # pairs, so the 5x5 torus still peaks at 4**12 live boundary entries
+    ts = WangTileSet(4, tuple((c, c, c, c) for c in range(4)))
     tilef = write_json(tmp_path / "tiles.json", tileset_to_json(ts))
-    code = main(["tile", "count", "--tiles", tilef, "--rows", "3", "--cols", "4"])
+    code = main(["tile", "count", "--tiles", tilef, "--rows", "5", "--cols", "5"])
     out, err = capsys.readouterr()
     assert code == 2
+    assert out == ""
     assert err.startswith("guard:")
+
+
+def test_tile_count_fits_once_dead_color_pairs_are_dropped(capsys, tmp_path):
+    # with every (bra, ket) color pair kept this board would need 9**8 =
+    # 43046721 boundary entries; the indicator's layers are diagonal in each pair
+    ts = random_tileset(2, count=4, colors=3)
+    tilef = write_json(tmp_path / "tiles.json", tileset_to_json(ts))
+    doc = run_json(capsys, "tile", "count", "--tiles", tilef, "--rows", "3", "--cols", "4")
+    assert doc["count"] == count_tilings_exhaustive(ts, 3, 4)
 
 
 def test_missing_file_exits_1(capsys):

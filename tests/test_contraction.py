@@ -1,5 +1,6 @@
 """Exact contraction engine against dense brute-force oracles."""
 
+import itertools
 import tracemalloc
 import weakref
 
@@ -12,6 +13,7 @@ from pepslab import tensor as tz
 from pepslab.circuits import random_circuit
 from pepslab.contraction import _expectation, _real_scalar, double_layer, mixed_closure, sweep_order
 from pepslab.errors import GuardExceeded
+from pepslab.tiling import WangTileSet, tiling_network
 
 from oracles import arr, dense_nev, dense_norm, random_hermitian
 
@@ -408,3 +410,63 @@ def test_patch_nev_respects_guard():
     obs = pl.observable_from_matrix((12,), np.eye(net.phys_dim(12)))
     with pytest.raises(GuardExceeded):
         pl.patch_nev(net, obs, 2, guard=2)
+
+
+def test_support_layers_keep_the_bond_pairs_the_plain_layers_drop():
+    # every two-color tile on the 2x2 torus: the plain layers are diagonal in
+    # each bond's (bra, ket) color pair, while the observable layers of a pair
+    # on (0, 1) also carry the off-diagonal pairs of the two bonds they share
+    ts = WangTileSet(2, tuple(itertools.product((0, 1), repeat=4)))
+    net = tiling_network(ts, 2, 2)
+    m = random_hermitian(16, 3)
+    obs = pl.observable_from_matrix((0,), m)
+    assert pl.peps_nev(net, obs) == pytest.approx(dense_nev(net, (0,), m), abs=1e-12)
+    pair = np.kron(m, random_hermitian(16, 4)) + random_hermitian(256, 3)
+    obs = pl.observable_from_matrix((0, 1), pair, dims=(16, 16))
+    assert pl.peps_nev(net, obs) == pytest.approx(dense_nev(net, (0, 1), pair), abs=1e-12)
+
+
+# The dry-run peaks, with guard=1, of networks without a zero entry: norm,
+# a one-site observable at the centre, and a pair on sites (0, 1). Nothing is
+# dropped, so each is the peak of the full D**2 fused dims.
+@pytest.mark.parametrize("shape,bond_dim,seed,peaks", [
+    ((3, 3), 2, 0, (256, 256, 65536)),
+    ((4, 4), 2, 1, (1024, 1024, 65536)),
+    ((5, 5), 3, 0, (531441, 531441, 43046721)),
+    ((6, 6), 2, 3, (16384, 16384, 65536)),
+])
+def test_dense_networks_keep_their_dry_run_peaks(shape, bond_dim, seed, peaks):
+    net = pl.random_network(*shape, bond_dim=bond_dim, seed=seed)
+    centre = net.graph.vertex_at(shape[0] // 2, shape[1] // 2)
+    p, q, r = (net.phys_dim(v) for v in (centre, 0, 1))
+    calls = (lambda: pl.peps_norm(net, guard=1),
+             lambda: pl.nev_report(net, pl.observable_from_matrix((centre,), np.eye(p)), guard=1),
+             lambda: pl.nev_report(net, pl.observable_from_matrix((0, 1), np.eye(q * r),
+                                                                  dims=(q, r)), guard=1))
+    for call, want in zip(calls, peaks):
+        with pytest.raises(GuardExceeded) as err:
+            call()
+        assert err.value.required == want
+
+
+
+@pytest.mark.parametrize("make,pair", [
+    (lambda: pl.random_network(4, 4, bond_dim=6, phys_dim=2, seed=0), False),
+    (lambda: pl.random_network(4, 4, bond_dim=6, phys_dim=2, seed=0), True),
+    (lambda: tiling_network(WangTileSet(5, tuple((c,) * 4 for c in range(5))), 4, 4), False),
+], ids=["dense-norm", "dense-pair", "five-color-tiles"])
+def test_refusal_builds_no_layer(make, pair):
+    # an interior layer of the dense network holds 6**8 entries (27 MiB); the
+    # tiling's 16 layers, diagonal in each bond's color pair, take 100 MiB. A
+    # refusal reads the site tensors only, so it stays below their total size
+    net = make()
+    sites = sum(t.data.nbytes for t in net.tensors.values())
+    obs = pl.observable_from_matrix((5, 6), random_hermitian(4, 1), dims=(2, 2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardExceeded):
+            pl.nev_report(net, obs) if pair else pl.peps_norm(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sites

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import pepslab as pl
+from pepslab import contraction
 from pepslab import tensor as tz
 from pepslab.errors import GuardExceeded
 from pepslab.tiling import (
@@ -20,9 +22,11 @@ from pepslab.tiling import (
     tiling_network,
 )
 
-from oracles import count_tilings_python, random_tileset
+from oracles import count_tilings_python, count_tilings_transfer_python, random_tileset
 
 UNIFORM2 = WangTileSet(2, ((0, 0, 0, 0), (1, 1, 1, 1)))
+# the benchmark's 4-tile set
+README4 = WangTileSet(2, ((0, 0, 0, 1), (0, 1, 1, 0), (1, 0, 0, 0), (1, 1, 0, 1)))
 
 
 def test_tileset_validation():
@@ -176,3 +180,43 @@ def test_tileset_json_roundtrip(tmp_path):
     path = tmp_path / "tiles.json"
     path.write_text(json.dumps(obj))
     assert load_tileset(str(path)).tiles == ts.tiles
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_transfer_oracle_agrees_with_brute_force(shape):
+    for seed in range(4):
+        ts = random_tileset(seed, count=3 + seed % 2)
+        assert count_tilings_transfer_python(ts, *shape) == count_tilings_python(ts, *shape)
+
+
+@pytest.mark.parametrize("size,want", [(5, 0), (6, 72)])
+def test_norm_counts_boards_beyond_the_full_pair_guard(size, want):
+    # with all D**2 (bra, ket) color pairs the 5x5 board needs 2**24 boundary
+    # entries; only the D pairs with bra == ket are live in the indicator
+    assert count_tilings_transfer_python(README4, size, size) == want
+    report = tiling_count_via_norm(README4, size, size)
+    assert report["count"] == want
+    assert report["residue"] < 1e-6
+
+
+def test_live_pairs_set_the_dry_run_peak():
+    net = tiling_network(README4, 4, 4)
+    with pytest.raises(GuardExceeded) as err:
+        pl.peps_norm(net, guard=1)
+    assert err.value.required == 2 ** 10  # 4 ** 10 with every pair kept
+
+
+def test_bond_with_no_live_pair_counts_zero_without_contracting(monkeypatch):
+    ts = WangTileSet(2, ((0, 1, 0, 0),))  # bottom 0 never meets top 1
+    net = tiling_network(ts, 8, 8)
+
+    def refuse(*args):
+        raise AssertionError("contracted a network with a dead bond")
+
+    monkeypatch.setattr(tz, "contract", refuse)
+    assert pl.peps_norm(net) == 0.0
+    assert tiling_count_via_norm(ts, 8, 8)["count"] == 0
+    obs = pl.observable_from_matrix((0,), np.eye(1))
+    assert contraction._contract(net, net.graph.vertices, obs, guard=1, sweep=None) == (0.0, 0j)
+    with pytest.raises(ValueError, match="zero norm"):
+        pl.nev_report(net, obs)
