@@ -10,9 +10,8 @@ pair. Each bond's pair-state normalization contributes a factor 1/dim.
 Only live bond indices are contracted. A site's layer can be nonzero at a
 fused index ``(a, b)`` only when the site tensor is nonzero at bond index
 ``a`` (the bra) and at ``b`` (the ket), with physical indices the layer
-joins: equal ones for the plain layer, the operator's nonzeros at a one-site
-support, any pair for open physical legs. An index is kept when it is live at
-both ends of its bond (at a cut bond, the closure's diagonal), and each layer
+joins: equal ones for the plain layer, at a support site also the nonzeros of
+its operator factor. An index is kept when it is live at both ends of its bond (at a cut bond, the closure's diagonal), and each layer
 and closure is sliced to the kept indices. Every product through a dropped
 index is exactly zero, so pruning moves a value only through the order of
 summation, and integer tile counts stay exact. A site tensor with no zero
@@ -35,7 +34,10 @@ first support site are contracted once, forwards, and the sites after the
 last support site once, backwards. Both are closed twice through the sites in
 between, with the plain layers for the norm and with the observable's layers
 for the numerator, so an expectation value costs about one norm. The last of
-these passes consumes the prefix, which is freed after its first step.
+these passes consumes the prefix, which is freed after its first step. An
+operator on several sites is split into one factor per support site, joined
+by operator-bond legs of its Schmidt rank r across each cut, which the dry run
+and the guard see like bonds: a product operator (r = 1) costs one norm.
 """
 
 from __future__ import annotations
@@ -60,39 +62,60 @@ _SWEEPS = ("cols", "rows")
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def double_layer(net: PepsNetwork, site: int, observable_factor: Tensor | None = None,
-                 open_phys: bool = False) -> Tensor:
+def double_layer(net: PepsNetwork, site: int, factor: Tensor | None = None) -> Tensor:
     """Bra-ket square of one site tensor with bond legs fused per edge.
 
     The fused index of edge ``e`` is bra-major ``(bra, ket)``, identical at both
-    endpoints, so fused legs contract directly across a bond. With
-    ``observable_factor`` (legs ``in0``/``out0``) the physical pair is sandwiched
-    instead of traced; with ``open_phys`` it stays open as ``bra@<site>`` /
-    ``ket@<site>``. The site is viewed as a matrix ``T[bonds, phys]``, so the
-    square is one matrix product (or one outer product) and one transpose that
-    interleaves the bra and ket bond indices.
+    endpoints, so fused legs contract directly across a bond. With ``factor``
+    (legs ``out0``/``in0`` and any operator-bond legs, see
+    :func:`_operator_factors`) the physical pair is sandwiched instead of
+    traced, and the operator-bond legs follow the fused ones. The site is a
+    matrix ``T[bonds, phys]``, so the square is one matrix product (two with a
+    factor) and one transpose that interleaves the bra and ket bond indices.
     """
     t = net.site(site)
     edge_ids = net.virtual_labels(site)
-    if observable_factor is not None and open_phys:
-        raise ValueError("choose either an observable factor or open physical legs")
     mat = tz.matrix_view(t, edge_ids, [PHYS])
     dims = [t.dim(l) for l in edge_ids]
     m = len(dims)
-    order = [ax for i in range(m) for ax in (i, m + i)]
     legs = [(l, d * d) for l, d in zip(edge_ids, dims)]
-    if open_phys:
-        p = t.dim(PHYS)
-        sq = mat.conj()[:, None, :, None] * mat[None, :, None, :]
-        order += [2 * m, 2 * m + 1]
-        legs += [(f"bra@{site}", p), (f"ket@{site}", p)]
-    elif observable_factor is not None:
-        op = tz.matrix_view(observable_factor, ["out0"], ["in0"])
-        sq = backend.matmul(mat.conj(), backend.matmul(op, mat.T))
+    if factor is None:
+        bonds, sq = [], backend.matmul(mat.conj(), mat.T)
     else:
-        sq = backend.matmul(mat.conj(), mat.T)
-    sq = sq.reshape(dims + dims + list(sq.shape[2:])).transpose(order)
-    return Tensor._trusted(tuple(legs), sq)
+        # op[x, (k, y)]: conj(T) @ op is [a, (k, y)], then @ T.T gives [(a, k), b]
+        bonds = _operator_bonds(factor)
+        op = tz.matrix_view(factor, ["out0"], [l for l, _ in bonds] + ["in0"])
+        sq = backend.matmul(backend.matmul(mat.conj(), op).reshape(-1, len(op)), mat.T)
+    sq = sq.reshape(dims + [math.prod(d for _, d in bonds)] + dims)
+    sq = sq.transpose([ax for i in range(m) for ax in (i, m + 1 + i)] + [m])
+    return Tensor._trusted(tuple(legs + bonds), sq)
+
+
+def _operator_bonds(factor: Tensor) -> list[tuple[str, int]]:
+    return [leg for leg in factor.legs if leg[0] not in ("out0", "in0")]
+
+
+def _operator_factors(obs: Observable, tag: str) -> list[Tensor]:
+    """The operator split into one factor per support site: an MPO chain.
+
+    Successive SVDs across the cuts between consecutive support sites (an
+    operator Schmidt decomposition) give factor ``i`` the legs ``out0``/``in0``
+    and operator-bond legs ``<tag>~<i>`` to site ``i + 1`` (and ``<tag>~<i-1>``
+    to site ``i - 1``). Singular values at or below ``tz.RANK_TOL * s0`` are
+    dropped, so a product operator has bonds of dim 1. One site needs no SVD.
+    """
+    rest, factors, left = obs.operator, [], []
+    for i in range(len(obs.support) - 1):
+        rows = left + [(f"out{i}", rest.dim(f"out{i}")), (f"in{i}", rest.dim(f"in{i}"))]
+        cols = [leg for leg in rest.legs if leg not in rows]
+        u, s, vh = np.linalg.svd(tz.matrix_view(rest, [l for l, _ in rows], [l for l, _ in cols]),
+                                 full_matrices=False)
+        r = 1 + np.count_nonzero(s[1:] > tz.RANK_TOL * s[0])
+        left = [(f"{tag}~{i}", r)]
+        factors.append(tz.from_matrix(u[:, :r], rows, left))
+        rest = tz.from_matrix(s[:r, None] * vh[:r], left, cols)
+    factors.append(rest)
+    return [f.relabeled({f"out{i}": "out0", f"in{i}": "in0"}) for i, f in enumerate(factors)]
 
 
 def mixed_closure(edge_dim: int, label: str) -> Tensor:
@@ -127,31 +150,31 @@ def _peak(legs: dict[int, list], order: Sequence[int], closures: dict[str, Tenso
     return worst
 
 
-def _layer_legs(net: PepsNetwork, v: int, open_phys: bool,
-                keep: dict[str, np.ndarray]) -> list[tuple[str, int]]:
-    """Legs of ``double_layer(net, v, open_phys=open_phys)`` sliced to ``keep``, unbuilt."""
-    legs = [(e.id, keep[e.id].size if e.id in keep else e.dim * e.dim)
+def _layer_legs(net: PepsNetwork, v: int, keep: dict[str, np.ndarray]) -> list[tuple[str, int]]:
+    """Legs of ``double_layer(net, v)`` sliced to ``keep``, unbuilt."""
+    return [(e.id, keep[e.id].size if e.id in keep else e.dim * e.dim)
             for e in net.graph.incident(v)]
-    if open_phys:
-        legs += [(f"bra@{v}", net.phys_dim(v)), (f"ket@{v}", net.phys_dim(v))]
-    return legs
 
 
-def _live_pairs(net: PepsNetwork, v: int, phys: np.ndarray | None) -> dict[str, np.ndarray]:
-    """Per bond leg of site ``v``, the fused ``(bra, ket)`` pairs its layer can reach.
+def _live_pairs(net: PepsNetwork, v: int, factor: Tensor | None) -> dict[str, np.ndarray]:
+    """Per bond leg of site ``v``, the fused ``(bra, ket)`` pairs its layers can reach.
 
-    ``phys`` is the boolean pattern joining the bra's physical index to the
-    ket's: None for the plain layer (equal indices), the operator's nonzeros
-    (and the identity) at a one-site support, all ones for open physical legs.
-    A bond index reaches a physical index when the site tensor is nonzero at
-    both, and a pair is live when its bra and its ket reach physical indices
-    that ``phys`` joins. Every other pair of the layer is exactly zero. A site
-    tensor with no zero entry costs one count and returns ``{}``: every pair
-    of every leg is live.
+    The bra's physical index is joined to the ket's by equal indices in the
+    plain layer and, at a support site, also by the nonzeros of its operator
+    ``factor`` (taken over its operator-bond legs), since both layers are
+    sliced alike. A bond index reaches a physical index when the site tensor
+    is nonzero at both, and a pair is live when its bra and its ket reach
+    physical indices that are joined. Every other pair of the layers is
+    exactly zero. A site tensor with no zero entry costs one count and
+    returns ``{}``: every pair of every leg is live.
     """
     t = net.site(v)
     if np.count_nonzero(t.data) == t.size:
         return {}
+    phys = None
+    if factor is not None:
+        op = tz.matrix_view(factor, ["out0"], ["in0"] + [l for l, _ in _operator_bonds(factor)])
+        phys = (op != 0).reshape(len(op), len(op), -1).any(axis=2) | np.eye(len(op), dtype=bool)
     nonzero = t.data != 0
     labels = t.labels
     p_axis = labels.index(PHYS)
@@ -176,16 +199,16 @@ def _sliced(t: Tensor, keep: dict[str, np.ndarray]) -> Tensor:
     return t if data is t.data else Tensor._trusted(tuple(legs), data)
 
 
-def _prune(net: PepsNetwork, sites: Sequence[int], phys: dict[int, np.ndarray],
+def _prune(net: PepsNetwork, sites: Sequence[int], factors: dict[int, Tensor],
            closures: dict[str, Tensor]) -> dict[str, np.ndarray] | None:
     """Kept indices of each fused bond leg: those live at both of its ends.
 
-    An end is a site of ``sites``, with its ``phys`` pattern at a support site
+    An end is a site of ``sites``, with its operator factor at a support site
     (see :func:`_live_pairs`), or, for a cut bond, its closure. Bonds that
     keep every index are left out; None means some bond keeps none, so every
     term of the contraction, and the contraction itself, is exactly zero.
     """
-    masks = {v: _live_pairs(net, v, phys.get(v)) for v in sites}
+    masks = {v: _live_pairs(net, v, factors.get(v)) for v in sites}
     keep = {}
     for e in net.graph.edges:
         # a bond has two ends: two sites, or one site and the cut bond's closure
@@ -258,18 +281,15 @@ def _contract(net: PepsNetwork, sites: Sequence[int], observable: Observable | N
         elif e.u in inside or e.v in inside:
             closures[e.id] = mixed_closure(e.dim, e.id)
     support = observable.support if observable is not None else ()
-    single = len(support) == 1
-    if single:
-        op = tz.matrix_view(observable.operator, ["out0"], ["in0"]) != 0
-        phys = {support[0]: op | np.eye(len(op), dtype=bool)}
-    else:
-        phys = {v: np.ones((net.phys_dim(v),) * 2, dtype=bool) for v in support}
-    keep = _prune(net, sites, phys, closures)
+    # operator-bond labels longer than every edge id, so that none is a bond
+    tag = "~" * max((len(e.id) for e in net.graph.edges), default=0)
+    factors = dict(zip(support, _operator_factors(observable, tag))) if support else {}
+    keep = _prune(net, sites, factors, closures)
     if keep is None:
         return 0.0, (None if observable is None else 0j)
     closures = {label: _sliced(t, keep) for label, t in closures.items()}
-    legs = {v: _layer_legs(net, v, False, keep) for v in inside}
-    observed = legs | {v: _layer_legs(net, v, not single, keep) for v in support}
+    legs = {v: _layer_legs(net, v, keep) for v in inside}
+    observed = legs | {v: legs[v] + _operator_bonds(f) for v, f in factors.items()}
 
     def peak(order: list[int]) -> int:
         # forward through the last support site, backwards through the suffix
@@ -291,9 +311,7 @@ def _contract(net: PepsNetwork, sites: Sequence[int], observable: Observable | N
     last = max((order.index(v) for v in support), default=len(order) - 1)
 
     layers = {v: _sliced(double_layer(net, v), keep) for v in order}
-    special = {v: _sliced(double_layer(net, v, observable.operator if single else None,
-                                       not single), keep)
-               for v in support}
+    special = {v: _sliced(double_layer(net, v, f), keep) for v, f in factors.items()}
 
     def run(layers: dict[int, Tensor], closures: dict[str, Tensor],
             special: dict[int, Tensor]) -> tuple[complex, complex | None]:
@@ -308,10 +326,6 @@ def _contract(net: PepsNetwork, sites: Sequence[int], observable: Observable | N
             return norm.item() * prefactor, None
         numer = tz.contract(_absorb(prefix.pop(), layers | special, middle, closures),
                             suffix, pairs)
-        if not single:
-            numer = tz.contract(numer, observable.operator,
-                                [p for i, v in enumerate(support)
-                                 for p in ((f"bra@{v}", f"out{i}"), (f"ket@{v}", f"in{i}"))])
         return norm.item() * prefactor, numer.item() * prefactor
 
     norm, numer = run(layers, closures, special)

@@ -122,6 +122,18 @@ def test_nev_builds_each_double_layer_once(capsys, tmp_path, monkeypatch, suppor
     assert out["value"] == value
 
 
+def test_nev_answers_an_interior_pair(capsys, tmp_path):
+    # Z x Z on (2,2)-(2,3) of a 6x6 grid, refused with exit 2 while support
+    # sites kept open physical legs (2**30 entries)
+    net = pl.random_network(6, 6, delta=0.8, seed=0)
+    z = np.kron(np.eye(8), Z)  # Z on one qubit of each 16-dim site
+    obs = pl.observable_from_matrix((14, 15), np.kron(z, z), dims=(16, 16))
+    netf = write_json(tmp_path / "net.json", network_to_json(net))
+    obsf = write_json(tmp_path / "obs.json", observable_to_json(obs))
+    out = run_json(capsys, "nev", "--network", netf, "--observable", obsf)
+    assert out["value"] == pytest.approx(pl.peps_nev(net, obs, sweep="rows"), abs=1e-11)
+
+
 def test_patch_nev_command(capsys, tmp_path):
     net = pl.random_network(4, 4, delta=0.9, seed=16)
     center = net.graph.vertex_at(1, 1)

@@ -70,6 +70,94 @@ def test_distant_pair_nev_matches_dense_oracle():
     assert pl.peps_nev(net, obs) == pytest.approx(dense_nev(net, (0, 3), m), abs=1e-11)
 
 
+def _random_operator(dims, product, seed):
+    """Hermitian operator on sites of the given dims: a product of one-site
+    operators, or a random full-rank one."""
+    if product:
+        out = np.eye(1)
+        for i, d in enumerate(dims):
+            out = np.kron(out, random_hermitian(d, seed + i))
+        return out
+    return random_hermitian(int(np.prod(dims)), seed)
+
+
+# Supports out of graph order on a 2x3 grid (sites 0-2 bottom row, 3-5 top),
+# so the operator chain runs against the contraction order.
+@pytest.mark.parametrize("product", [False, True], ids=["full-rank", "product"])
+@pytest.mark.parametrize("support", [(4, 0, 2), (5, 1, 3), (3, 0, 5, 1), (2, 4, 1, 3)])
+def test_multi_site_nev_matches_dense_oracle(support, product):
+    net = pl.random_network(2, 3, phys_dim=2, seed=len(support) + sum(support))
+    m = _random_operator((2,) * len(support), product, 70 + support[0])
+    obs = pl.observable_from_matrix(support, m, dims=(2,) * len(support))
+    assert pl.peps_nev(net, obs) == pytest.approx(dense_nev(net, support, m), abs=1e-11)
+
+
+@pytest.mark.parametrize("edge_id", ["bra@0", "~0", "~~0", "~op0"])
+def test_operator_bonds_never_meet_an_edge_id(edge_id):
+    # a 3-site chain whose edge 1-2 carries a label the engine could use for
+    # its own legs: an open physical leg (bra@0 with phys dim 4 matches the
+    # fused bond dim, so it used to contract silently) or an operator bond
+    rng = np.random.default_rng(5)
+    graph = pl.explicit_graph([0, 1, 2], [pl.Edge("a", 0, 1, 2), pl.Edge(edge_id, 1, 2, 2)])
+
+    def site(*legs):
+        legs += (("phys", 4),)
+        shape = [d for _, d in legs]
+        return tz.Tensor(legs, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    net = pl.PepsNetwork(graph, {0: site(("a", 2)), 1: site(("a", 2), (edge_id, 2)),
+                                 2: site((edge_id, 2))})
+    m = random_hermitian(16, 9)
+    obs = pl.observable_from_matrix((0, 2), m, dims=(4, 4))
+    assert pl.peps_nev(net, obs) == pytest.approx(dense_nev(net, (0, 2), m), abs=1e-11)
+
+
+def test_compiled_circuit_pair_fits_the_default_guard():
+    # the open physical legs of (0, 1) needed 2**24 entries
+    net = pl.compile_circuit(random_circuit(4, 2, seed=1), 0.5).network
+    dims = (net.phys_dim(0), net.phys_dim(1))
+    m = random_hermitian(dims[0] * dims[1], 11)
+    obs = pl.observable_from_matrix((0, 1), m, dims=dims)
+    assert pl.peps_nev(net, obs) == pytest.approx(dense_nev(net, (0, 1), m), abs=1e-11)
+
+
+def _zz(net, u, v):
+    dims = (net.phys_dim(u), net.phys_dim(v))
+    z = [np.diag([1.0, -1.0] * (d // 2)) for d in dims]
+    return pl.observable_from_matrix((u, v), np.kron(*z), dims=dims)
+
+
+def test_interior_product_pair_matches_the_rows_sweep():
+    # Z x Z on (2,2)-(2,3) of a 6x6 grid: the open physical legs needed 2**30
+    net = pl.random_network(6, 6, delta=0.8, seed=0)
+    obs = _zz(net, net.graph.vertex_at(2, 2), net.graph.vertex_at(2, 3))
+    got = pl.peps_nev(net, obs)
+    assert got == pytest.approx(pl.peps_nev(net, obs, sweep="rows"), abs=1e-11)
+    assert got == pytest.approx(0.0042024, abs=1e-7)
+
+
+def test_every_nearest_neighbour_product_pair_costs_one_norm():
+    # with open physical legs, 15 of these 60 pairs fit the default guard
+    net = pl.random_network(6, 6, delta=0.8, seed=0)
+    with pytest.raises(GuardExceeded) as err:
+        pl.peps_norm(net, guard=1)
+    norm_peak = err.value.required
+    for e in net.graph.edges:
+        with pytest.raises(GuardExceeded) as err:
+            pl.nev_report(net, _zz(net, e.u, e.v), guard=1)
+        assert err.value.required == norm_peak
+
+
+def test_full_rank_pair_beyond_the_guard_reports_norm_peak_times_rank():
+    # interior sites of phys dim 16: the operator bond has rank 256
+    net = pl.random_network(6, 6, seed=3)
+    dims = (net.phys_dim(14), net.phys_dim(15))
+    obs = pl.observable_from_matrix((14, 15), random_hermitian(256, 2), dims=dims)
+    with pytest.raises(GuardExceeded) as err:
+        pl.nev_report(net, obs)
+    assert err.value.required == 16384 * 256 == 4194304
+
+
 def test_norm_round_off_below_zero_is_clamped():
     # site 1 carries w and -w on its two bond values, so the state cancels to
     # zero and the contracted norm comes out at about -5e-16
@@ -311,14 +399,17 @@ def _einsum_layer(net, v, kind, op):
     elif kind == "sandwiched":
         ref = np.einsum(a.conj(), bra, op, [50, 51], a, ket, out)
     else:
-        ref = np.einsum(a.conj(), bra, a, ket, out + [50, 51])
-        dims += [t.dim("phys")] * 2
+        # op[in, bond, out]: the operator-bond leg stays open, after the fused legs
+        ref = np.einsum(a.conj(), bra, op, [51, 49, 50], a, ket, out + [49])
+        dims += [op.shape[1]]
     return ref.reshape(dims)
 
 
 @pytest.mark.parametrize("kind", ["plain", "sandwiched", "open"])
 @pytest.mark.parametrize("which", ["compiled", "periodic"])
 def test_double_layer_matches_einsum_reference(which, kind):
+    # "open" is one factor of a multi-site operator: legs out0/in0 and an open
+    # operator-bond leg, stored in another order than the layer's
     net, v = _layer_sites()[which]
     t = net.site(v)
     virt = net.virtual_labels(v)
@@ -326,11 +417,14 @@ def test_double_layer_matches_einsum_reference(which, kind):
     if which == "periodic":
         assert virt != sorted(virt)
     m = random_hermitian(p, 7)
-    obs = pl.observable_from_matrix((v,), m)
-    got = double_layer(net, v, obs.operator if kind == "sandwiched" else None, kind == "open")
+    factor = pl.observable_from_matrix((v,), m).operator
     legs = tuple((lab, t.dim(lab) ** 2) for lab in virt)
     if kind == "open":
-        legs += ((f"bra@{v}", p), (f"ket@{v}", p))
+        rng = np.random.default_rng(8)
+        m = rng.standard_normal((p, 3, p)) + 1j * rng.standard_normal((p, 3, p))
+        factor = tz.Tensor((("in0", p), ("~0", 3), ("out0", p)), m)
+        legs += (("~0", 3),)
+    got = double_layer(net, v, None if kind == "plain" else factor)
     assert got.legs == legs
     want = _einsum_layer(net, v, kind, m)
     np.testing.assert_allclose(arr(got), want, rtol=0, atol=1e-14)
@@ -424,16 +518,42 @@ def test_support_layers_keep_the_bond_pairs_the_plain_layers_drop():
     pair = np.kron(m, random_hermitian(16, 4)) + random_hermitian(256, 3)
     obs = pl.observable_from_matrix((0, 1), pair, dims=(16, 16))
     assert pl.peps_nev(net, obs) == pytest.approx(dense_nev(net, (0, 1), pair), abs=1e-12)
+    # swapping each tile with its color complement joins only unequal colors,
+    # so the support also keeps the equal pairs its plain layer needs
+    flip = np.eye(16)[::-1]
+    for support, m in (((0,), flip), ((0, 1), np.kron(flip, flip))):
+        obs = pl.observable_from_matrix(support, m, dims=(16,) * len(support))
+        assert pl.peps_nev(net, obs) == pytest.approx(dense_nev(net, support, m), abs=1e-12)
+
+
+def test_support_layers_keep_the_pairs_of_every_operator_term():
+    # tiles with left == right and top == bottom on the 2x2 torus. Flipping
+    # both horizontal colors of every tile (A) keeps a tiling valid, and so
+    # does flipping both vertical ones (B). The operator 2 A^4 + B^4 has two
+    # terms across each cut; B's layers carry the unequal vertical pairs that
+    # A's do not, so the live pairs are taken over every term
+    tiles = ((0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 1, 1))
+    net = tiling_network(WangTileSet(2, tiles), 2, 2)
+
+    def perm(flip):
+        return np.array([[float(tiles.index(flip(t)) == i) for t in tiles] for i in range(4)])
+
+    a = perm(lambda t: (1 - t[0], t[1], 1 - t[2], t[3]))
+    b = perm(lambda t: (t[0], 1 - t[1], t[2], 1 - t[3]))
+    m = 2 * np.kron(np.kron(a, a), np.kron(a, a)) + np.kron(np.kron(b, b), np.kron(b, b))
+    obs = pl.observable_from_matrix((0, 1, 2, 3), m, dims=(4,) * 4)
+    assert pl.peps_nev(net, obs) == pytest.approx(dense_nev(net, (0, 1, 2, 3), m), abs=1e-12)
 
 
 # The dry-run peaks, with guard=1, of networks without a zero entry: norm,
-# a one-site observable at the centre, and a pair on sites (0, 1). Nothing is
-# dropped, so each is the peak of the full D**2 fused dims.
+# a one-site observable at the centre, and an identity pair on sites (0, 1).
+# Nothing is dropped, so each is the peak of the full D**2 fused dims; the
+# pair is a product operator, whose operator bond has dim 1.
 @pytest.mark.parametrize("shape,bond_dim,seed,peaks", [
-    ((3, 3), 2, 0, (256, 256, 65536)),
-    ((4, 4), 2, 1, (1024, 1024, 65536)),
-    ((5, 5), 3, 0, (531441, 531441, 43046721)),
-    ((6, 6), 2, 3, (16384, 16384, 65536)),
+    ((3, 3), 2, 0, (256, 256, 256)),
+    ((4, 4), 2, 1, (1024, 1024, 1024)),
+    ((5, 5), 3, 0, (531441, 531441, 531441)),
+    ((6, 6), 2, 3, (16384, 16384, 16384)),
 ])
 def test_dense_networks_keep_their_dry_run_peaks(shape, bond_dim, seed, peaks):
     net = pl.random_network(*shape, bond_dim=bond_dim, seed=seed)
