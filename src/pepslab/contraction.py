@@ -33,8 +33,13 @@ The environment is split at an observable's support: the sites before the
 first support site are contracted once, forwards, and the sites after the
 last support site once, backwards. Both are closed twice through the sites in
 between, with the plain layers for the norm and with the observable's layers
-for the numerator, so an expectation value costs about one norm. The last of
-these passes consumes the prefix, which is freed after its first step. An
+for the numerator, so an expectation value costs about one norm. One slot
+keeps the last prefix: a call on the same network with an equal order (which
+fixes the contracted sites, and so the cut bonds) and equal kept indices,
+whose support starts no earlier, resumes from it, so reading out every wire
+of a compiled circuit costs about one contraction, with values bitwise those
+of a fresh one. The slot holds at most one boundary (up to 16 MiB at the
+default guard) until the next call, and it keeps no network alive. An
 operator on several sites is split into one factor per support site, joined
 by operator-bond legs of its Schmidt rank r across each cut, which the dry run
 and the guard see like bonds: a product operator (r = 1) costs one norm.
@@ -44,6 +49,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -60,6 +66,11 @@ BOUNDARY_GUARD = 1 << 20
 _SWEEPS = ("cols", "rows")
 
 _EPS = float(np.finfo(np.float64).eps)
+
+# The plain prefix the last contraction built, kept for the next call on the
+# same network: (weakref to the network, order, kept indices, number of sites
+# absorbed, boundary). See _contract.
+_last_prefix: tuple | None = None
 
 
 def double_layer(net: PepsNetwork, site: int, factor: Tensor | None = None) -> Tensor:
@@ -271,7 +282,15 @@ def _contract(net: PepsNetwork, sites: Sequence[int], observable: Observable | N
     non-finite entry anywhere reaches the final scalars, so
     :func:`_real_scalar` (the norm) and :func:`_expectation` (the numerator)
     refuse it there. The numerator is None without an observable.
+
+    The prefix resumes from the slot when it holds one of this network
+    (checked by identity first) with the same order and kept indices and no
+    site past this support's first; otherwise the slot is dropped before any
+    layer is built, so a miss never holds two boundaries. A refusal leaves it
+    empty; the absolute pass of :func:`_real_scalar` builds its own layers.
     """
+    global _last_prefix
+    held, _last_prefix = _last_prefix, None
     inside = set(sites)
     prefactor = 1.0
     closures: dict[str, Tensor] = {}
@@ -310,27 +329,30 @@ def _contract(net: PepsNetwork, sites: Sequence[int], observable: Observable | N
     first = min((order.index(v) for v in support), default=len(order))
     last = max((order.index(v) for v in support), default=len(order) - 1)
 
-    layers = {v: _sliced(double_layer(net, v), keep) for v in order}
+    start, prefix = 0, tz.scalar(1.0)
+    if (held is not None and held[0]() is net and held[1] == order and held[3] <= first
+            and held[2].keys() == keep.keys()
+            and all(np.array_equal(k, keep[label]) for label, k in held[2].items())):
+        start, prefix = held[3], held[4]
+    del held  # a miss drops the old prefix before any layer is built
+
+    layers = {v: _sliced(double_layer(net, v), keep) for v in order[start:]}
     special = {v: _sliced(double_layer(net, v, f), keep) for v, f in factors.items()}
+    suffix = _absorb(tz.scalar(1.0), layers, order[:last:-1], closures)
+    prefix = _absorb(prefix, layers, order[start:first], closures)
+    _last_prefix = (weakref.ref(net), order, keep, first, prefix)
+    middle, pairs = order[first:last + 1], [(l, l) for l in suffix.labels]
+    norm = tz.contract(_absorb(prefix, layers, middle, closures), suffix, pairs).item() * prefactor
+    numer = None
+    if special:
+        numer = tz.contract(_absorb(prefix, layers | special, middle, closures),
+                            suffix, pairs).item() * prefactor
 
-    def run(layers: dict[int, Tensor], closures: dict[str, Tensor],
-            special: dict[int, Tensor]) -> tuple[complex, complex | None]:
-        suffix = _absorb(tz.scalar(1.0), layers, order[:last:-1], closures)
-        # the last pass through the middle takes the prefix out of this list, so
-        # the prefix is freed once that pass has absorbed its first site
-        prefix = [_absorb(tz.scalar(1.0), layers, order[:first], closures)]
-        middle, pairs = order[first:last + 1], [(l, l) for l in suffix.labels]
-        norm = tz.contract(_absorb(prefix[0] if special else prefix.pop(), layers, middle,
-                                   closures), suffix, pairs)
-        if not special:
-            return norm.item() * prefactor, None
-        numer = tz.contract(_absorb(prefix.pop(), layers | special, middle, closures),
-                            suffix, pairs)
-        return norm.item() * prefactor, numer.item() * prefactor
+    def absolute() -> float:
+        plain = _absolute({v: _sliced(double_layer(net, v), keep) for v in order})
+        return abs(_absorb(tz.scalar(1.0), plain, order, _absolute(closures)).item() * prefactor)
 
-    norm, numer = run(layers, closures, special)
-    norm = _real_scalar(norm, lambda: abs(run(_absolute(layers), _absolute(closures), {})[0]))
-    return norm, numer
+    return _real_scalar(norm, absolute), numer
 
 
 def _expectation(norm: float, numer: complex, what: str) -> tuple[float, float]:

@@ -13,6 +13,7 @@ normalization, so a network of isometric site tensors has norm exactly one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -117,7 +118,11 @@ def explicit_graph(vertices: Iterable[int], edges: Iterable[Edge]) -> LatticeGra
 
 
 class PepsNetwork:
-    """Lattice graph plus site tensors, stored in canonical leg order."""
+    """Lattice graph plus site tensors, stored in canonical leg order.
+
+    ``tensors`` is read-only, so a network cannot change under a prefix the
+    contraction engine keeps for it; :meth:`with_site` returns a copy.
+    """
 
     def __init__(self, graph: LatticeGraph, tensors: Mapping[int, Tensor]) -> None:
         self.graph = graph
@@ -135,7 +140,7 @@ class PepsNetwork:
                 if t.dim(e.id) != e.dim:
                     raise ValueError(f"site {v}: leg {e.id!r} dim {t.dim(e.id)} != bond dim {e.dim}")
             canon[v] = t if list(t.labels) == want else tz.permute_legs(t, want)
-        self.tensors = canon
+        self.tensors = MappingProxyType(canon)
 
     def site(self, v: int) -> Tensor:
         return self.tensors[v]

@@ -1,5 +1,6 @@
 """Exact contraction engine against dense brute-force oracles."""
 
+import gc
 import itertools
 import tracemalloc
 import weakref
@@ -239,32 +240,147 @@ def test_peak_memory_stays_near_the_largest_boundary(monkeypatch):
     assert peak(lambda: pl.nev_report(net, obs)) <= 3.5 * boundary
 
 
-def test_last_pass_consumes_the_prefix(monkeypatch):
-    # centre of a 3x3 grid: a prefix and a suffix of four sites each
-    net = pl.random_network(3, 3, phys_dim=2, seed=4)
-    centre = net.graph.vertex_at(1, 1)
-    obs = pl.observable_from_matrix((centre,), random_hermitian(2, 7))
-    absorbed, prefix_alive = [], []
-    absorb, contract = contraction._absorb, tz.contract
+def test_prefix_slot_holds_one_boundary_until_the_next_call():
+    # 5x5 D=3: the prefix before the centre is a largest boundary, 3**12
+    # entries (8.1 MiB); a call on another network drops it
+    net = pl.random_network(5, 5, bond_dim=3, seed=0)
+    centre = net.graph.vertex_at(2, 2)
+    obs = pl.observable_from_matrix((centre,), random_hermitian(net.phys_dim(centre), 5))
+    boundary = 16 * 3 ** 12
+    tracemalloc.start()
+    try:
+        pl.nev_report(net, obs)
+        held = tracemalloc.get_traced_memory()[0]
+        pl.peps_norm(pl.random_network(2, 2, seed=1))
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert boundary <= held <= 1.05 * boundary
+    assert after < boundary / 100
 
-    def recorded_absorb(acc, *rest):
-        box = [acc]  # hand the start over without keeping a reference here
-        del acc
-        out = absorb(box.pop(), *rest)
-        absorbed.append(weakref.ref(out))
-        return out
 
-    def recorded_contract(a, b, pairs):
-        # the engine builds the suffix first, so the second result is the prefix
-        prefix_alive.append(len(absorbed) > 1 and absorbed[1]() is not None)
-        return contract(a, b, pairs)
+Z = np.diag([1.0, -1.0]).astype(np.complex128)
+X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
-    monkeypatch.setattr(contraction, "_absorb", recorded_absorb)
-    monkeypatch.setattr(tz, "contract", recorded_contract)
-    pl.nev_report(net, obs)
-    # alive through the norm pass, gone before the numerator's final pairing
-    assert prefix_alive.count(True) >= 2
-    assert prefix_alive[-1] is False
+
+@pytest.mark.parametrize("width,depth", [(6, 4), (8, 6), (6, 7)])
+def test_every_wire_readout_equals_a_fresh_network(width, depth):
+    compiled = pl.compile_circuit(random_circuit(width, depth, seed=1), 0.3)
+    net = compiled.network
+    for m in (Z, X):
+        obs = [pl.readout_observable(compiled, w, m) for w in range(width)]
+        got = [pl.nev_report(net, o) for o in obs]
+        assert got == [pl.nev_report(pl.PepsNetwork(net.graph, net.tensors), o) for o in obs]
+
+
+def test_interleaved_calls_give_the_fresh_values():
+    a = pl.random_network(4, 4, phys_dim=2, seed=3)
+    b = pl.random_network(3, 4, seed=5)
+    early, late = a.graph.vertex_at(2, 1), a.graph.vertex_at(1, 2)
+    one = pl.observable_from_matrix((late,), random_hermitian(2, 2))
+    two = pl.observable_from_matrix((early, late), random_hermitian(4, 3), dims=(2, 2))
+    calls = [
+        (a, lambda n: pl.nev_report(n, two)),
+        (a, lambda n: pl.nev_report(n, one)),  # a later support: resumes
+        (a, pl.peps_norm),  # resumes from the last prefix
+        (a, lambda n: pl.nev_report(n, two)),  # an earlier support: recontracts
+        (b, pl.peps_norm),
+        (a, lambda n: pl.nev_report(n, one)),
+        (a, lambda n: pl.patch_nev(n, one, 1)),
+        (a, lambda n: pl.nev_report(n, one, sweep="rows")),
+        (a, lambda n: pl.peps_norm(n, sweep="rows")),  # resumes
+        (a, pl.peps_norm),
+        (a, lambda n: pl.nev_report(n, two, sweep="rows")),
+        (a, lambda n: pl.nev_report(n, one)),  # a prefix of the other sweep
+        (b, pl.peps_norm),
+    ]
+    got = [call(net) for net, call in calls]
+    assert got == [call(pl.PepsNetwork(net.graph, net.tensors)) for net, call in calls]
+
+
+def test_other_kept_indices_start_a_fresh_prefix():
+    # site 1 copies its bond index to its physical index, so its plain layer
+    # keeps 3 of the 9 pairs of the bond to the dense site 0, and a swap of
+    # physical indices 0 and 1 there keeps 5: the prefix of the first readout,
+    # site 0, does not fit the second
+    rng = np.random.default_rng(3)
+    net = pl.PepsNetwork(pl.open_grid(1, 2, bond_dim=3), {
+        0: tz.Tensor((("h0.0", 3), ("phys", 2)), rng.normal(size=(3, 2)) + 0j),
+        1: tz.Tensor((("h0.0", 3), ("phys", 3)), np.eye(3) + 0j),
+    })
+    calls = [pl.observable_from_matrix((1,), np.diag([1.0, 2.0, 3.0])),
+             pl.observable_from_matrix((1,), np.eye(3)[[1, 0, 2]])]
+    got = [pl.nev_report(net, obs) for obs in calls]
+    assert got == [pl.nev_report(pl.PepsNetwork(net.graph, net.tensors), obs) for obs in calls]
+
+
+def test_second_wire_of_a_cell_builds_no_layer_before_its_support(monkeypatch):
+    compiled = pl.compile_circuit(random_circuit(6, 4, seed=2), 0.3)
+    net = compiled.network
+    obs = [pl.readout_observable(compiled, w, Z) for w in range(6)]
+    first, second = next((u, w) for u, w in itertools.combinations(obs, 2)
+                         if u.support == w.support)
+    site = first.support[0]
+    pl.nev_report(net, first)
+    built = []
+
+    def recorded(net, v, factor=None):
+        built.append(v)
+        return double_layer(net, v, factor)
+
+    monkeypatch.setattr(contraction, "double_layer", recorded)
+    pl.nev_report(net, second)
+    order = sweep_order(net.graph)
+    assert built == order[order.index(site):] + [site]
+
+
+def test_refusal_empties_the_prefix_slot_and_it_keeps_no_network_alive():
+    net = pl.random_network(3, 3, seed=1)
+    pl.peps_norm(net)
+    assert contraction._last_prefix is not None
+    with pytest.raises(GuardExceeded):
+        pl.peps_norm(net, guard=1)
+    assert contraction._last_prefix is None
+    pl.peps_norm(net)
+    ref = weakref.ref(net)
+    del net
+    gc.collect()
+    assert ref() is None
+
+
+def test_absolute_pass_on_a_resumed_prefix_matches_a_fresh_network(monkeypatch):
+    # the state cancels to zero, so the norm comes out at about -5e-16 and
+    # _real_scalar needs the absolute pass, which builds every layer again
+    rng = np.random.default_rng(0)
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    w = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    net = pl.PepsNetwork(pl.open_grid(1, 3), {
+        0: tz.Tensor((("h0.0", 2), ("phys", 2)), np.stack([v, v])),
+        1: tz.Tensor((("h0.0", 2), ("h0.1", 2), ("phys", 2)), np.stack([w, -w])),
+        2: tz.Tensor((("h0.1", 2), ("phys", 2)), u),
+    })
+    seen, built = [], []
+    real_scalar = contraction._real_scalar
+
+    def recorded_scalar(value, abs_scale_fn):
+        seen.append((value, abs_scale_fn()))
+        return real_scalar(value, lambda: seen[-1][1])
+
+    def recorded_layer(net, v, factor=None):
+        built.append(v)
+        return double_layer(net, v, factor)
+
+    monkeypatch.setattr(contraction, "_real_scalar", recorded_scalar)
+    monkeypatch.setattr(contraction, "double_layer", recorded_layer)
+    with pytest.raises(ValueError, match="zero norm"):
+        pl.nev_report(net, pl.observable_from_matrix((2,), np.eye(2)))
+    built.clear()
+    resumed = pl.peps_norm(net)
+    assert built == [2, 0, 1, 2]  # the resumed site, then the absolute pass's own layers
+    fresh = pl.peps_norm(pl.PepsNetwork(net.graph, net.tensors))
+    assert resumed == fresh == 0.0
+    assert seen[1][0].real < 0 and seen[1] == seen[2]
 
 
 def test_periodic_norm_matches_dense_oracle():

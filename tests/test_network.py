@@ -139,6 +139,19 @@ def test_normalize_sigma1_rescales_without_moving_nev():
     assert pl.peps_nev(scaled, obs) == pytest.approx(before, abs=1e-10)
 
 
+def test_site_tensors_are_read_only_and_with_site_copies():
+    net = pl.random_network(2, 2, phys_dim=2, seed=1)
+    obs = pl.observable_from_matrix((0,), random_hermitian(2, 4))
+    with pytest.raises(TypeError):
+        net.tensors[0] = net.site(1)
+    before = pl.nev_report(net, obs)
+    changed = net.with_site(0, pl.random_network(2, 2, phys_dim=2, seed=2).site(0))
+    after = pl.nev_report(changed, obs)
+    assert after["value"] != before["value"]
+    assert after == pl.nev_report(pl.PepsNetwork(changed.graph, changed.tensors), obs)
+    assert pl.nev_report(net, obs) == before
+
+
 def test_network_json_roundtrip_is_bitwise():
     net = pl.random_network(2, 3, delta=0.7, seed=11, geometry="periodic-grid")
     obj = pl.network_to_json(net)
