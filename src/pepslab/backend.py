@@ -1,4 +1,4 @@
-"""The two numeric kernels: the complex matrix product and the tile count.
+"""The two numeric kernels: the matrix product and the tile count.
 
 There is one implementation of each, in numpy, and no option selects another.
 The module and its three names stay only for the benchmark: ``pepsbench``
@@ -17,17 +17,18 @@ def backend_name() -> str:
 
 
 def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Complex matrix product, written into ``out`` when it is given.
+    """Matrix product, written into ``out`` when it is given.
 
-    Inputs are complex128 2-D arrays (others are converted). They are not
-    copied: a C- or Fortran-ordered view, such as a transposed matrix or a
-    slice of rows, goes to BLAS as it is. ``out`` must be a C-ordered
-    complex128 array of the product's shape, for instance a block of rows of
-    a larger output. This is the single multiply primitive behind every tensor
+    Inputs are 2-D float64 or complex128 arrays, and the product has their
+    common type: two real operands make a real GEMM. They are not copied: a
+    C- or Fortran-ordered view, such as a transposed matrix or a slice of
+    rows, goes to BLAS as it is. ``out`` must be a C-ordered array of the
+    product's shape and type, for instance a block of rows of a larger
+    output. This is the single multiply primitive behind every tensor
     contraction in the package.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
+    a = np.asarray(a)
+    b = np.asarray(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     return np.matmul(a, b, out=out)

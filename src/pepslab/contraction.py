@@ -11,14 +11,31 @@ Only live bond indices are contracted. A site's layer can be nonzero at a
 fused index ``(a, b)`` only when the site tensor is nonzero at bond index
 ``a`` (the bra) and at ``b`` (the ket), with physical indices the layer
 joins: equal ones for the plain layer, at a support site also the nonzeros of
-its operator factor. An index is kept when it is live at both ends of its bond (at a cut bond, the closure's diagonal), and each layer
-and closure is sliced to the kept indices. Every product through a dropped
-index is exactly zero, so pruning moves a value only through the order of
-summation, and integer tile counts stay exact. A site tensor with no zero
-entry costs one count and is scanned no further. The indicator tensors of a
-tiling keep at most D of the D**2 indices of each bond. A bond with no live
-index makes the norm and the numerator exactly zero, returned without
+the operator there. An index is kept when, at each end of its bond, it or
+its swap ``(b, a)`` is live (at a cut bond, the closure's diagonal), and each
+layer and closure is sliced to the kept indices. Every product through a
+dropped index is exactly zero, so pruning moves a value only through the
+order of summation, and integer tile counts stay exact. A site tensor with no
+zero entry costs one count and is scanned no further. The indicator tensors
+of a tiling keep at most D of the D**2 indices of each bond. A bond with no
+live index makes the norm and the numerator exactly zero, returned without
 contracting.
+
+The contraction runs in real arithmetic. A double layer is Hermitian under
+the swap of its bra and ket indices, so each fused bond index is rewritten in
+a Hermitian basis of the bond's D x D matrices: ``E_aa`` at ``(a, a)``,
+``(E_ab + E_ba)/sqrt 2`` at ``(a, b)`` and ``i(E_ab - E_ba)/sqrt 2`` at
+``(b, a)``, for ``a < b``. The bond's ``u`` end multiplies its layer's leg by
+the unitary ``Q[(a, a'), k] = B_k[a', a]`` and its ``v`` end by ``conj(Q)``,
+so the pairing across the bond is unchanged, and the plain layers and the
+layer of a one-site (Hermitian) operator come out real: they are stored as
+float64, with half the bytes and a quarter of the flops of complex128. The
+kept indices of a bond are closed under the swap, so the basis is applied as
+the block ``Q[K, K]`` after slicing, and a bond that keeps only diagonal
+pairs (every tiling bond, every cut bond) skips it. The closure ``delta/D``
+is the same in either basis. The layers of an operator on several sites
+carry its operator-bond legs and stay complex, so only the steps through the
+support run in complex128.
 
 The order comes from a dry run over the live leg dims, made before anything
 is allocated but the masks: the layers are built only once the guard has
@@ -34,15 +51,18 @@ first support site are contracted once, forwards, and the sites after the
 last support site once, backwards. Both are closed twice through the sites in
 between, with the plain layers for the norm and with the observable's layers
 for the numerator, so an expectation value costs about one norm. One slot
-keeps the last prefix: a call on the same network with an equal order (which
-fixes the contracted sites, and so the cut bonds) and equal kept indices,
-whose support starts no earlier, resumes from it, so reading out every wire
-of a compiled circuit costs about one contraction, with values bitwise those
-of a fresh one. The slot holds at most one boundary (up to 16 MiB at the
-default guard) until the next call, and it keeps no network alive. An
-operator on several sites is split into one factor per support site, joined
-by operator-bond legs of its Schmidt rank r across each cut, which the dry run
-and the guard see like bonds: a product operator (r = 1) costs one norm.
+keeps what the engine read from the last network: each site's live masks,
+each bond's basis block, and the last prefix. A call on the same network
+reads no site tensor again, and when its order (which fixes the contracted
+sites, and so the cut bonds) and kept indices are equal and its support
+starts no earlier, it resumes from the prefix, so reading out every wire of a
+compiled circuit costs about one contraction, with values bitwise those of a
+fresh one. The slot holds at most one boundary (up to 8 MiB at the default
+guard) until the next call, and it keeps no network alive. An operator on
+several sites is split into one factor per support site, in the order the
+candidate contracts them, joined by operator-bond legs of its Schmidt rank r
+across each cut, which the dry run and the guard see like bonds: a product
+operator (r = 1) costs one norm.
 """
 
 from __future__ import annotations
@@ -50,7 +70,7 @@ from __future__ import annotations
 import cmath
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -67,10 +87,31 @@ _SWEEPS = ("cols", "rows")
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# The plain prefix the last contraction built, kept for the next call on the
-# same network: (weakref to the network, order, kept indices, number of sites
-# absorbed, boundary). See _contract.
-_last_prefix: tuple | None = None
+_SQRT_HALF = math.sqrt(0.5)
+
+# The engine's start: a float64 scalar 1, so that real layers keep real boundaries.
+_ONE = Tensor._trusted((), np.ones(()))
+
+
+@dataclass(eq=False)
+class _Slot:
+    """What the engine keeps of the last network it contracted, for the next call.
+
+    ``masks`` holds each site's :func:`_live_pairs` and its plain live masks,
+    ``kept`` the kept indices of each bond between two plain layers (see
+    :func:`_prune`), ``bases`` each bond's basis blocks (see :func:`_bases`),
+    and ``prefix`` the last plain prefix: (order, kept indices, number of
+    sites absorbed, boundary). See :func:`_contract`.
+    """
+
+    net: weakref.ref
+    masks: dict = field(default_factory=dict)
+    kept: dict = field(default_factory=dict)
+    bases: dict = field(default_factory=dict)
+    prefix: tuple | None = None
+
+
+_slot: _Slot | None = None
 
 
 def double_layer(net: PepsNetwork, site: int, factor: Tensor | None = None) -> Tensor:
@@ -106,33 +147,67 @@ def _operator_bonds(factor: Tensor) -> list[tuple[str, int]]:
     return [leg for leg in factor.legs if leg[0] not in ("out0", "in0")]
 
 
-def _operator_factors(obs: Observable, tag: str) -> list[Tensor]:
-    """The operator split into one factor per support site: an MPO chain.
+def _operator_factors(obs: Observable, chain: Sequence[int], tag: str) -> dict[int, Tensor]:
+    """The operator split into one factor per support site along ``chain``: an MPO.
 
-    Successive SVDs across the cuts between consecutive support sites (an
-    operator Schmidt decomposition) give factor ``i`` the legs ``out0``/``in0``
-    and operator-bond legs ``<tag>~<i>`` to site ``i + 1`` (and ``<tag>~<i-1>``
-    to site ``i - 1``). Singular values at or below ``tz.RANK_TOL * s0`` are
-    dropped, so a product operator has bonds of dim 1. One site needs no SVD.
+    ``chain`` lists the support sites in the order they are contracted.
+    Successive SVDs across the cuts between consecutive sites of the chain (an
+    operator Schmidt decomposition) give its ``i``-th site's factor the legs
+    ``out0``/``in0`` and operator-bond legs ``<tag>~<i>`` to the next site (and
+    ``<tag>~<i-1>`` to the one before), so only one operator bond is open
+    between support sites. Singular values at or below ``tz.RANK_TOL * s0``
+    are dropped, so a product operator has bonds of dim 1. Entries of the
+    singular vectors at zero rows and columns of the split matrix are set to
+    exact zeros, so no factor is nonzero where the operator's pattern
+    (:func:`_patterns`) is zero. One site needs no SVD.
     """
-    rest, factors, left = obs.operator, [], []
-    for i in range(len(obs.support) - 1):
+    n = len(chain)
+    if n == 1:
+        return {chain[0]: obs.operator}
+    pos = [obs.support.index(v) for v in chain]
+    rest = obs.operator.relabeled({f"{io}{i}": f"{io}{k}" for k, i in enumerate(pos)
+                                   for io in ("out", "in")})
+    factors, left = [], []
+    for i in range(n - 1):
         rows = left + [(f"out{i}", rest.dim(f"out{i}")), (f"in{i}", rest.dim(f"in{i}"))]
         cols = [leg for leg in rest.legs if leg not in rows]
-        u, s, vh = np.linalg.svd(tz.matrix_view(rest, [l for l, _ in rows], [l for l, _ in cols]),
-                                 full_matrices=False)
+        mat = tz.matrix_view(rest, [l for l, _ in rows], [l for l, _ in cols])
+        u, s, vh = np.linalg.svd(mat, full_matrices=False)
+        u[~mat.any(axis=1)] = 0
+        vh[:, ~mat.any(axis=0)] = 0
         r = 1 + np.count_nonzero(s[1:] > tz.RANK_TOL * s[0])
         left = [(f"{tag}~{i}", r)]
         factors.append(tz.from_matrix(u[:, :r], rows, left))
         rest = tz.from_matrix(s[:r, None] * vh[:r], left, cols)
     factors.append(rest)
-    return [f.relabeled({f"out{i}": "out0", f"in{i}": "in0"}) for i, f in enumerate(factors)]
+    return {v: f.relabeled({f"out{i}": "out0", f"in{i}": "in0"})
+            for i, (v, f) in enumerate(zip(chain, factors))}
+
+
+def _patterns(obs: Observable) -> dict[int, np.ndarray]:
+    """Per support site, the ``(out, in)`` physical pairs its layers join.
+
+    These are the pairs at which the operator is nonzero for some indices of
+    the other support sites, OR the identity, which the plain layer of the
+    same site needs. They hold the pattern of the site's factor from
+    :func:`_operator_factors` whatever the chain, so one pruning serves every
+    candidate order.
+    """
+    nonzero, labels, out = obs.operator.data != 0, obs.operator.labels, {}
+    for i, v in enumerate(obs.support):
+        o, n = labels.index(f"out{i}"), labels.index(f"in{i}")
+        joined = nonzero.any(axis=tuple(j for j in range(len(labels)) if j not in (o, n)))
+        out[v] = (joined.T if n < o else joined) | np.eye(len(joined), dtype=bool)
+    return out
 
 
 def mixed_closure(edge_dim: int, label: str) -> Tensor:
-    """Fused-leg closure for a cut bond: the maximally mixed pair delta_bk / dim."""
-    vec = (np.eye(edge_dim, dtype=np.complex128) / edge_dim).ravel()
-    return Tensor(((label, edge_dim * edge_dim),), vec)
+    """Fused-leg closure for a cut bond: the maximally mixed pair delta_bk / dim.
+
+    It is real, and the same in the fused ``(bra, ket)`` basis and in the
+    Hermitian one (see the module docstring), so it is stored as float64.
+    """
+    return Tensor._trusted(((label, edge_dim * edge_dim),), np.eye(edge_dim).ravel() / edge_dim)
 
 
 def sweep_order(graph, sweep: str = "cols") -> list[int]:
@@ -167,37 +242,38 @@ def _layer_legs(net: PepsNetwork, v: int, keep: dict[str, np.ndarray]) -> list[t
             for e in net.graph.incident(v)]
 
 
-def _live_pairs(net: PepsNetwork, v: int, factor: Tensor | None) -> dict[str, np.ndarray]:
-    """Per bond leg of site ``v``, the fused ``(bra, ket)`` pairs its layers can reach.
+def _live_pairs(net: PepsNetwork, v: int) -> dict[str, np.ndarray]:
+    """Per bond leg of site ``v``, which physical indices each bond index reaches.
 
-    The bra's physical index is joined to the ket's by equal indices in the
-    plain layer and, at a support site, also by the nonzeros of its operator
-    ``factor`` (taken over its operator-bond legs), since both layers are
-    sliced alike. A bond index reaches a physical index when the site tensor
-    is nonzero at both, and a pair is live when its bra and its ket reach
-    physical indices that are joined. Every other pair of the layers is
-    exactly zero. A site tensor with no zero entry costs one count and
-    returns ``{}``: every pair of every leg is live.
+    ``reach[a, p]`` is True when the site tensor is nonzero at bond index ``a``
+    and physical index ``p`` (for some indices of its other bonds). A fused
+    pair ``(a, b)`` of a layer that joins physical pairs ``P`` (the identity
+    for the plain layer) is live when ``(reach @ P @ reach.T)[a, b]``; every
+    other pair of the layer is exactly zero. A site tensor with no zero entry
+    costs one count and returns ``{}``: every pair of every leg is live.
     """
     t = net.site(v)
     if np.count_nonzero(t.data) == t.size:
         return {}
-    phys = None
-    if factor is not None:
-        op = tz.matrix_view(factor, ["out0"], ["in0"] + [l for l, _ in _operator_bonds(factor)])
-        phys = (op != 0).reshape(len(op), len(op), -1).any(axis=2) | np.eye(len(op), dtype=bool)
     nonzero = t.data != 0
     labels = t.labels
     p_axis = labels.index(PHYS)
-    live = {}
+    reach = {}
     for axis, label in enumerate(labels):
         if axis != p_axis:
-            reach = nonzero.any(axis=tuple(j for j in range(len(labels))
-                                           if j != axis and j != p_axis))
-            if axis > p_axis:
-                reach = reach.T
-            live[label] = (reach @ reach.T if phys is None else reach @ phys @ reach.T).ravel()
-    return live
+            r = nonzero.any(axis=tuple(j for j in range(len(labels))
+                                       if j != axis and j != p_axis))
+            reach[label] = r.T if axis > p_axis else r
+    return reach
+
+
+def _site_masks(slot: _Slot, net: PepsNetwork, v: int) -> tuple[dict, dict]:
+    """The reach of site ``v`` and its plain layer's live masks, read once per network."""
+    held = slot.masks.get(v)
+    if held is None:
+        reach = _live_pairs(net, v)
+        held = slot.masks[v] = (reach, {l: (r @ r.T).ravel() for l, r in reach.items()})
+    return held
 
 
 def _sliced(t: Tensor, keep: dict[str, np.ndarray]) -> Tensor:
@@ -210,32 +286,134 @@ def _sliced(t: Tensor, keep: dict[str, np.ndarray]) -> Tensor:
     return t if data is t.data else Tensor._trusted(tuple(legs), data)
 
 
-def _prune(net: PepsNetwork, sites: Sequence[int], factors: dict[int, Tensor],
-           closures: dict[str, Tensor]) -> dict[str, np.ndarray] | None:
+def _prune(net: PepsNetwork, sites: Sequence[int], patterns: dict[int, np.ndarray],
+           closures: dict[str, Tensor], slot: _Slot) -> dict[str, np.ndarray] | None:
     """Kept indices of each fused bond leg: those live at both of its ends.
 
-    An end is a site of ``sites``, with its operator factor at a support site
-    (see :func:`_live_pairs`), or, for a cut bond, its closure. Bonds that
-    keep every index are left out; None means some bond keeps none, so every
-    term of the contraction, and the contraction itself, is exactly zero.
+    An end is a site of ``sites``, which joins the physical pairs of its
+    pattern at a support site (see :func:`_live_pairs`), or, for a cut bond,
+    its closure. Every end's mask is closed under the swap ``(a, b) <-> (b,
+    a)``, and so is what both ends keep, as the Hermitian basis needs: the
+    plain masks and the closures are symmetric, and a support site's mask is
+    made so (a pair added there multiplies an exact zero at that end). A bond
+    between two plain layers keeps the same indices on every call, so the
+    slot keeps them. Bonds that keep every index are left out; None means
+    some bond keeps none, so every term of the contraction, and the
+    contraction itself, is exactly zero.
     """
-    masks = {v: _live_pairs(net, v, factors.get(v)) for v in sites}
-    keep = {}
+    inside, masks, keep = set(sites), {}, {}
+
+    def ends(e) -> list[np.ndarray | None]:
+        out = [closures[e.id].data != 0] if e.id in closures else []
+        for v in (e.u, e.v):
+            if v in inside:
+                if v not in masks:
+                    reach, plain = _site_masks(slot, net, v)
+                    masks[v] = plain if v not in patterns else {
+                        l: _swap_closed(r @ patterns[v] @ r.T) for l, r in reach.items()}
+                out.append(masks[v].get(e.id))
+        return out
+
     for e in net.graph.edges:
-        # a bond has two ends: two sites, or one site and the cut bond's closure
-        ends = [masks[x].get(e.id) for x in (e.u, e.v) if x in masks]
-        if e.id in closures:
-            ends.append(closures[e.id].data != 0)
-        ends = [m for m in ends if m is not None]
-        if not ends:
+        if e.id in closures or e.u in patterns or e.v in patterns:
+            kept = _kept(ends(e))
+        elif e.u in inside and e.v in inside:
+            if e.id not in slot.kept:
+                slot.kept[e.id] = _kept(ends(e))
+            kept = slot.kept[e.id]
+        else:
             continue
-        live = ends[0] if len(ends) == 1 else ends[0] & ends[1]
-        count = np.count_nonzero(live)
-        if count == 0:
-            return None
-        if count < live.size:
-            keep[e.id] = np.flatnonzero(live)
+        if kept is not None:
+            if kept.size == 0:
+                return None
+            keep[e.id] = kept
     return keep
+
+
+def _swap_closed(live: np.ndarray) -> np.ndarray:
+    """A bond's ``(bra, ket)`` live matrix with each pair's swap added, raveled."""
+    return (live | live.T).ravel()
+
+
+def _kept(ends: list[np.ndarray | None]) -> np.ndarray | None:
+    """Indices live at every end of a bond; None when all are (a mask of None: every index)."""
+    ends = [m for m in ends if m is not None]
+    if not ends:
+        return None
+    live = ends[0] if len(ends) == 1 else ends[0] & ends[1]
+    return None if np.count_nonzero(live) == live.size else np.flatnonzero(live)
+
+
+def _basis_block(dim: int, kept: np.ndarray | None) -> tuple[np.ndarray, np.ndarray] | None:
+    """The block ``Q[K, K]`` of a bond's change to the Hermitian basis, and ``conj(Q[K, K])``.
+
+    The Hermitian basis of the bond's dim x dim matrices is ``E_aa`` at
+    ``(a, a)``, and for ``a < b`` ``(E_ab + E_ba)/sqrt 2`` at ``(a, b)`` and
+    ``i(E_ab - E_ba)/sqrt 2`` at ``(b, a)``. ``Q[(a, a'), k] = B_k[a', a]`` is
+    unitary and maps each pair ``{(a, b), (b, a)}`` into itself, so on the
+    swap-closed kept indices ``K`` (None: all of them) its block ``Q[K, K]`` is
+    unitary too: the identity on the diagonal and a 2 x 2 block on each such
+    pair. A bond whose kept pairs are all diagonal has ``Q[K, K] = I`` and
+    gives None.
+    """
+    if dim == 1 or kept is not None and not any(f % (dim + 1) for f in kept.tolist()):
+        return None  # every kept f = a * dim + a is diagonal
+    idx = np.arange(dim * dim) if kept is None else kept
+    a, b = np.divmod(idx, dim)
+    lower = a < b
+    p, q = np.flatnonzero(lower), np.searchsorted(idx, b[lower] * dim + a[lower])
+    block = np.eye(idx.size, dtype=np.complex128)
+    block[p, p] = block[q, p] = _SQRT_HALF
+    block[p, q], block[q, q] = -1j * _SQRT_HALF, 1j * _SQRT_HALF
+    return block, block.conj()
+
+
+def _bases(net: PepsNetwork, inside: set, keep: dict[str, np.ndarray],
+           slot: _Slot) -> dict[str, tuple[int, np.ndarray, np.ndarray]]:
+    """``(u, Q[K, K], conj(Q[K, K]))`` of each bond of ``inside`` that keeps an off-diagonal pair.
+
+    The slot keeps each bond's blocks with the kept indices they were made
+    for, and reuses them while :func:`_prune` returns the same array (every
+    bond between two plain layers) or all indices; bonds of one dim that keep
+    all indices share one block.
+    """
+    out, whole = {}, {}
+    for e in net.graph.edges:
+        if e.u in inside or e.v in inside:
+            k = keep.get(e.id)
+            held = slot.bases.get(e.id)
+            if held is None or held[0] is not k:
+                if k is None and e.dim not in whole:
+                    whole[e.dim] = _basis_block(e.dim, None)
+                block = whole[e.dim] if k is None else _basis_block(e.dim, k)
+                held = slot.bases[e.id] = (k, block)
+            if held[1] is not None:
+                out[e.id] = (e.u,) + held[1]
+    return out
+
+
+def _in_basis(t: Tensor, v: int, bases: dict, real: bool) -> Tensor:
+    """Layer ``t`` of site ``v`` with each leg in ``bases`` in its Hermitian basis.
+
+    A leg is multiplied by ``Q[K, K]`` at its bond's ``u`` end and by
+    ``conj(Q[K, K])`` at its ``v`` end (see :func:`_basis_block`), so the
+    pairing across the bond is unchanged. Each leg in turn is the rows of one
+    matrix product, whose result has that leg last, so after every leg the
+    order is the original one. ``real`` drops the imaginary part, which is
+    round-off for a plain layer and for the layer of a one-site operator: both
+    are Hermitian under the swap of every bra and ket index.
+    """
+    data = t.data
+    if not any(label in bases for label in t.labels):
+        return Tensor._trusted(t.legs, data.real) if real else t
+    for label, dim in t.legs:
+        rows = data.reshape(dim, -1).T
+        if label in bases:
+            u, q, qc = bases[label]
+            data = rows @ (q if v == u else qc)
+        else:
+            data = np.ascontiguousarray(rows)
+    return Tensor._trusted(t.legs, data.real if real else data)
 
 
 def _absorb(acc: Tensor, layers: dict[int, Tensor], order: Sequence[int],
@@ -250,7 +428,7 @@ def _absorb(acc: Tensor, layers: dict[int, Tensor], order: Sequence[int],
 
 
 def _absolute(tensors: dict) -> dict:
-    return {k: Tensor(t.legs, np.abs(t.data)) for k, t in tensors.items()}
+    return {k: Tensor._trusted(t.legs, np.abs(t.data)) for k, t in tensors.items()}
 
 
 def _real_scalar(value: complex, abs_scale_fn) -> float:
@@ -275,22 +453,28 @@ def _contract(net: PepsNetwork, sites: Sequence[int], observable: Observable | N
     Bonds with both ends in ``sites`` carry 1/dim; bonds with one end there are
     closed with :func:`mixed_closure`. The dry run, the guard and the
     contraction see the bond indices :func:`_prune` keeps, read from the site
-    tensors; the layers are built after the guard and sliced to them. A bond
-    with no live index gives an exact zero norm (and numerator) without
-    contracting anything. ``sweep=None`` dry-runs every sweep and runs the one
-    with the smallest peak. Intermediates are not scanned for finiteness: a
-    non-finite entry anywhere reaches the final scalars, so
-    :func:`_real_scalar` (the norm) and :func:`_expectation` (the numerator)
-    refuse it there. The numerator is None without an observable.
+    tensors; the layers are built after the guard, sliced to them and put in
+    the Hermitian basis (:func:`_in_basis`). A bond with no live index gives an
+    exact zero norm (and numerator) without contracting anything.
+    ``sweep=None`` dry-runs every sweep and runs the one with the smallest
+    peak; a multi-site operator is split along each candidate's order.
+    Intermediates are not scanned for finiteness: a non-finite entry anywhere
+    reaches the final scalars, so :func:`_real_scalar` (the norm) and
+    :func:`_expectation` (the numerator) refuse it there. The numerator is
+    None without an observable.
 
-    The prefix resumes from the slot when it holds one of this network
-    (checked by identity first) with the same order and kept indices and no
-    site past this support's first; otherwise the slot is dropped before any
-    layer is built, so a miss never holds two boundaries. A refusal leaves it
-    empty; the absolute pass of :func:`_real_scalar` builds its own layers.
+    The slot's masks and basis blocks are reused when it holds this network
+    (checked by identity first). Its prefix resumes when it has the same
+    order and kept indices and no site past this support's first; otherwise
+    the prefix is dropped before any layer is built, so a miss never holds two
+    boundaries. A refusal leaves the slot empty; the absolute pass of
+    :func:`_real_scalar` builds its own layers.
     """
-    global _last_prefix
-    held, _last_prefix = _last_prefix, None
+    global _slot
+    slot, _slot = _slot, None
+    if slot is None or slot.net() is not net:
+        slot = _Slot(weakref.ref(net))
+    held, slot.prefix = slot.prefix, None
     inside = set(sites)
     prefactor = 1.0
     closures: dict[str, Tensor] = {}
@@ -300,47 +484,56 @@ def _contract(net: PepsNetwork, sites: Sequence[int], observable: Observable | N
         elif e.u in inside or e.v in inside:
             closures[e.id] = mixed_closure(e.dim, e.id)
     support = observable.support if observable is not None else ()
-    # operator-bond labels longer than every edge id, so that none is a bond
-    tag = "~" * max((len(e.id) for e in net.graph.edges), default=0)
-    factors = dict(zip(support, _operator_factors(observable, tag))) if support else {}
-    keep = _prune(net, sites, factors, closures)
+    keep = _prune(net, sites, _patterns(observable) if support else {}, closures, slot)
     if keep is None:
+        _slot = slot
         return 0.0, (None if observable is None else 0j)
     closures = {label: _sliced(t, keep) for label, t in closures.items()}
     legs = {v: _layer_legs(net, v, keep) for v in inside}
-    observed = legs | {v: legs[v] + _operator_bonds(f) for v, f in factors.items()}
+    # operator-bond labels longer than every edge id, so that none is a bond
+    tag = "~" * max((len(e.id) for e in net.graph.edges), default=0)
 
-    def peak(order: list[int]) -> int:
-        # forward through the last support site, backwards through the suffix
-        last = max((order.index(v) for v in support), default=len(order) - 1)
-        return max(_peak(observed, order[:last + 1], closures),
-                   _peak(legs, order[:last:-1], closures))
-
-    orders: list[list[int]] = []
+    candidates, chains = [], {}
     for name in _SWEEPS if sweep is None else (sweep,):
         order = [v for v in sweep_order(net.graph, name) if v in inside]
-        if order not in orders:
-            orders.append(order)
-    peaks = [peak(order) for order in orders]
-    best = min(peaks)
+        if any(order == c[1] for c in candidates):
+            continue
+        chain = tuple(sorted(support, key=order.index))
+        if chain not in chains:
+            chains[chain] = _operator_factors(observable, chain, tag) if support else {}
+        factors = chains[chain]
+        observed = legs | {v: legs[v] + _operator_bonds(f) for v, f in factors.items()}
+        # forward through the last support site, backwards through the suffix
+        last = max((order.index(v) for v in support), default=len(order) - 1)
+        peak = max(_peak(observed, order[:last + 1], closures),
+                   _peak(legs, order[:last:-1], closures))
+        candidates.append((peak, order, factors))
+    best = min(c[0] for c in candidates)
     if guard is not None and best > guard:
         raise GuardExceeded("contraction boundary of the best order exceeds guard", best, guard)
-    order = orders[peaks.index(best)]
+    _, order, factors = next(c for c in candidates if c[0] == best)
     first = min((order.index(v) for v in support), default=len(order))
     last = max((order.index(v) for v in support), default=len(order) - 1)
 
-    start, prefix = 0, tz.scalar(1.0)
-    if (held is not None and held[0]() is net and held[1] == order and held[3] <= first
-            and held[2].keys() == keep.keys()
-            and all(np.array_equal(k, keep[label]) for label, k in held[2].items())):
-        start, prefix = held[3], held[4]
+    start, prefix = 0, _ONE
+    if (held is not None and held[0] == order and held[2] <= first
+            and held[1].keys() == keep.keys()
+            and all(k is keep[label] or np.array_equal(k, keep[label])
+                    for label, k in held[1].items())):
+        start, prefix = held[2], held[3]
     del held  # a miss drops the old prefix before any layer is built
+    bases = _bases(net, inside, keep, slot)
 
-    layers = {v: _sliced(double_layer(net, v), keep) for v in order[start:]}
-    special = {v: _sliced(double_layer(net, v, f), keep) for v, f in factors.items()}
-    suffix = _absorb(tz.scalar(1.0), layers, order[:last:-1], closures)
+    def layer(v: int, factor: Tensor | None = None) -> Tensor:
+        real = factor is None or not _operator_bonds(factor)
+        return _in_basis(_sliced(double_layer(net, v, factor), keep), v, bases, real)
+
+    layers = {v: layer(v) for v in order[start:]}
+    special = {v: layer(v, f) for v, f in factors.items()}
+    suffix = _absorb(_ONE, layers, order[:last:-1], closures)
     prefix = _absorb(prefix, layers, order[start:first], closures)
-    _last_prefix = (weakref.ref(net), order, keep, first, prefix)
+    slot.prefix = (order, keep, first, prefix)
+    _slot = slot
     middle, pairs = order[first:last + 1], [(l, l) for l in suffix.labels]
     norm = tz.contract(_absorb(prefix, layers, middle, closures), suffix, pairs).item() * prefactor
     numer = None
@@ -349,8 +542,8 @@ def _contract(net: PepsNetwork, sites: Sequence[int], observable: Observable | N
                             suffix, pairs).item() * prefactor
 
     def absolute() -> float:
-        plain = _absolute({v: _sliced(double_layer(net, v), keep) for v in order})
-        return abs(_absorb(tz.scalar(1.0), plain, order, _absolute(closures)).item() * prefactor)
+        plain = _absolute({v: layer(v) for v in order})
+        return abs(_absorb(_ONE, plain, order, _absolute(closures)).item() * prefactor)
 
     return _real_scalar(norm, absolute), numer
 

@@ -1,14 +1,16 @@
 """Dense labeled tensors and the contraction primitives everything else builds on.
 
-A :class:`Tensor` couples a row-major complex array with an ordered tuple of
+A :class:`Tensor` couples a row-major array with an ordered tuple of
 ``(label, dim)`` legs. Labels, not positions, identify legs in every public
 operation, so callers never track axis permutations by hand. Tensors are
 value-like: operations return new instances and the stored array is read-only.
 
-The public constructor copies its input and checks its legs and finiteness.
-Results of :func:`contract` are built by the private ``Tensor._trusted``
-instead: the freshly computed array is frozen in place, with no copy and no
-scan, and the contraction engine checks its final values once.
+The public constructor copies its input into complex128 and checks its legs
+and finiteness. Results of :func:`contract` are built by the private
+``Tensor._trusted`` instead: the freshly computed array, float64 or
+complex128, is frozen in place, with no copy and no scan, and the contraction
+engine checks its final values once. A contraction's result has the common
+type of its operands, so real operands give a real product.
 
 Pairwise contraction is a matrix multiply by :func:`pepslab.backend.matmul`.
 An operand whose contracted legs already sit at its head or tail is viewed as
@@ -34,8 +36,9 @@ class NonInjectiveError(ValueError):
 
 RANK_TOL = 1e-14
 
-# Entries of one permuted block in :func:`contract`: 2**14 complex128 entries,
-# 256 KiB, small enough to stay in cache between its copy and its GEMM.
+# Entries of one permuted block in :func:`contract`: 2**14 entries, 128 KiB of
+# float64 or 256 KiB of complex128, small enough to stay in cache between its
+# copy and its GEMM.
 _BLOCK = 1 << 14
 
 
@@ -58,7 +61,7 @@ def _as_legs(legs: Iterable) -> tuple[tuple[str, int], ...]:
 
 @dataclass(frozen=True)
 class Tensor:
-    """Labeled dense tensor with row-major complex128 storage."""
+    """Labeled dense tensor with row-major storage: complex128, or float64 from the engine."""
 
     legs: tuple[tuple[str, int], ...]
     data: np.ndarray
@@ -82,10 +85,11 @@ class Tensor:
 
     @classmethod
     def _trusted(cls, legs: tuple[tuple[str, int], ...], arr: np.ndarray) -> Tensor:
-        """Engine result: a fresh complex128 ``arr`` that nothing else holds, frozen in place.
+        """Engine result: a fresh ``arr`` that nothing else holds, frozen in place.
 
-        There is no finiteness scan, and no copy unless ``arr`` is not C-ordered
-        (a transposed view); ``legs`` must already be valid.
+        ``arr`` is float64 or complex128. There is no finiteness scan, and no
+        copy unless ``arr`` is not C-ordered (a transposed view); ``legs`` must
+        already be valid.
         """
         arr = np.ascontiguousarray(arr).reshape([d for _, d in legs])
         arr.setflags(write=False)
@@ -215,7 +219,8 @@ def contract(a: Tensor, b: Tensor, pairs: Sequence[tuple[str, str]]) -> Tensor:
     operand, so that it is multiplied as a view when they sit at its head or
     tail. An operand that needs a permutation is walked block by block; when
     both do, the smaller one is copied whole. The result is a new read-only
-    array that shares no buffer with ``a`` or ``b``.
+    array of the operands' common type (``np.result_type``) that shares no
+    buffer with ``a`` or ``b``.
     """
     a_con = [p[0] for p in pairs]
     b_con = [p[1] for p in pairs]
@@ -248,7 +253,7 @@ def contract(a: Tensor, b: Tensor, pairs: Sequence[tuple[str, str]]) -> Tensor:
             b_mat = np.ascontiguousarray(b.data.transpose(b_ax + b_free)).reshape(-1, n)
         else:
             a_mat = np.ascontiguousarray(a.data.transpose(a_free + a_ax)).reshape(m, -1)
-    out = np.empty((m, n), dtype=np.complex128)
+    out = np.empty((m, n), dtype=np.result_type(a.data, b.data))
     if a_mat is None:
         _blocked_matmul(a.data, a_free + a_ax, b_mat, out)
     elif b_mat is None:

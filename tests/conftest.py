@@ -4,7 +4,7 @@ BLAS runs on one thread unless the caller chose otherwise.  The operands in
 this suite are small, and a threaded BLAS spends more time synchronising its
 threads than multiplying them.  These must be set before numpy is imported.
 
-Every test starts with the prefix the contraction engine remembers dropped,
+Every test starts with the slot of the contraction engine empty,
 so no test's work or memory depends on the tests that ran before it.
 """
 
@@ -19,6 +19,6 @@ from pepslab import contraction
 
 
 @pytest.fixture(autouse=True)
-def _no_remembered_prefix():
-    """Start every test with the engine's prefix slot empty, whatever ran before."""
-    contraction._last_prefix = None
+def _empty_engine_slot():
+    """Start every test with the engine's slot empty, whatever ran before."""
+    contraction._slot = None

@@ -82,10 +82,10 @@ def dense_norm(net):
     return float(np.real(np.vdot(v, v)))
 
 
-def dense_nev(net, support, matrix):
-    """Normalized expectation value on the assembled dense state."""
+def dense_nev(net, support, matrix, psi=None):
+    """Normalized expectation value on the assembled dense state (``psi``, if given)."""
     verts = list(net.graph.vertices)
-    psi = dense_state(net)
+    psi = dense_state(net) if psi is None else psi
     axes = [verts.index(s) for s in support]
     shape = [psi.shape[ax] for ax in axes]
     m = np.asarray(matrix, dtype=complex).reshape(shape + shape)
@@ -95,6 +95,32 @@ def dense_nev(net, support, matrix):
     num = np.vdot(psi.ravel(), opsi.ravel())
     den = np.vdot(psi.ravel(), psi.ravel())
     return float(np.real(num / den))
+
+
+def dense_patch_nev(net, sites, support, matrix):
+    """Normalized value on the patch ``sites``, every cut bond closed maximally mixed.
+
+    One ``np.einsum`` gives the patch's state with each cut bond index left
+    open; summing over those indices in both the bra and the ket is the trace
+    over the cut bonds that the closure delta/dim takes.
+    """
+    sites = list(sites)
+    inside = set(sites)
+    edges = [e for e in net.graph.edges if e.u in inside or e.v in inside]
+    bond = {e.id: k for k, e in enumerate(edges)}
+    phys = {v: len(edges) + k for k, v in enumerate(sites)}
+    cut = [bond[e.id] for e in edges if not (e.u in inside and e.v in inside)]
+    operands = []
+    for v in sites:
+        t = net.site(v)
+        operands += [arr(t), [phys[v] if lab == "phys" else bond[lab] for lab in t.labels]]
+    psi = np.einsum(*operands, [phys[v] for v in sites] + cut, optimize=True)
+    axes = [sites.index(s) for s in support]
+    n = len(axes)
+    m = np.asarray(matrix, dtype=complex).reshape([psi.shape[ax] for ax in axes] * 2)
+    opsi = np.moveaxis(np.tensordot(m, psi, axes=(list(range(n, 2 * n)), axes)),
+                       list(range(n)), axes)
+    return float(np.real(np.vdot(psi.ravel(), opsi.ravel()) / np.vdot(psi.ravel(), psi.ravel())))
 
 
 def count_tilings_python(ts, rows, cols):

@@ -1,5 +1,6 @@
 """Exact contraction engine against dense brute-force oracles."""
 
+import collections
 import gc
 import itertools
 import tracemalloc
@@ -16,7 +17,7 @@ from pepslab.contraction import _expectation, _real_scalar, double_layer, mixed_
 from pepslab.errors import GuardExceeded
 from pepslab.tiling import WangTileSet, tiling_network
 
-from oracles import arr, dense_nev, dense_norm, random_hermitian
+from oracles import arr, dense_nev, dense_norm, dense_patch_nev, dense_state, random_hermitian
 
 CASES = [
     dict(rows=1, cols=3, bond_dim=2, phys_dim=2, seed=1),
@@ -242,11 +243,11 @@ def test_peak_memory_stays_near_the_largest_boundary(monkeypatch):
 
 def test_prefix_slot_holds_one_boundary_until_the_next_call():
     # 5x5 D=3: the prefix before the centre is a largest boundary, 3**12
-    # entries (8.1 MiB); a call on another network drops it
+    # float64 entries (4.1 MiB); a call on another network drops it
     net = pl.random_network(5, 5, bond_dim=3, seed=0)
     centre = net.graph.vertex_at(2, 2)
     obs = pl.observable_from_matrix((centre,), random_hermitian(net.phys_dim(centre), 5))
-    boundary = 16 * 3 ** 12
+    boundary = 8 * 3 ** 12
     tracemalloc.start()
     try:
         pl.nev_report(net, obs)
@@ -337,10 +338,10 @@ def test_second_wire_of_a_cell_builds_no_layer_before_its_support(monkeypatch):
 def test_refusal_empties_the_prefix_slot_and_it_keeps_no_network_alive():
     net = pl.random_network(3, 3, seed=1)
     pl.peps_norm(net)
-    assert contraction._last_prefix is not None
+    assert contraction._slot.prefix is not None
     with pytest.raises(GuardExceeded):
         pl.peps_norm(net, guard=1)
-    assert contraction._last_prefix is None
+    assert contraction._slot is None
     pl.peps_norm(net)
     ref = weakref.ref(net)
     del net
@@ -706,3 +707,180 @@ def test_refusal_builds_no_layer(make, pair):
     finally:
         tracemalloc.stop()
     assert peak < sites
+
+
+# ---------------------------------------------------------------------------
+# Real arithmetic: every fused bond index in the Hermitian basis
+
+
+def _real_engine_case(kind):
+    """A network and one-site observables on it, one per site and two per wire.
+
+    "sparse" is a chain whose middle site reaches physical index 1 from bond
+    indices 0 and 1 of each bond, so its bonds keep five of nine pairs, two of
+    them off the diagonal; its entries are complex.
+    """
+    if kind == "explicit":
+        compiled = pl.compile_circuit(random_circuit(4, 1, seed=1), 0.3)
+        return compiled.network, [pl.readout_observable(compiled, w, m)
+                                  for w in range(4) for m in (Z, X)]
+    if kind == "sparse":
+        rng = np.random.default_rng(34)
+
+        def complex_normal(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        middle = np.zeros((3, 3, 3), dtype=complex)
+        for a in range(3):
+            middle[a, a, a] = complex_normal()
+        middle[0, 0, 1], middle[1, 1, 1] = complex_normal(2)
+        net = pl.PepsNetwork(pl.open_grid(1, 3, bond_dim=3), {
+            0: tz.Tensor((("h0.0", 3), ("phys", 2)), complex_normal(3, 2)),
+            1: tz.Tensor((("h0.0", 3), ("h0.1", 3), ("phys", 3)), middle),
+            2: tz.Tensor((("h0.1", 3), ("phys", 2)), complex_normal(3, 2)),
+        })
+    else:
+        net = pl.random_network(2, 3, phys_dim=2, seed=31,
+                                geometry="open-grid" if kind == "open" else "periodic-grid")
+    return net, [pl.observable_from_matrix((v,), random_hermitian(net.phys_dim(v), 40 + v))
+                 for v in net.graph.vertices]
+
+
+@pytest.mark.parametrize("kind", ["open", "periodic", "explicit", "sparse"])
+def test_real_engine_matches_the_dense_oracles(kind):
+    net, observables = _real_engine_case(kind)
+    if kind == "open":
+        observables.append(pl.observable_from_matrix((4, 0), random_hermitian(4, 39), dims=(2, 2)))
+    psi = dense_state(net)
+    assert pl.peps_norm(net) == pytest.approx(dense_norm(net), rel=1e-12)
+    for obs in observables:
+        want = dense_nev(net, obs.support, obs.matrix(), psi)
+        assert pl.peps_nev(net, obs) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("support,radius", [((12,), 1), ((12, 13), 1), ((12,), 2)],
+                         ids=["site-r1", "pair-r1", "site-r2"])
+def test_patch_matches_the_einsum_oracle(support, radius):
+    net = pl.random_network(5, 5, phys_dim=2, seed=32)
+    m = random_hermitian(2 ** len(support), 41)
+    obs = pl.observable_from_matrix(support, m, dims=(2,) * len(support))
+    sites = pl.make_patch(net, support, radius).interior
+    assert pl.patch_nev(net, obs, radius) == pytest.approx(
+        dense_patch_nev(net, sites, support, m), abs=1e-12)
+
+
+def _layers_in_basis(net, obs):
+    """Every site's plain layer and the support's operator layer, in the basis, complex;
+    and whether some bond has a basis block (not only diagonal pairs)."""
+    sites = net.graph.vertices
+    slot = contraction._Slot(weakref.ref(net))
+    keep = contraction._prune(net, sites, contraction._patterns(obs), {}, slot)
+    bases = contraction._bases(net, set(sites), keep, slot)
+    layers = [(v, None) for v in sites] + [(obs.support[0], obs.operator)]
+    return [contraction._in_basis(contraction._sliced(double_layer(net, v, f), keep), v, bases,
+                                  real=False) for v, f in layers], bool(bases)
+
+
+@pytest.mark.parametrize("kind", ["open", "periodic", "explicit", "sparse"])
+def test_discarded_imaginary_part_is_round_off(kind):
+    net, observables = _real_engine_case(kind)
+    rotated = False
+    for obs in observables:
+        layers, some = _layers_in_basis(net, obs)
+        rotated |= some
+        for layer in layers:
+            assert np.abs(layer.data.imag).max() <= 1e-13 * np.abs(layer.data).max()
+    assert rotated
+
+
+def test_kept_pairs_are_closed_under_the_swap():
+    # two sites copy their bond index (dim 3) to the physical one, and both
+    # join the physical pair (0, 1): the bond pair (0, 1) is live at both
+    # ends and (1, 0) at neither, while the basis mixes the two
+    graph = pl.explicit_graph([0, 1], [pl.Edge("a", 0, 1, 3)])
+    copy = tz.Tensor((("a", 3), ("phys", 3)), np.eye(3))
+    net = pl.PepsNetwork(graph, {0: copy, 1: copy})
+    joins = np.eye(3, dtype=bool)
+    joins[0, 1] = True
+    slot = contraction._Slot(weakref.ref(net))
+    keep = contraction._prune(net, [0, 1], {0: joins, 1: joins}, {}, slot)
+    assert keep["a"].tolist() == [0, 1, 3, 4, 8]
+
+
+def _hermitian_basis(dim):
+    """Q[(a, a'), k] = B_k[a', a] from the basis matrices B_k, k fused like (a, a')."""
+    q = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for a, b in itertools.product(range(dim), repeat=2):
+        unit = np.zeros((dim, dim), dtype=complex)
+        if a == b:
+            unit[a, a] = 1
+        elif a < b:
+            unit[a, b] = unit[b, a] = np.sqrt(0.5)
+        else:  # k = (a, b) with b < a: i(E_ba - E_ab)/sqrt 2
+            unit[b, a], unit[a, b] = 1j * np.sqrt(0.5), -1j * np.sqrt(0.5)
+        q[:, a * dim + b] = unit.T.ravel()
+    return q
+
+
+@pytest.mark.parametrize("dim,kept", [(2, None), (3, None), (3, [0, 1, 3, 4, 8]),
+                                      (4, [0, 2, 5, 8, 10, 15])],
+                         ids=["2-all", "3-all", "3-pair", "4-pairs"])
+def test_basis_block_is_the_unitary_change_of_basis(dim, kept):
+    # a random three-leg tensor with one leg in the basis, at either end of its bond
+    q = _hermitian_basis(dim)
+    np.testing.assert_allclose(q @ q.conj().T, np.eye(dim * dim), atol=1e-15)
+    idx = np.arange(dim * dim) if kept is None else np.array(kept)
+    block = q[np.ix_(idx, idx)]
+    rng = np.random.default_rng(dim)
+    data = rng.standard_normal((2, idx.size, 3)) + 1j * rng.standard_normal((2, idx.size, 3))
+    t = tz.Tensor((("x", 2), ("e", idx.size), ("y", 3)), data)
+    blocks = contraction._basis_block(dim, None if kept is None else idx)
+    np.testing.assert_allclose(blocks[0], block, atol=1e-15)
+    for v, want in ((0, block), (1, block.conj())):
+        got = contraction._in_basis(t, v, {"e": (0,) + blocks}, real=False)
+        np.testing.assert_allclose(got.data, np.einsum("xfy,fk->xky", data, want), atol=1e-15)
+
+
+def test_site_tensors_are_read_once_per_network(monkeypatch):
+    # every wire of two compiled circuits read out with Z and with X, as the
+    # benchmark's circuit jobs do with Z; X keeps other bond indices
+    reads = collections.Counter()
+    live_pairs = contraction._live_pairs
+
+    def counted(net, v):
+        reads[id(net), v] += 1
+        return live_pairs(net, v)
+
+    monkeypatch.setattr(contraction, "_live_pairs", counted)
+    nets, calls = [], []
+    for seed, (width, depth) in enumerate([(6, 4), (8, 6)]):
+        compiled = pl.compile_circuit(random_circuit(width, depth, seed=seed), 0.3)
+        nets.append(compiled.network)
+        calls += [(compiled.network, pl.readout_observable(compiled, w, m))
+                  for m in (Z, X) for w in range(width)]
+    got = [pl.nev_report(net, obs) for net, obs in calls]
+    assert sorted(reads) == sorted((id(net), v) for net in nets for v in net.graph.vertices)
+    assert set(reads.values()) == {1}
+    fresh = []
+    for net, obs in calls:
+        contraction._slot = None
+        fresh.append(pl.nev_report(net, obs))
+    assert got == fresh
+
+
+def test_operator_chain_follows_the_contraction_order():
+    # the same full-rank operator on sites 0, 5 and 10, listed in three orders:
+    # split along the list, (5, 0, 10) held two operator bonds open (16384)
+    net = pl.random_network(4, 4, phys_dim=2, seed=0)
+    m = random_hermitian(8, 3)
+    required, values = set(), []
+    for support in [(0, 5, 10), (5, 0, 10), (10, 0, 5)]:
+        perm = [(0, 5, 10).index(v) for v in support]
+        listed = m.reshape((2,) * 6).transpose(perm + [3 + p for p in perm]).reshape(8, 8)
+        obs = pl.observable_from_matrix(support, listed, dims=(2, 2, 2))
+        with pytest.raises(GuardExceeded) as err:
+            pl.nev_report(net, obs, guard=1)
+        required.add(err.value.required)
+        values.append(pl.peps_nev(net, obs))
+    assert required == {4096}
+    assert values == pytest.approx([dense_nev(net, (0, 5, 10), m)] * 3, abs=1e-12)

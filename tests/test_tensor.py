@@ -159,6 +159,49 @@ def test_contract_walks_blocks_of_every_size(monkeypatch):
                                    rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("kinds", [("real", "real"), ("real", "complex"), ("complex", "real")])
+def test_contract_result_has_the_operands_common_type(kinds, monkeypatch):
+    # engine tensors may be float64: the product is real only when both are.
+    # With a tiny block the cases walk a (middle, split) and b (b larger), and
+    # "few rows" and "scalar" split rows longer than a block, whose partial
+    # products are the only GEMMs made without an output array
+    monkeypatch.setattr(tz, "_BLOCK", 5)
+    walked, split_rows = set(), []
+    blocked, matmul = tz._blocked_matmul, tz.backend.matmul
+
+    def recorded_walk(x, axes, other, out):
+        walked.add("a" if x is ta.data else "b")
+        return blocked(x, axes, other, out)
+
+    def recorded_matmul(x, y, out=None):
+        split_rows.append(out is None)
+        return matmul(x, y, out=out)
+
+    monkeypatch.setattr(tz, "_blocked_matmul", recorded_walk)
+    monkeypatch.setattr(tz.backend, "matmul", recorded_matmul)
+    for la, lb, con in CONTRACT_CASES.values():
+        dims = {l: SMALL_LEGS.get(l, 3) for l in la + lb}
+        a, b = (rnd([dims[l] for l in labels], seed) for labels, seed in ((la, 5), (lb, 6)))
+        a, b = (x.real.copy() if kind == "real" else x for x, kind in zip((a, b), kinds))
+        ta = tz.Tensor._trusted(tuple((l, dims[l]) for l in la), a)
+        tb = tz.Tensor._trusted(tuple((l, dims[l]) for l in lb), b)
+        got = tz.contract(ta, tb, [(l, l) for l in con])
+        assert got.data.dtype == np.result_type(a, b)
+        free = "".join(l for l in la + lb if l not in con)
+        np.testing.assert_allclose(got.data, np.einsum(f"{la},{lb}->{free}", a, b),
+                                   rtol=1e-12, atol=1e-12)
+    assert walked == {"a", "b"}
+    assert any(split_rows)
+
+
+def test_complex_values_written_into_a_real_array_fail_the_suite():
+    # pyproject.toml makes numpy's ComplexWarning an error, so a complex block
+    # written into a float64 output cannot drop its imaginary part silently
+    out = np.empty(2)
+    with pytest.raises(np.exceptions.ComplexWarning):
+        out[0] = np.complex128(1 + 1j)
+
+
 def test_permute_legs_is_a_view_change_only():
     a = rnd((2, 3, 4), 5)
     t = mk("ijk", a)
