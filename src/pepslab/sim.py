@@ -1,25 +1,39 @@
 """Small dense density-matrix simulator for noisy brickwork circuits.
 
-Wire 0 is the most significant bit of the computational index.  Every local
-map on k wires is applied in superoperator (Liouville) form: one
-``4**k x 4**k`` matrix over the (ket wires, bra wires) index pair,
-``S = sum_a K_a (x) conj(K_a)``, moved onto the state's matching axes with one
-move-axes/reshape, one matrix product and one move-axes back.  Noise acts at
-the cell level: with rate eta the cell output is replaced by the maximally
-mixed state of its wires (times the input trace), so a noisy map is
-``(1 - eta) S + eta |vec I><vec I| / 2**k``.  Projections are therefore leaky:
-a postselected wrong branch survives with weight eta per projection instead of
-being annihilated.
+A state on n wires is stored as its real Pauli coefficients: the 4**n
+float64 numbers ``c[p1, ..., pn] = tr[(B_p1 (x) ... (x) B_pn) rho]`` in the
+orthonormal Hermitian basis ``B = (I, X, Y, Z) / sqrt(2)``, one axis of 4 per
+wire, wire 0 first (most significant, as in the computational index).  The
+complex matrix ``rho`` is built only when asked for.
 
-Postselection with copies adds one ancilla at a time: copy the postselected
-wire onto a fresh wire with a CNOT, project the ancilla, trace it out, and go
-on to the next copy; the postselected wire itself is projected last.  The
-CNOTs share their control and commute with the other copies' projections, so
-this equals copying onto every ancilla first, while the state never holds more
-than the body width + 1 wires.
+Every local map on k wires has a real ``4**k x 4**k`` Pauli transfer matrix
+``R = T^H S T``, where ``S = sum_a K_a (x) conj(K_a)`` is its Liouville matrix
+over the (ket, bra) index pair and ``T`` maps Pauli coefficients to that pair.
+A completely positive map preserves Hermiticity, so ``R`` is real; its
+round-off imaginary part is checked and dropped.  When the map's wires are
+adjacent and ascending, ``R`` multiplies a reshaped view of the state in one
+matrix product; otherwise (the wrap cell ``(w - 1, 0)``, a CNOT on ``[1, 0]``)
+the wires are moved to the front and back.  A partial trace keeps index 0 of
+the traced axes, and ``tr[O rho]`` contracts the operator's own Pauli
+coefficients with those of the state.
+
+Noise acts at the cell level: with rate eta the cell output is replaced by
+the maximally mixed state of its wires (times the input trace), so a noisy
+map is ``(1 - eta) S + eta |vec I><vec I| / 2**k``.  Projections are
+therefore leaky: a postselected wrong branch survives with weight eta per
+projection instead of being annihilated.
+
+Postselection with m copies (copy the postselected wire onto m - 1 fresh
+wires with CNOTs, project every copy leakily, trace the copies out) has a
+closed form.  Each copy keeps the |0><0| block of the postselected wire,
+multiplies its |1><1| block by eta and removes the coherences; the last
+projection and trace then leave ``rho_00 + eta**m rho_11`` on the other
+wires.  So the state never holds more than the body's wires.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -42,23 +56,97 @@ CNOT = np.array(
     dtype=np.complex128,
 )
 
+_SQRT2 = np.sqrt(2.0)
+# B[p] = sigma_p / sqrt(2) for p = I, X, Y, Z
+_PAULI = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+    dtype=np.complex128,
+) / _SQRT2
+
+
+def _pauli_coeffs(pairs: np.ndarray) -> np.ndarray:
+    """Per-wire (row, col) pairs ``(00, 01, 10, 11)`` -> coefficients ``tr[B_p A]``.
+
+    Sums and differences only, one axis at a time: entries of a basis state
+    that vanish come out exactly zero.
+    """
+    out = pairs
+    for w in range(pairs.ndim):
+        a00, a01, a10, a11 = np.moveaxis(out, w, 0)
+        out = np.stack([a00 + a11, a01 + a10, 1j * (a01 - a10), a00 - a11], axis=w)
+    return out * 2.0 ** (-pairs.ndim / 2)
+
+
+def _pauli_pairs(coeffs: np.ndarray) -> np.ndarray:
+    """Inverse of ``_pauli_coeffs``: ``sum_p c_p B_p`` as per-wire (row, col) pairs."""
+    out = coeffs
+    for w in range(coeffs.ndim):
+        i, x, y, z = np.moveaxis(out, w, 0)
+        out = np.stack([i + z, x - 1j * y, x + 1j * y, i - z], axis=w)
+    return out * 2.0 ** (-coeffs.ndim / 2)
+
+
+def _pairs(matrix: np.ndarray, k: int) -> np.ndarray:
+    """``(2**k, 2**k)`` matrix -> ``(4,) * k`` array of per-wire (row, col) pairs."""
+    nd = matrix.reshape([2] * (2 * k))
+    order = [ax for w in range(k) for ax in (w, k + w)]
+    return nd.transpose(order).reshape([4] * k)
+
+
+@functools.lru_cache(maxsize=None)
+def _basis_change(k: int) -> np.ndarray:
+    """T: Pauli coefficients on k wires -> the Liouville (ket, bra) index pair."""
+    basis = _PAULI
+    for _ in range(k - 1):
+        basis = np.einsum("aij,bkl->abikjl", basis, _PAULI).reshape(
+            basis.shape[0] * 4, basis.shape[1] * 2, basis.shape[2] * 2
+        )
+    return basis.reshape(4**k, 4**k).T
+
+
+def _check_wires(n: int, wires, shape: tuple) -> list:
+    """Distinct wires in ``[0, n)`` for a matrix of ``shape`` ``(2**k, 2**k)``."""
+    wires = [int(w) for w in wires]
+    if not wires:
+        raise ValueError("need at least one wire")
+    if len(set(wires)) != len(wires):
+        raise ValueError(f"wires {wires} repeat a wire")
+    if any(not 0 <= w < n for w in wires):
+        raise ValueError(f"wires {wires} out of range for a {n}-wire state")
+    side = 1 << len(wires)
+    if tuple(shape) != (side, side):
+        raise ValueError(f"a matrix of shape {tuple(shape)} does not act on {len(wires)} wire(s)")
+    return wires
+
+
+def _check_wire_count(wires: int) -> None:
+    if wires < 1:
+        raise ValueError("need at least one wire")
+    if wires > WIRE_GUARD:
+        raise GuardExceeded("simulator wire count exceeds the guard", wires, WIRE_GUARD)
+
 
 class DensityState:
-    """Unnormalized density operator on ``wires`` qubits."""
+    """Unnormalized density operator on ``wires`` qubits, kept as Pauli coefficients."""
 
-    def __init__(self, wires: int, rho: np.ndarray, check: bool = True):
-        if wires < 1:
-            raise ValueError("need at least one wire")
-        if wires > WIRE_GUARD:
-            raise GuardExceeded("simulator wire count exceeds the guard", wires, WIRE_GUARD)
+    def __init__(self, wires: int, rho: np.ndarray):
+        _check_wire_count(wires)
         dim = 1 << wires
-        rho = np.ascontiguousarray(rho, dtype=np.complex128)
+        rho = np.asarray(rho, dtype=np.complex128)
         if rho.shape != (dim, dim):
             raise ValueError(f"state shape {rho.shape} != ({dim}, {dim})")
-        if check and np.max(np.abs(rho - rho.conj().T)) > 1e-12 * max(1.0, np.abs(rho).max()):
+        if np.max(np.abs(rho - rho.conj().T)) > 1e-12 * max(1.0, np.abs(rho).max()):
             raise ValueError("density matrix is not Hermitian")
         self.wires = int(wires)
-        self.rho = rho
+        self._coeffs = np.ascontiguousarray(_pauli_coeffs(_pairs(rho, wires)).real)
+
+    @classmethod
+    def _from_coeffs(cls, coeffs: np.ndarray) -> "DensityState":
+        _check_wire_count(coeffs.ndim)
+        state = cls.__new__(cls)
+        state.wires = coeffs.ndim
+        state._coeffs = np.ascontiguousarray(coeffs)
+        return state
 
     @property
     def dim(self) -> int:
@@ -66,20 +154,26 @@ class DensityState:
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self.rho).real)
+        return float(self._coeffs.flat[0]) * 2.0 ** (self.wires / 2)
 
-    def _nd(self) -> np.ndarray:
-        return self.rho.reshape([2] * (2 * self.wires))
+    @property
+    def rho(self) -> np.ndarray:
+        n = self.wires
+        nd = _pauli_pairs(self._coeffs).reshape([2] * (2 * n))
+        order = [2 * w for w in range(n)] + [2 * w + 1 for w in range(n)]
+        return nd.transpose(order).reshape(self.dim, self.dim)
 
 
 def basis_state(bits: str) -> DensityState:
-    n = len(bits)
-    if n == 0 or any(b not in "01" for b in bits):
+    if len(bits) == 0 or any(b not in "01" for b in bits):
         raise ValueError("bits must be a nonempty string over {0, 1}")
-    idx = int(bits, 2)
-    rho = np.zeros((1 << n, 1 << n), dtype=np.complex128)
-    rho[idx, idx] = 1.0
-    return DensityState(n, rho, check=False)
+    _check_wire_count(len(bits))
+    # |0><0| = (B_I + B_Z) / sqrt(2), |1><1| = (B_I - B_Z) / sqrt(2)
+    wire = {"0": np.array([1.0, 0.0, 0.0, 1.0]), "1": np.array([1.0, 0.0, 0.0, -1.0])}
+    coeffs = np.ones(())
+    for b in bits:
+        coeffs = np.multiply.outer(coeffs, wire[b])
+    return DensityState._from_coeffs(coeffs * 2.0 ** (-len(bits) / 2))
 
 
 def _superoperator(kraus, eta: float = 0.0) -> np.ndarray:
@@ -93,25 +187,63 @@ def _superoperator(kraus, eta: float = 0.0) -> np.ndarray:
     return (1.0 - eta) * s + (eta / d) * np.outer(vec_id, vec_id)
 
 
-def _apply_superoperator(state: DensityState, s: np.ndarray, wires) -> DensityState:
-    """Apply a Liouville matrix on ``wires`` as one GEMM on the (ket, bra) axes."""
-    n, k = state.wires, len(wires)
-    axes = list(wires) + [n + w for w in wires]
-    front = list(range(2 * k))
-    nd = np.moveaxis(state._nd(), axes, front).reshape(s.shape[1], -1)
-    out = np.moveaxis((s @ nd).reshape([2] * (2 * n)), front, axes)
-    return DensityState(n, out.reshape(state.dim, state.dim), check=False)
+def _transfer_matrix(kraus, eta: float = 0.0) -> np.ndarray:
+    """Real Pauli transfer matrix ``T^H S T`` of a (noisy) local map."""
+    s = _superoperator(kraus, eta)
+    t = _basis_change(np.shape(kraus)[-1].bit_length() - 1)
+    r = t.conj().T @ s @ t
+    if np.abs(r.imag).max() > 1e-12 * np.abs(r.real).max():
+        raise ValueError("local map does not preserve Hermiticity")
+    return np.ascontiguousarray(r.real)
+
+
+def _apply_transfer(state: DensityState, r: np.ndarray, wires: list) -> DensityState:
+    """Apply a Pauli transfer matrix on checked ``wires``.
+
+    Adjacent ascending wires take one matrix product on a view of the state.
+    Other wires are moved to the front and back, on a view that merges the
+    runs of untouched wires so that the copies stride well.
+    """
+    c = state._coeffs
+    k, first = len(wires), wires[0]
+    if wires == list(range(first, first + k)):
+        x = c.reshape(4**first, 4**k, -1)
+        if x.shape[2] == 1:
+            out = x.reshape(-1, 4**k) @ r.T
+        else:
+            out = np.matmul(r, x)
+        return DensityState._from_coeffs(out.reshape(c.shape))
+    ordered = sorted(wires)
+    shape = [4**ordered[0]]
+    for a, b in zip(ordered, ordered[1:] + [c.ndim]):
+        shape += [4, 4 ** (b - a - 1)]
+    axes = [2 * ordered.index(w) + 1 for w in wires]
+    front = list(range(k))
+    x = np.moveaxis(c.reshape(shape), axes, front).reshape(4**k, -1)
+    rest = [d for i, d in enumerate(shape) if i not in axes]
+    y = (r @ x).reshape([4] * k + rest)
+    # x is a fresh copy, so its buffer takes the result; copying on the
+    # merged shape keeps the inner loops long
+    out = x.reshape(shape)
+    np.copyto(out, np.moveaxis(y, front, axes))
+    return DensityState._from_coeffs(out.reshape(c.shape))
+
+
+def _local_map(state: DensityState, kraus, wires, eta: float) -> DensityState:
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    ops = np.asarray(kraus, dtype=np.complex128)
+    wires = _check_wires(state.wires, wires, ops.shape[1:])
+    return _apply_transfer(state, _transfer_matrix(ops, eta), wires)
 
 
 def apply_unitary(state: DensityState, u: np.ndarray, wires) -> DensityState:
-    return _apply_superoperator(state, _superoperator([u]), list(wires))
+    return _local_map(state, [u], wires, 0.0)
 
 
 def apply_noisy_cell(state: DensityState, kraus, wires, eta: float) -> DensityState:
     """(1 - eta) * cell channel + eta * tr_pair[rho] (x) maximally mixed pair."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    return _apply_superoperator(state, _superoperator(kraus, eta), list(wires))
+    return _local_map(state, kraus, wires, eta)
 
 
 def noisy_projection(state: DensityState, wire: int, eta: float) -> DensityState:
@@ -120,51 +252,40 @@ def noisy_projection(state: DensityState, wire: int, eta: float) -> DensityState
     Marginal of the cell-level noisy projection after tracing the idle
     partner: (1 - eta) P rho P + eta * tr_w[rho] (x) 1/2.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    return _apply_superoperator(state, _superoperator([_P00], eta), [wire])
+    return _local_map(state, [_P00], [wire], eta)
 
 
 def partial_trace(state: DensityState, traced) -> DensityState:
-    traced = sorted(set(int(w) for w in traced))
+    traced = set(int(w) for w in traced)
     if any(not 0 <= w < state.wires for w in traced):
         raise ValueError("traced wire out of range")
-    kept = [w for w in range(state.wires) if w not in traced]
-    if not kept:
+    if len(traced) == state.wires:
         raise ValueError("cannot trace out every wire")
-    n = state.wires
-    idx = list(range(2 * n))
-    for w in traced:
-        idx[n + w] = idx[w]
-    out_idx = [idx[w] for w in kept] + [idx[n + w] for w in kept]
-    reduced = np.einsum(state._nd(), idx, out_idx)
-    dim = 1 << len(kept)
-    return DensityState(len(kept), reduced.reshape(dim, dim), check=False)
+    # tr_w keeps the B_I coefficient of wire w, times tr[B_I] = sqrt(2)
+    index = tuple(0 if w in traced else slice(None) for w in range(state.wires))
+    return DensityState._from_coeffs(state._coeffs[index] * 2.0 ** (len(traced) / 2))
 
 
 def extend_with_zeros(state: DensityState, extra: int) -> DensityState:
     """Append ``extra`` fresh wires in |0> as the least significant bits."""
     if extra < 1:
         return state
-    if state.wires + extra > WIRE_GUARD:
-        raise GuardExceeded("simulator wire count exceeds the guard", state.wires + extra, WIRE_GUARD)
-    anc = np.zeros((1 << extra, 1 << extra), dtype=np.complex128)
-    anc[0, 0] = 1.0
-    return DensityState(state.wires + extra, np.kron(state.rho, anc), check=False)
+    _check_wire_count(state.wires + extra)
+    fresh = basis_state("0" * extra)._coeffs
+    return DensityState._from_coeffs(np.multiply.outer(state._coeffs, fresh))
 
 
 def expectation_value(state: DensityState, matrix, wires) -> complex:
     """tr[O rho] with O acting on the listed wires (unnormalized)."""
-    wires = list(wires)
-    m = len(wires)
-    op_nd = np.asarray(matrix, dtype=np.complex128).reshape([2] * (2 * m))
-    n = state.wires
-    idx = list(range(2 * n))
-    for w in range(n):
-        if w not in wires:
-            idx[n + w] = idx[w]
-    op_idx = [idx[n + w] for w in wires] + [idx[w] for w in wires]
-    return complex(np.einsum(state._nd(), idx, op_nd, op_idx, []))
+    op = np.asarray(matrix, dtype=np.complex128)
+    wires = _check_wires(state.wires, wires, op.shape)
+    m, n = len(wires), state.wires
+    coeffs = _pauli_coeffs(_pairs(op, m))
+    # tr[O rho] = sum_q tr[B_q O] c[q on the wires, I elsewhere] * tr[B_I]**(n - m)
+    index = tuple(slice(None) if w in wires else 0 for w in range(n))
+    ordered = sorted(wires)
+    local = state._coeffs[index].transpose([ordered.index(w) for w in wires])
+    return complex(np.sum(coeffs * local)) * 2.0 ** ((n - m) / 2)
 
 
 def _cell_kraus_for(cell, convention: str):
@@ -248,12 +369,15 @@ def postselected_expectation(
     eta) or an already-prepared DensityState.  The postselected register is
     copied onto copies-1 fresh wires with ideal CNOTs, every copy is projected
     with the leaky projection at rate eta, and the projected wires are traced
-    out.  The copies are made one at a time, each traced out before the next,
-    so the state peaks at the body width + 1 wires.  Returns the normalized
+    out.  That leaves ``rho_00 + eta**copies rho_11`` of the postselected
+    wire's blocks on the other wires (module docstring), which is computed
+    directly, so no copy wire is ever added.  Returns the normalized
     expectation and the surviving trace weight.
     """
     if copies < 1:
         raise ValueError("copies must be >= 1")
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
     if isinstance(body, Circuit):
         rate = eta if body_eta is None else body_eta
         state = run_noisy_circuit(body, rate, input_bits, convention)
@@ -266,12 +390,12 @@ def postselected_expectation(
     if post_wire == out_wire:
         raise ValueError("post and out wires must differ")
 
-    for _ in range(copies - 1):
-        a = state.wires
-        state = extend_with_zeros(state, 1)
-        state = apply_unitary(state, CNOT, (post_wire, a))
-        state = partial_trace(noisy_projection(state, a, eta), [a])
-    state = partial_trace(noisy_projection(state, post_wire, eta), [post_wire])
+    # rho_00 = (c_I + c_Z) / sqrt(2) and rho_11 = (c_I - c_Z) / sqrt(2) on the post wire
+    leak = eta**copies
+    c = state._coeffs
+    kept = ((1.0 + leak) * np.take(c, 0, axis=post_wire)
+            + (1.0 - leak) * np.take(c, 3, axis=post_wire)) / _SQRT2
+    state = DensityState._from_coeffs(kept)
     out_pos = out_wire - (out_wire > post_wire)
 
     obs = np.asarray(observable, dtype=np.complex128)

@@ -97,6 +97,39 @@ def dense_nev(net, support, matrix, psi=None):
     return float(np.real(num / den))
 
 
+def einsum_nev(net, support, matrix):
+    """Normalized expectation value from the site tensors, with no dense state.
+
+    The numerator and the norm are one ``np.einsum`` each (greedy order) over
+    every ket site tensor and its conjugate, plus the operator in the
+    numerator.  Bra and ket sum their bond indices separately and share the
+    physical index of each site off the support.  The bond normalization
+    cancels in the ratio.
+    """
+    verts = list(net.graph.vertices)
+    labels = itertools.count()
+    ket_bond = {e.id: next(labels) for e in net.graph.edges}
+    bra_bond = {e.id: next(labels) for e in net.graph.edges}
+    ket_phys = {v: next(labels) for v in verts}
+    bra_phys = {**ket_phys, **{s: next(labels) for s in support}}
+
+    def layers(bra):
+        operands = []
+        for v in verts:
+            t = net.site(v)
+            a = arr(t)
+            operands += [a, [ket_phys[v] if lab == "phys" else ket_bond[lab] for lab in t.labels]]
+            operands += [a.conj(), [bra[v] if lab == "phys" else bra_bond[lab] for lab in t.labels]]
+        return operands
+
+    shape = [net.phys_dim(s) for s in support]
+    m = np.asarray(matrix, dtype=complex).reshape(shape + shape)
+    op_idx = [bra_phys[s] for s in support] + [ket_phys[s] for s in support]
+    num = np.einsum(*layers(bra_phys), m, op_idx, [], optimize="greedy")
+    den = np.einsum(*layers(ket_phys), [], optimize="greedy")
+    return float(np.real(num / den))
+
+
 def dense_patch_nev(net, sites, support, matrix):
     """Normalized value on the patch ``sites``, every cut bond closed maximally mixed.
 
@@ -266,3 +299,35 @@ def kraus_completion_one_at_a_time(kraus, dim):
             if rem >= 1e-10:
                 basis.append(cand / rem)
     return basis
+
+
+CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+P0 = np.diag([1.0, 0.0]).astype(complex)
+
+
+def trace_out_wire(rho, w, n):
+    """tr_w[rho] for one wire w of an n-wire full-space matrix."""
+    lo, hi = 2**w, 2 ** (n - w - 1)
+    r = rho.reshape(lo, 2, hi, lo, 2, hi)
+    return np.einsum("aibcid->abcd", r).reshape(lo * hi, lo * hi)
+
+
+def postselect_one_ancilla_at_a_time(rho, eta, copies, observable, post_wire, out_wire):
+    """Expectation and residual trace after ``copies`` leaky |0>-postselections.
+
+    Each extra copy appends one fresh |0> ancilla as the least significant
+    wire, copies the postselected wire onto it with a CNOT, projects the
+    ancilla with the leaky projection (``noisy_map`` of |0><0|) and traces it
+    out before the next copy; the postselected wire is projected and traced
+    out last.  Full-space matrices throughout.
+    """
+    n = int(np.log2(len(rho)))
+    for _ in range(copies - 1):
+        big = np.kron(rho, P0)
+        u = full_space_operator(CNOT, (post_wire, n), n + 1)
+        big = noisy_map(u @ big @ u.conj().T, [P0], [n], n + 1, eta)
+        rho = trace_out_wire(big, n, n + 1)
+    rho = trace_out_wire(noisy_map(rho, [P0], [post_wire], n, eta), post_wire, n)
+    obs = full_space_operator(observable, [out_wire - (out_wire > post_wire)], n - 1)
+    residual = np.trace(rho).real
+    return {"expectation": (np.trace(obs @ rho) / residual).real, "residual_trace": residual}

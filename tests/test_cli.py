@@ -222,6 +222,19 @@ def test_sim_observable_file_matches_pauli_flag(capsys, tmp_path):
     assert by_file["expectation"] == pytest.approx(by_name["expectation"], rel=1e-12)
 
 
+@pytest.mark.parametrize("copies", ["0", "2"])
+@pytest.mark.parametrize("wire", ["-1", "4"])
+def test_sim_run_rejects_a_wire_outside_the_circuit(capsys, tmp_path, wire, copies):
+    circf = tmp_path / "circ.json"
+    save_circuit(Circuit(4, 1), str(circf))
+    code = main(["sim", "run", "--circuit", str(circf), "--eta", "0.1", "--wire", wire,
+                 "--copies", copies])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error:")
+    assert out == ""
+
+
 def test_tile_count_with_enumeration_check(capsys, tmp_path):
     ts = pl.WangTileSet(2, ((0, 0, 0, 0), (1, 1, 1, 1)))
     tilef = write_json(tmp_path / "tiles.json", tileset_to_json(ts))

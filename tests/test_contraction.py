@@ -17,7 +17,15 @@ from pepslab.contraction import _expectation, _real_scalar, double_layer, mixed_
 from pepslab.errors import GuardExceeded
 from pepslab.tiling import WangTileSet, tiling_network
 
-from oracles import arr, dense_nev, dense_norm, dense_patch_nev, dense_state, random_hermitian
+from oracles import (
+    arr,
+    dense_nev,
+    dense_norm,
+    dense_patch_nev,
+    dense_state,
+    einsum_nev,
+    random_hermitian,
+)
 
 CASES = [
     dict(rows=1, cols=3, bond_dim=2, phys_dim=2, seed=1),
@@ -120,7 +128,7 @@ def test_compiled_circuit_pair_fits_the_default_guard():
     dims = (net.phys_dim(0), net.phys_dim(1))
     m = random_hermitian(dims[0] * dims[1], 11)
     obs = pl.observable_from_matrix((0, 1), m, dims=dims)
-    assert pl.peps_nev(net, obs) == pytest.approx(dense_nev(net, (0, 1), m), abs=1e-11)
+    assert pl.peps_nev(net, obs) == pytest.approx(einsum_nev(net, (0, 1), m), abs=1e-11)
 
 
 def _zz(net, u, v):

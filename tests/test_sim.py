@@ -1,5 +1,8 @@
 """Dense density-matrix simulator with cell-level depolarizing noise."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,9 @@ from pepslab.circuits import Circuit, Gate, random_circuit
 from pepslab.embed import cell_kraus
 from pepslab.sim import (
     DensityState,
+    _basis_change,
+    _superoperator,
+    _transfer_matrix,
     apply_noisy_cell,
     apply_unitary,
     basis_state,
@@ -21,7 +27,7 @@ from pepslab.sim import (
 )
 from pepslab.errors import GuardExceeded
 
-from oracles import full_space_operator, noisy_map
+from oracles import full_space_operator, noisy_map, postselect_one_ancilla_at_a_time
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -289,8 +295,8 @@ def test_postselection_with_post_wire_above_out_wire():
     assert out["expectation"] == pytest.approx((np.trace(zo @ rho) / np.trace(rho)).real, abs=1e-13)
 
 
-def test_postselection_holds_one_ancilla_at_a_time():
-    # a width-9 Bell body with 3 copies never needs more than 10 wires
+def test_postselection_never_adds_a_wire():
+    # a width-9 Bell body with 3 copies stays on its own 9 wires
     eta = 0.05
     state = apply_unitary(basis_state("0" * 9), H, [0])
     state = apply_unitary(state, CNOT, [0, 1])
@@ -299,6 +305,151 @@ def test_postselection_holds_one_ancilla_at_a_time():
 
 
 def test_postselection_refuses_beyond_the_wire_guard():
+    # a 10-wire body takes any number of copies: rho_00 + eta**m rho_11 of a
+    # Bell pair leaves weight (1 + eta**2) / 2 and <Z> = (1 - eta**2) / (1 + eta**2)
+    eta = 0.1
+    state = apply_unitary(basis_state("0" * 10), H, [0])
+    state = apply_unitary(state, CNOT, [0, 1])
+    out = postselected_expectation(state, eta, 2, Z, post_wire=0, out_wire=1)
+    assert out["residual_trace"] == pytest.approx((1 + eta**2) / 2, abs=1e-13)
+    assert out["expectation"] == pytest.approx((1 - eta**2) / (1 + eta**2), abs=1e-13)
     with pytest.raises(GuardExceeded) as err:
-        postselected_expectation(basis_state("0" * 10), 0.1, 2, Z, post_wire=0, out_wire=1)
+        postselected_expectation(basis_state("0" * 11), eta, 2, Z, post_wire=0, out_wire=1)
     assert err.value.required == 11
+
+
+@pytest.mark.parametrize("wires", [1, 2, 3, 4])
+def test_pauli_coefficients_round_trip(wires):
+    rng = np.random.default_rng(wires)
+    d = 2**wires
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = m @ m.conj().T
+    s = DensityState(wires, rho)
+    assert s._coeffs.dtype == np.float64
+    assert s._coeffs.shape == (4,) * wires
+    np.testing.assert_allclose(s.rho, rho, rtol=0, atol=1e-13 * np.abs(rho).max())
+    assert s.trace == pytest.approx(np.trace(rho).real, rel=1e-14)
+
+
+def test_pauli_coefficients_are_the_traces_against_the_basis():
+    # wire 0 is the first axis; B = sigma / sqrt(2) on each wire
+    rho = random_state(2, 13).rho
+    s = DensityState(2, rho)
+    paulis = [np.eye(2), X, np.array([[0, -1j], [1j, 0]]), Z]
+    for p, q in itertools.product(range(4), repeat=2):
+        want = np.trace(np.kron(paulis[p], paulis[q]) @ rho).real / 2
+        assert s._coeffs[p, q] == pytest.approx(want, abs=1e-15)
+
+
+PROJECT0 = [np.kron(P0, np.eye(2))]
+RESET = [np.kron(a, np.eye(2)) for a in (P0, R01)]
+
+
+@pytest.mark.parametrize("cell", ["unitary", "reset", "project0", "haar"])
+@pytest.mark.parametrize("eta", [0.0, 0.3])
+def test_transfer_matrix_is_real(cell, eta):
+    kraus = {
+        "unitary": [np.kron(random_unitary(2, 14), np.eye(2))],
+        "reset": RESET,
+        "project0": PROJECT0,
+        "haar": [random_unitary(4, 15)],
+    }[cell]
+    t = _basis_change(2)
+    full = t.conj().T @ _superoperator(kraus, eta) @ t
+    assert np.abs(full.imag).max() <= 1e-13 * np.abs(full).max()
+    r = _transfer_matrix(kraus, eta)
+    assert r.dtype == np.float64
+    np.testing.assert_array_equal(r, full.real)
+
+
+@pytest.mark.parametrize("convention", ["raw", "virtual"])
+@pytest.mark.parametrize(
+    "circuit",
+    [
+        random_circuit(4, 4, seed=21),  # odd steps hold the wrap cell (3, 0)
+        Circuit(2, 2, (Gate("unitary", 0, 0, H), Gate("unitary2", 1, 1, CNOT))),  # CNOT on (1, 0)
+    ],
+)
+def test_run_matches_kron_oracle(circuit, convention):
+    eta = 0.17
+    got = run_noisy_circuit(circuit, eta, convention=convention)
+    n = circuit.width
+    rho = basis_state("0" * n).rho
+    for t in range(circuit.depth):
+        for cell in circuit.cells(t):
+            kraus = cell_kraus(cell)
+            if convention == "virtual":
+                kraus = [k / np.linalg.norm(k) for k in kraus]
+            rho = noisy_map(rho, kraus, cell.wires, n, eta)
+    assert any(cell.wires[0] > cell.wires[1] for cell in circuit.cells(1))
+    np.testing.assert_allclose(got.rho, rho, rtol=0, atol=1e-13 * np.trace(rho).real)
+
+
+@pytest.mark.parametrize("convention", ["raw", "virtual"])
+@pytest.mark.parametrize("post_wire, out_wire", [(0, 2), (3, 1)])
+@pytest.mark.parametrize("copies", [1, 2, 3, 4])
+def test_postselection_closed_form_matches_ancilla_oracle(copies, post_wire, out_wire, convention):
+    eta, body_eta = 0.23, 0.11
+    circuit = random_circuit(4, 3, seed=22, p_project=0.3)
+    obs = random_unitary(2, 23)
+    obs = obs + obs.conj().T
+    got = postselected_expectation(
+        circuit, eta, copies, obs, post_wire=post_wire, out_wire=out_wire,
+        body_eta=body_eta, convention=convention,
+    )
+    body = run_noisy_circuit(circuit, body_eta, convention=convention).rho
+    want = postselect_one_ancilla_at_a_time(body, eta, copies, obs, post_wire, out_wire)
+    assert got["residual_trace"] == pytest.approx(want["residual_trace"], rel=1e-12)
+    assert got["expectation"] == pytest.approx(want["expectation"], abs=1e-12)
+
+
+def test_width_8_run_holds_no_complex_density_matrix():
+    # one complex 2**8 x 2**8 matrix is 1 MiB; the input and the output of a
+    # cell are the two live states, so the Pauli run must stay below 2 MiB
+    circuit = random_circuit(8, 4, seed=24)
+    run_noisy_circuit(circuit, 0.1)
+    tracemalloc.start()
+    try:
+        run_noisy_circuit(circuit, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 16 * 4**8
+
+
+def plus_zero():
+    return apply_unitary(basis_state("00"), H, [0])
+
+
+@pytest.mark.parametrize("wires", [[0, 0], [-1, 0], [0, 2], [2]])
+def test_expectation_value_rejects_bad_wires(wires):
+    op = np.kron(X, X) if len(wires) == 2 else Z
+    with pytest.raises(ValueError):
+        expectation_value(plus_zero(), op, wires)
+
+
+def test_expectation_value_rejects_a_mismatched_operator():
+    with pytest.raises(ValueError):
+        expectation_value(plus_zero(), np.kron(X, X), [0])
+    with pytest.raises(ValueError):
+        expectation_value(plus_zero(), np.ones((2, 4)), [0])
+
+
+@pytest.mark.parametrize("wires", [[1, 1], [-1, 0], [0, 2]])
+def test_maps_reject_bad_wires(wires):
+    s = plus_zero()
+    with pytest.raises(ValueError):
+        apply_unitary(s, CNOT, wires)
+    with pytest.raises(ValueError):
+        apply_noisy_cell(s, RESET_RESET, wires, 0.1)
+
+
+def test_maps_reject_mismatched_matrices():
+    s = plus_zero()
+    with pytest.raises(ValueError):
+        apply_unitary(s, CNOT, [0])
+    with pytest.raises(ValueError):
+        apply_noisy_cell(s, [H], [0, 1], 0.1)
+    for wire in (-1, 2):
+        with pytest.raises(ValueError):
+            noisy_projection(s, wire, 0.1)
