@@ -4,10 +4,17 @@ Every edge of an injective network contributes one positive semidefinite
 two-site term built from the pseudo-inverses of the endpoint tensors and the
 projector that kills the shared link state.  The resulting Hamiltonian is
 frustration free: the network state is an exact zero-energy eigenstate.
+
+``spectrum_report`` reads the low spectrum with numpy alone: ``eigh`` of the
+dense matrix up to DENSE_EIG_CUTOFF, and above it a thick-restart Lanczos that
+calls ``matvec`` one vector at a time, followed by a randomized probe for
+ground-state copies a single Krylov space cannot see.  A solve that does not
+converge within LANCZOS_MATVEC_BUDGET products raises GuardExceeded.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +28,11 @@ PINV_RTOL = 1e-12
 DENSE_DIM_LIMIT = 1 << 14
 DENSE_EIG_CUTOFF = 256
 DEGENERACY_TOL = 1e-8
+LANCZOS_BASIS = 30
+LANCZOS_MAX_K = LANCZOS_BASIS // 2
+LANCZOS_TOL = 1e-11
+LANCZOS_MATVEC_BUDGET = 20000
+PROBE_FAILURE = 1e-6
 
 
 def pseudo_inverse(t: Tensor, out_legs, in_legs) -> Tensor:
@@ -176,6 +188,8 @@ class SpectrumReport:
     overlap: float
     max_term_norm: float
     solver: str
+    matvecs: int
+    residual: float
 
     def to_json(self) -> dict:
         return {
@@ -186,34 +200,220 @@ class SpectrumReport:
             "overlap": self.overlap,
             "max_term_norm": self.max_term_norm,
             "solver": self.solver,
+            "matvecs": self.matvecs,
+            "residual": self.residual,
         }
 
 
-def _low_spectrum(ham: ParentHamiltonian, k: int):
-    import scipy.linalg
-    from scipy.sparse.linalg import LinearOperator, eigsh
+def _overlaps(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``rows.conj() @ w`` without a conjugated copy of ``rows``."""
+    return (rows @ w.conj()).conj()
 
+
+class _Operator:
+    """``ham.matvec`` on one vector at a time, counted against the matvec budget.
+
+    With ``locked`` set (orthonormal rows), ``project`` removes their span.
+    A Lanczos run on the complement projects every new basis vector after its
+    recurrence: the locked vectors span a zero eigenspace of the projected
+    operator, which round-off would otherwise bring back as a false ground
+    state.
+    """
+
+    def __init__(self, ham: ParentHamiltonian) -> None:
+        self.ham = ham
+        self.matvecs = 0
+        self.locked = None
+
+    def reserve(self, count: int) -> None:
+        if self.matvecs + count > LANCZOS_MATVEC_BUDGET:
+            raise GuardExceeded(
+                "Lanczos eigensolver needs more matvecs than its budget",
+                self.matvecs + count,
+                LANCZOS_MATVEC_BUDGET,
+            )
+
+    def project(self, w: np.ndarray) -> np.ndarray:
+        if self.locked is None:
+            return w
+        return w - _overlaps(self.locked, w) @ self.locked
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        self.reserve(1)
+        self.matvecs += 1
+        return self.ham.matvec(v)
+
+
+def _random_start(rng, op: _Operator) -> np.ndarray:
+    dim = op.ham.dim
+    v = op.project(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    return v / np.linalg.norm(v)
+
+
+def _thick_restart_lanczos(op: _Operator, start: np.ndarray, k: int, scale: float, rng):
+    """Lowest ``k`` Ritz pairs of ``op`` by thick-restart Lanczos (Wu & Simon 2000).
+
+    The basis holds at most LANCZOS_BASIS vectors.  Each step runs the
+    three-term recurrence (after a restart, the kept Ritz vectors take the
+    place of the previous vector) and then one classical Gram-Schmidt pass
+    against the whole basis.  A full basis restarts from its lowest Ritz
+    vectors, about half of it.  The run stops when each of the ``k`` lowest
+    Ritz pairs has residual ``beta * |s_last| <= LANCZOS_TOL * scale``, scale
+    being the largest |Ritz value| seen: an absolute test in the operator's own
+    scale, so an exact zero eigenvalue costs no extra sweeps.
+
+    Returns the Ritz values, the Ritz vectors as rows, their residual norms
+    and the updated scale.
+    """
+    dim = start.size
+    size = min(LANCZOS_BASIS, dim)
+    keep = max(k, size // 2)
+    basis = np.empty((size, dim), dtype=np.complex128)
+    t = np.zeros((size, size))
+    basis[0] = start
+    kept, j = 0, 0
+    while True:
+        w = op(basis[j])
+        alpha = float(np.vdot(basis[j], w).real)
+        t[j, j] = alpha
+        scale = max(scale, abs(alpha))
+        w -= alpha * basis[j]
+        if j == kept and kept > 0:
+            w -= t[:kept, j] @ basis[:kept]
+        elif j > 0:
+            w -= t[j - 1, j] * basis[j - 1]
+        w -= _overlaps(basis[: j + 1], w) @ basis[: j + 1]
+        w = op.project(w)
+        beta = float(np.linalg.norm(w))
+        breakdown = beta <= LANCZOS_TOL * scale
+        if j + 1 < size and not breakdown:
+            t[j, j + 1] = t[j + 1, j] = beta
+            basis[j + 1] = w / beta
+            j += 1
+            continue
+        if breakdown:
+            # the Krylov space is invariant: its Ritz pairs are exact, and a
+            # fresh direction continues the search with no coupling to it
+            beta = 0.0
+        theta, s = np.linalg.eigh(t[: j + 1, : j + 1])
+        scale = max(scale, float(np.max(np.abs(theta))))
+        res = beta * np.abs(s[j])
+        if j + 1 >= k and np.all(res[:k] <= LANCZOS_TOL * scale):
+            return theta[:k], s[:, :k].T @ basis[: j + 1], res[:k], scale
+        nxt = w / beta if beta > 0 else None
+        if j + 1 < size:
+            # breakdown with room left: extend the basis
+            j += 1
+        else:
+            kept = keep
+            basis[:kept] = s[:, :kept].T @ basis
+            t[:] = 0.0
+            t[np.arange(kept), np.arange(kept)] = theta[:kept]
+            t[kept, :kept] = t[:kept, kept] = beta * s[j, :kept]
+            j = kept
+        if nxt is None:
+            nxt = _random_start(rng, op)
+            nxt -= _overlaps(basis[:j], nxt) @ basis[:j]
+            nxt /= np.linalg.norm(nxt)
+        basis[j] = nxt
+
+
+def _probe_steps(dim: int, gap: float, spread: float) -> int:
+    """Lanczos steps that bring the lowest Ritz value within gap/2 of the bottom.
+
+    Kuczynski & Wozniakowski (SIAM J. Matrix Anal. Appl. 13, 1094, 1992):
+    from a random start, m steps leave the lowest Ritz value above
+    ``lambda_min + eps * (lambda_max - lambda_min)`` with probability at most
+    ``1.648 sqrt(dim) exp(-sqrt(eps) (2m - 1))``.  ``spread`` bounds
+    ``lambda_max - lambda_min`` from above.
+    """
+    eps = gap / (2.0 * spread)
+    return math.ceil((math.log(1.648 * math.sqrt(dim) / PROBE_FAILURE) / math.sqrt(eps) + 1) / 2)
+
+
+def _probe_finds_lower(op: _Operator, start: np.ndarray, steps: int, threshold: float, scale: float) -> bool:
+    """Whether plain Lanczos on ``op`` from ``start`` finds a Ritz value below ``threshold``.
+
+    The three-term recurrence keeps no basis.  The LDL^T pivots of
+    ``T - threshold`` grow one per step, and the first negative pivot means a
+    Ritz value below the threshold (Sylvester's law of inertia).
+    """
+    op.reserve(steps)
+    prev = np.zeros_like(start)
+    q, beta, pivot = start, 0.0, 1.0
+    for _ in range(steps):
+        w = op(q)
+        alpha = float(np.vdot(q, w).real)
+        pivot = alpha - threshold - beta * beta / pivot
+        if pivot < 0:
+            return True
+        pivot = max(pivot, np.finfo(float).tiny)
+        w -= alpha * q + beta * prev
+        w = op.project(w)
+        beta = float(np.linalg.norm(w))
+        if beta <= LANCZOS_TOL * scale:
+            return False
+        prev, q = q, w / beta
+    return False
+
+
+def _lanczos_spectrum(ham: ParentHamiltonian, k: int, spread: float):
+    """Lowest ``k`` eigenpairs by thick-restart Lanczos, degenerate copies included.
+
+    A single-vector Krylov space sees one direction per eigenspace, so the
+    converged pairs can miss copies of a degenerate eigenvalue.  A probe from
+    a fresh random vector, projected off the ``k`` pairs, then runs enough
+    steps to find a missed ground copy with probability at least
+    1 - PROBE_FAILURE.  Its threshold, ``theta_{k-1} - gap / 2``, is at least
+    ``theta_0 + gap / 2``, so the same steps also find any missed eigenvalue
+    more than ``gap`` below the top pair.  If the probe finds a Ritz value
+    below it, the lowest pair of the complement is solved for and merged, and
+    the probe runs again.  It stops once the ground space fills ``k``, which
+    the report refuses anyway.  ``spread`` bounds the operator norm from
+    above.
+    """
+    dim = ham.dim
+    op = _Operator(ham)
+    # A fixed start vector makes the report repeatable.  It must not be the
+    # network state: an exact eigenvector ends the Krylov space at once.
+    rng = np.random.default_rng(0)
+    vals, vecs, res, scale = _thick_restart_lanczos(op, _random_start(rng, op), k, 0.0, rng)
+    while True:
+        deg = int(np.sum(vals <= vals[0] + DEGENERACY_TOL))
+        if deg >= k:
+            break
+        gap = float(vals[deg] - vals[0])
+        op.locked = vecs
+        steps = _probe_steps(dim, gap, spread)
+        if not _probe_finds_lower(op, _random_start(rng, op), steps, vals[-1] - gap / 2, scale):
+            break
+        val, vec, r, scale = _thick_restart_lanczos(op, _random_start(rng, op), 1, scale, rng)
+        op.locked = None
+        # the merged vector also carries the residual the locked pairs leave
+        # in its complement
+        res = np.append(res, r[0] + np.linalg.norm(res))
+        vals = np.append(vals, val)
+        vecs = np.vstack([vecs, vec])
+        order = np.argsort(vals, kind="stable")[:k]
+        vals, vecs, res = vals[order], vecs[order], res[order]
+    return vals, vecs.T, float(np.max(res)), op.matvecs
+
+
+def _low_spectrum(ham: ParentHamiltonian, k: int, spread: float):
     dim = ham.dim
     if dim <= DENSE_EIG_CUTOFF:
         # all of the spectrum when k >= dim, so the ground space always fits
         k = max(2, min(k, dim))
-        vals, vecs = scipy.linalg.eigh(ham.to_dense(), subset_by_index=[0, k - 1])
-        return vals, vecs, "dense"
-    op = LinearOperator(
-        (dim, dim),
-        matvec=lambda v: ham.matvec(v),
-        dtype=np.complex128,
-    )
-    # A fixed start vector makes the report repeatable.  It must not be the
-    # network state: an exact eigenvector ends the Krylov space at once.
-    rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    # sigma-free Lanczos on a PSD operator; shift-invert is not worth the
-    # factorization cost at these sizes.
-    k = max(2, min(k, dim - 1))  # eigsh needs k < dim
-    vals, vecs = eigsh(op, k=k, which="SA", tol=1e-11, maxiter=5000, v0=v0)
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order], "lanczos"
+        h = ham.to_dense()
+        vals, vecs = np.linalg.eigh(h)
+        vals, vecs = vals[:k], vecs[:, :k]
+        residual = float(np.max(np.linalg.norm(h @ vecs - vecs * vals, axis=0)))
+        return vals, vecs, "dense", 0, residual
+    k = max(2, min(k, dim - 1))
+    if k > LANCZOS_MAX_K:
+        raise GuardExceeded("Lanczos eigensolver asked for more eigenvalues than its basis keeps", k, LANCZOS_MAX_K)
+    vals, vecs, residual, matvecs = _lanczos_spectrum(ham, k, spread)
+    return vals, vecs, "lanczos", matvecs, residual
 
 
 def spectrum_report(ham: ParentHamiltonian, net: PepsNetwork = None, k: int = 6) -> SpectrumReport:
@@ -225,7 +425,9 @@ def spectrum_report(ham: ParentHamiltonian, net: PepsNetwork = None, k: int = 6)
     """
     if ham.dim > DENSE_DIM_LIMIT:
         raise GuardExceeded("Hamiltonian dimension exceeds the dense guard", ham.dim, DENSE_DIM_LIMIT)
-    vals, vecs, solver = _low_spectrum(ham, k)
+    norms = ham.term_norms()
+    max_norm = max(norms) if norms else 0.0
+    vals, vecs, solver, matvecs, residual = _low_spectrum(ham, k, sum(norms))
     e0 = float(vals[0])
     deg = int(np.sum(vals <= e0 + DEGENERACY_TOL))
     if deg < len(vals):
@@ -238,8 +440,6 @@ def spectrum_report(ham: ParentHamiltonian, net: PepsNetwork = None, k: int = 6)
         )
     else:
         gap = float("nan")
-    norms = ham.term_norms()
-    max_norm = max(norms) if norms else 0.0
     gap_normalized = gap / max_norm if max_norm > 0 else float("nan")
 
     overlap = float("nan")
@@ -261,4 +461,6 @@ def spectrum_report(ham: ParentHamiltonian, net: PepsNetwork = None, k: int = 6)
         overlap=overlap,
         max_term_norm=float(max_norm),
         solver=solver,
+        matvecs=matvecs,
+        residual=residual,
     )

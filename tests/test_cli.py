@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import pepslab as pl
-from pepslab import contraction
+from pepslab import contraction, hamiltonian
 from pepslab.circuits import Circuit, Gate, save_circuit
 from pepslab.cli import main
 from pepslab.network import network_to_json, observable_to_json
@@ -160,6 +160,14 @@ def test_parent_ham_report(capsys):
     assert out["overlap"] >= 1 - 1e-8
     assert out["eigenvalues"][0] == pytest.approx(0.0, abs=1e-9)
     assert out["gap"] > 0
+
+
+def test_parent_ham_past_the_matvec_budget_exits_with_the_guard_code(capsys, monkeypatch):
+    monkeypatch.setattr(hamiltonian, "LANCZOS_MATVEC_BUDGET", 20)
+    code = main(["parent-ham", "--random", "1x6", "--delta", "0.6", "--eigenvalues", "4"])
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("guard:") and "matvecs" in err
 
 
 def test_compile_circuit_writes_loadable_network(capsys, tmp_path):

@@ -1,6 +1,10 @@
 """Parent Hamiltonian construction and spectrum reports."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -98,16 +102,18 @@ def test_spectrum_report_dense_path():
     assert len(rep.eigenvalues) == 5
 
 
-# 2x2 (dim 256) is solved densely by default, 1x4 at bond dim 3 (dim 729) by
-# Lanczos; each is compared with the other route, forced through the cutoff.
+# 2x2 (dim 256) is solved densely by default, 1x4 at bond dim 3 (dim 729) and
+# 1x6 at bond dim 2 (dim 1024) by Lanczos; each is compared with the other
+# route, forced through the cutoff, and with every eigenvalue of the dense matrix.
 @pytest.mark.parametrize(
     "rows,cols,bond_dim,default_solver",
-    [(2, 2, 2, "dense"), (1, 4, 3, "lanczos")],
-    ids=["2x2", "1x4"],
+    [(2, 2, 2, "dense"), (1, 4, 3, "lanczos"), (1, 6, 2, "lanczos")],
+    ids=["2x2", "1x4", "1x6"],
 )
 def test_lanczos_path_agrees_with_dense(monkeypatch, rows, cols, bond_dim, default_solver):
     net = pl.random_network(rows, cols, bond_dim, delta=0.6, seed=5)
     ham = pl.parent_hamiltonian(net)
+    want = np.linalg.eigvalsh(ham.to_dense())[:4]
     default = pl.spectrum_report(ham, net, k=4)
     assert default.solver == default_solver
     forced_cutoff = 1 if default_solver == "dense" else ham.dim
@@ -120,6 +126,20 @@ def test_lanczos_path_agrees_with_dense(monkeypatch, rows, cols, bond_dim, defau
     assert sparse.gap == pytest.approx(dense.gap, abs=1e-7)
     assert sparse.degeneracy == dense.degeneracy
     assert sparse.overlap == pytest.approx(dense.overlap, abs=1e-8)
+    np.testing.assert_allclose(sparse.eigenvalues, want, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(dense.eigenvalues, want, rtol=0, atol=1e-9)
+    assert sparse.matvecs > 0
+    assert dense.matvecs == 0
+
+
+def test_lanczos_report_on_a_2x3_grid_passes_the_benchmark_checks():
+    # the largest shape of the benchmark's spectrum workload (dim 16384)
+    net = pl.random_network(2, 3, delta=0.5, seed=11)
+    rep = pl.spectrum_report(pl.parent_hamiltonian(net), net, k=4)
+    assert rep.solver == "lanczos"
+    assert abs(rep.eigenvalues[0]) <= 1e-9 * rep.max_term_norm
+    assert rep.degeneracy == 1
+    assert rep.overlap >= 1 - 1e-8
 
 
 def test_lanczos_report_is_repeatable():
@@ -139,6 +159,109 @@ def test_spectrum_report_refuses_a_ground_space_that_fills_k():
     ham = pl.parent_hamiltonian(net)
     with pytest.raises(ValueError, match="raise k"):
         pl.spectrum_report(ham, net, k=4)
+
+
+# Ground spaces far larger than k (dense dimension 425 at 1x3 and 214 at
+# 1x4): a single Krylov space sees one ground direction, so only the probe
+# off the converged pairs finds the copies that fill k.
+@pytest.mark.parametrize(
+    "cols,phys_dim,seed,k",
+    [(3, 8, 19, 8), (4, 5, 4, 8), (3, 8, 18, 4), (4, 5, 0, 4), (4, 5, 4, 4), (4, 5, 17, 4), (4, 5, 19, 4)],
+)
+def test_lanczos_refuses_a_degenerate_ground_space_that_fills_k(cols, phys_dim, seed, k):
+    net = pl.random_network(1, cols, phys_dim=phys_dim, delta=0.6, seed=seed)
+    ham = pl.parent_hamiltonian(net)
+    assert ham.dim > hamiltonian.DENSE_EIG_CUTOFF
+    with pytest.raises(ValueError, match="raise k"):
+        pl.spectrum_report(ham, net, k=k)
+
+
+def test_lanczos_lists_every_copy_of_a_degenerate_level():
+    # identity sites on a 1x6 line (dim 1024): the parent terms are commuting
+    # link projectors of rank 3, so the spectrum is m with multiplicity
+    # C(5, m) 3**m and the Krylov space of one vector breaks down at dim 6
+    g = pl.open_grid(1, 6)
+    sites = {}
+    for v in g.vertices:
+        legs = [e.id for e in g.edges if v in (e.u, e.v)]
+        sites[v] = tz.from_matrix(np.eye(2 ** len(legs)), [("phys", 2 ** len(legs))],
+                                  [(leg, 2) for leg in legs])
+    net = pl.PepsNetwork(g, sites)
+    rep = pl.spectrum_report(pl.parent_hamiltonian(net), net, k=4)
+    assert rep.solver == "lanczos"
+    np.testing.assert_allclose(rep.eigenvalues, [0, 1, 1, 1], rtol=0, atol=1e-9)
+    assert rep.degeneracy == 1
+    assert rep.gap == pytest.approx(1.0, abs=1e-9)
+    assert rep.overlap == pytest.approx(1.0, abs=1e-9)
+
+
+def test_lanczos_on_a_complement_stays_off_the_locked_pairs():
+    # the locked ground pair spans a zero eigenspace of the projected
+    # operator; a solve that let round-off back into it would return 0 again
+    net = pl.random_network(1, 6, delta=0.6, seed=5)
+    ham = pl.parent_hamiltonian(net)
+    want = np.linalg.eigvalsh(ham.to_dense())[:2]
+    op = hamiltonian._Operator(ham)
+    rng = np.random.default_rng(1)
+    ground, locked, _, scale = hamiltonian._thick_restart_lanczos(
+        op, hamiltonian._random_start(rng, op), 1, 0.0, rng)
+    op.locked = locked
+    second, vec, _, _ = hamiltonian._thick_restart_lanczos(
+        op, hamiltonian._random_start(rng, op), 1, scale, rng)
+    np.testing.assert_allclose([ground[0], second[0]], want, rtol=0, atol=1e-9)
+    assert np.abs(locked.conj() @ vec.T).max() < 1e-12
+    # the probe sees nothing below the second eigenvalue off the ground pair,
+    # and finds the ground state once it is unlocked
+    middle = want[1] / 2
+    assert not hamiltonian._probe_finds_lower(op, hamiltonian._random_start(rng, op), 300, middle, scale)
+    op.locked = None
+    assert hamiltonian._probe_finds_lower(op, hamiltonian._random_start(rng, op), 300, middle, scale)
+
+
+def test_lanczos_refuses_to_run_past_its_matvec_budget(monkeypatch):
+    net = pl.random_network(1, 4, 3, delta=0.6, seed=9)
+    ham = pl.parent_hamiltonian(net)
+    monkeypatch.setattr(hamiltonian, "LANCZOS_MATVEC_BUDGET", 20)
+    with pytest.raises(GuardExceeded) as info:
+        pl.spectrum_report(ham, net, k=4)
+    assert info.value.limit == 20
+
+
+def test_lanczos_refuses_more_eigenvalues_than_its_basis_keeps():
+    net = pl.random_network(1, 4, 3, delta=0.6, seed=9)
+    ham = pl.parent_hamiltonian(net)
+    with pytest.raises(GuardExceeded):
+        pl.spectrum_report(ham, net, k=hamiltonian.LANCZOS_MAX_K + 1)
+
+
+@pytest.mark.parametrize("cutoff", [256, 1], ids=["dense", "lanczos"])
+def test_reported_residual_bounds_the_recomputed_one(monkeypatch, cutoff):
+    net = pl.random_network(2, 2, delta=0.6, seed=4)
+    ham = pl.parent_hamiltonian(net)
+    monkeypatch.setattr(hamiltonian, "DENSE_EIG_CUTOFF", cutoff)
+    norms = ham.term_norms()
+    vals, vecs, solver, _, residual = hamiltonian._low_spectrum(ham, 4, sum(norms))
+    assert solver == ("dense" if cutoff == 256 else "lanczos")
+    for theta, x in zip(vals, vecs.T):
+        got = np.linalg.norm(ham.matvec(x) - theta * x)
+        assert got <= 10 * residual + 1e-12 * max(norms)
+
+
+def test_spectrum_reports_load_no_scipy():
+    code = (
+        "import sys\n"
+        "import pepslab as pl\n"
+        "for cols in (4, 6):\n"
+        "    net = pl.random_network(1, cols, delta=0.6, seed=1)\n"
+        "    rep = pl.spectrum_report(pl.parent_hamiltonian(net), net, k=4)\n"
+        "    print(rep.solver)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(pl.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout.split()
+    assert out == ["dense", "lanczos", "[]"]
 
 
 @pytest.mark.parametrize("k", [16, 100])
@@ -181,5 +304,10 @@ def test_report_serializes():
         "overlap",
         "max_term_norm",
         "solver",
+        "matvecs",
+        "residual",
     }
     assert all(isinstance(x, float) for x in obj["eigenvalues"])
+    assert obj["matvecs"] == 0
+    assert 0 <= obj["residual"] < 1e-10 * obj["max_term_norm"]
+    json.dumps(obj)
