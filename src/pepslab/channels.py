@@ -1,4 +1,13 @@
-"""Kraus-form quantum channels and the depolarizing wrapper."""
+"""Kraus-form quantum channels, the depolarizing wrapper and basis completion.
+
+A circuit's cells are prepared as one batch. ``kraus_families`` stacks their
+Kraus families into one zero-padded array ``[F, M, d, d]`` with a count per
+family; ``unit_kraus_families`` rescales every family to unit
+Hilbert-Schmidt norm; ``orthonormal_completions`` extends every family of a
+stack to an orthonormal operator basis in one pass over the ``d**2`` matrix
+units. The one-family functions, ``kraus_orthonormal_completion`` and
+``QuantumChannel.hs_normalized``, are batches of one of the same code.
+"""
 
 from __future__ import annotations
 
@@ -7,11 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 HS_TOL = 1e-10
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(a^dag b)."""
-    return complex(np.trace(a.conj().T @ b))
 
 
 @dataclass(frozen=True)
@@ -71,16 +75,8 @@ class QuantumChannel:
         Requires all operators to share the same HS norm; mixing unequal
         weights would silently change the channel, so that is rejected.
         """
-        norms = [np.linalg.norm(k) for k in self.kraus]
-        if max(norms) <= 0:
-            raise ValueError("cannot normalize a zero channel")
-        if max(norms) - min(norms) > HS_TOL * max(norms):
-            raise ValueError(
-                f"Kraus HS norms differ ({min(norms):.6g} vs {max(norms):.6g}); "
-                "uniform normalization undefined"
-            )
-        scale = 1.0 / norms[0]
-        return QuantumChannel(self.dim, tuple(k * scale for k in self.kraus))
+        ops, counts = kraus_families([self.kraus], self.dim)
+        return QuantumChannel(self.dim, tuple(unit_kraus_families(ops, counts)[0]))
 
 
 def identity_channel(dim: int) -> QuantumChannel:
@@ -115,46 +111,96 @@ def depolarize(channel: QuantumChannel, eta: float) -> QuantumChannel:
     return QuantumChannel(d, tuple(ops))
 
 
-def kraus_orthonormal_completion(kraus, dim: int) -> list:
-    """Extend HS-orthogonal equal-norm Kraus operators to an orthonormal basis.
+def kraus_families(families, dim: int):
+    """Stack Kraus families into ``(ops, counts)``.
 
-    Input operators are rescaled to unit HS norm and must be mutually
-    orthogonal.  The remaining dim^2 - m directions are filled by running
-    Gram-Schmidt over the matrix units in row-major order, skipping candidates
-    whose residual norm falls below 1e-10.  Each candidate is projected against
-    all kept rows at once with one matrix product, applied twice.  The
-    procedure is deterministic.
+    ``ops`` is ``[F, M, dim, dim]`` complex128 with ``M`` the largest family
+    size: ``ops[f, a]`` is operator ``a`` of family ``f`` for
+    ``a < counts[f]``, and zero beyond.
     """
-    ops = [np.asarray(k, dtype=np.complex128) for k in kraus]
-    if len(ops) > dim * dim:
-        raise ValueError("more Kraus operators than the space dimension")
-    norms = [np.linalg.norm(k) for k in ops]
-    if ops:
-        if min(norms) <= 0:
-            raise ValueError("zero Kraus operator cannot be normalized")
-        if max(norms) - min(norms) > HS_TOL * max(norms):
-            raise ValueError("Kraus operators must share one HS norm")
-    basis = [k / n for k, n in zip(ops, norms)]
-    for a in range(len(basis)):
-        for b in range(a + 1, len(basis)):
-            if abs(hs_inner(basis[a], basis[b])) > HS_TOL:
-                raise ValueError("Kraus operators must be HS-orthogonal")
+    families = [list(f) for f in families]
+    counts = np.array([len(f) for f in families], dtype=np.intp)
+    ops = np.zeros((len(families), max(counts, default=0), dim, dim), dtype=np.complex128)
+    for f, family in enumerate(families):
+        if family:
+            ops[f, : len(family)] = family
+    return ops, counts
 
-    rows = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
-    kept = len(basis)
-    rows[:kept] = np.reshape(basis, (kept, dim * dim))
-    for unit in range(dim * dim):
-        if kept == dim * dim:
+
+def unit_kraus_families(ops: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Rescale every operator of a stack to unit Hilbert-Schmidt norm.
+
+    The operators of one family must share one nonzero norm; mixing unequal
+    weights would silently change the channel, so that is rejected with an
+    error naming the family. Padding stays zero.
+    """
+    norms = np.linalg.norm(ops, axis=(2, 3))
+    live = np.arange(ops.shape[1]) < counts[:, None]
+    zero = np.flatnonzero(np.any(live & (norms <= 0), axis=1))
+    if zero.size:
+        raise ValueError(f"Kraus family {zero[0]}: a zero operator cannot be normalized")
+    top = np.max(norms, axis=1, where=live, initial=0.0)
+    low = np.min(norms, axis=1, where=live, initial=np.inf)
+    bad = np.flatnonzero(top - low > HS_TOL * top)
+    if bad.size:
+        f = bad[0]
+        raise ValueError(
+            f"Kraus family {f}: HS norms differ ({low[f]:.6g} vs {top[f]:.6g}); "
+            "uniform normalization undefined"
+        )
+    return ops / np.where(live, norms, 1.0)[:, :, None, None]
+
+
+def orthonormal_completions(ops: np.ndarray, counts: np.ndarray, dim: int) -> np.ndarray:
+    """Extend every family of a stack to an orthonormal operator basis.
+
+    Returns ``[F, dim**2, dim, dim]``. Family ``f`` starts with its operators
+    at unit HS norm; they must share one norm and be mutually HS-orthogonal.
+    The remaining directions are filled by Gram-Schmidt over the matrix
+    units in row-major order. Each unit is projected against the rows the
+    family holds so far, twice, and kept where its residual norm is at least
+    1e-10. The first pass against unit ``u`` has the coefficients
+    ``conj(rows[:, u])``; the second is one batched product. A family takes
+    the candidate only where its own residual passes and it still has fewer
+    than ``dim**2`` rows, so each family comes out as if completed alone.
+    The procedure is deterministic.
+    """
+    size = dim * dim
+    nfam = ops.shape[0]
+    if np.any(counts > size):
+        raise ValueError("more Kraus operators than the space dimension")
+    normed = unit_kraus_families(ops, counts).reshape(nfam, -1, size)
+    overlap = np.abs(normed.conj() @ np.swapaxes(normed, 1, 2))
+    diag = np.arange(normed.shape[1])
+    overlap[:, diag, diag] = 0.0
+    bad = np.flatnonzero(np.any(overlap > HS_TOL, axis=(1, 2)))
+    if bad.size:
+        raise ValueError(f"Kraus family {bad[0]}: Kraus operators must be HS-orthogonal")
+
+    rows = np.zeros((nfam, size, size), dtype=np.complex128)
+    rows[:, : normed.shape[1]] = normed
+    kept = counts.copy()
+    fams = np.arange(nfam)
+    for u in range(size):
+        short = kept < size
+        if not short.any():
             break
-        cand = np.zeros(dim * dim, dtype=np.complex128)
-        cand[unit] = 1.0
-        for _ in range(2):
-            cand -= (rows[:kept].conj() @ cand) @ rows[:kept]
-        rem = np.linalg.norm(cand)
-        if rem < 1e-10:
-            continue
-        rows[kept] = cand / rem
-        kept += 1
-    if kept != dim * dim:
+        # the rows beyond kept are zero, so projecting on all of them is exact
+        cand = -(rows[:, None, :, u].conj() @ rows)
+        cand[:, 0, u] += 1.0
+        cand -= (cand @ np.swapaxes(rows.conj(), 1, 2)) @ rows
+        rem = np.linalg.norm(cand[:, 0], axis=1)
+        take = short & (rem >= 1e-10)
+        rows[fams[take], kept[take]] = cand[take, 0] / rem[take, None]
+        kept += take
+    if np.any(kept != size):
         raise ValueError("failed to complete the Kraus basis")
-    return list(rows.reshape(dim * dim, dim, dim))
+    return rows.reshape(nfam, size, dim, dim)
+
+
+def kraus_orthonormal_completion(kraus, dim: int) -> list:
+    """Extend one HS-orthogonal, equal-norm Kraus family to an orthonormal basis.
+
+    A batch of one of :func:`orthonormal_completions`.
+    """
+    return list(orthonormal_completions(*kraus_families([kraus], dim), dim)[0])

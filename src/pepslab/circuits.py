@@ -19,7 +19,7 @@ KINDS = KINDS_1Q + ("unitary2",)
 UNITARY_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Gate:
     kind: str
     t: int
@@ -114,17 +114,19 @@ class Circuit:
                 if (t, w) not in occupied:
                     full.append(Gate("identity", t, w))
         self.gates = tuple(sorted(full, key=lambda g: (g.t, g.wire, g.kind)))
-        self._by_slot = {}
+        # gate covering (t, w) at index t * width + w
+        by_slot = [None] * (depth * width)
         for g in self.gates:
             for w in g.wires():
-                self._by_slot[(g.t, w % self.width)] = g
+                by_slot[g.t * width + w % width] = g
+        self._by_slot = tuple(by_slot)
 
     def cell(self, t: int, index: int) -> Cell:
         wires = cell_wires(self.width, t, index)
-        g0 = self._by_slot[(t, wires[0])]
+        g0 = self._by_slot[t * self.width + wires[0]]
         if g0.kind == "unitary2":
             return Cell(t=t, index=index, wires=wires, gates=(g0,))
-        g1 = self._by_slot[(t, wires[1])]
+        g1 = self._by_slot[t * self.width + wires[1]]
         return Cell(t=t, index=index, wires=wires, gates=(g0, g1))
 
     def cells(self, t: int) -> list:

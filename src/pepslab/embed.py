@@ -7,6 +7,13 @@ rows are weighted delta.  Contracting the double layer then applies, per cell,
 the channel (1 - delta^2) * Phi_hat + delta^2 * tr[rho] * identity, a
 depolarized version of the cell map, with one global scalar per cell that
 cancels in normalized expectation values.
+
+``compile_circuit`` prepares every cell of the circuit, the appended reset
+row included, as one batch: one zero-padded stack of Kraus families, one
+batched completion (``channels.orthonormal_completions``) and one broadcast
+weighting and transpose into ``[i0, i1, o0, o1, a]``.  The first row's
+in-legs and the last row's out-legs are closed with |0>, which is taking
+their index 0.  ``build_site_tensor`` is a batch of one of the same code.
 """
 
 from __future__ import annotations
@@ -16,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .channels import QuantumChannel, kraus_orthonormal_completion
-from .circuits import Circuit, cell_wires, wire_cell
+from .channels import QuantumChannel, kraus_families, orthonormal_completions
+from .circuits import Cell, Circuit, cell_wires, wire_cell
 from .network import (
     PHYS,
     Edge,
@@ -31,7 +38,6 @@ from .tensor import Tensor
 CELL_DIM = 4
 BASIS_SIZE = CELL_DIM * CELL_DIM
 
-_KET0 = np.array([1.0, 0.0], dtype=np.complex128)
 _P00 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
 _R01 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
 
@@ -44,16 +50,31 @@ def eta_from_delta(delta: float) -> float:
     return 4.0 * d2 / (1.0 + 3.0 * d2)
 
 
-def _single_wire_kraus(gate) -> list:
-    if gate.kind == "identity":
-        return [np.eye(2, dtype=np.complex128)]
+_WIRE_KRAUS = {
+    "identity": np.eye(2, dtype=np.complex128)[None],
+    "reset": np.stack([_P00, _R01]),
+    "project0": _P00[None],
+}
+
+
+def _single_wire_kraus(gate) -> np.ndarray:
+    """Kraus family ``[m, 2, 2]`` of a single-wire gate."""
     if gate.kind == "unitary":
-        return [gate.matrix]
-    if gate.kind == "reset":
-        return [_P00.copy(), _R01.copy()]
-    if gate.kind == "project0":
-        return [_P00.copy()]
-    raise ValueError(f"gate kind {gate.kind!r} is not a single-wire operation")
+        return gate.matrix[None]
+    if gate.kind not in _WIRE_KRAUS:
+        raise ValueError(f"gate kind {gate.kind!r} is not a single-wire operation")
+    return _WIRE_KRAUS[gate.kind]
+
+
+def _pair_kraus(ka: np.ndarray, kb: np.ndarray) -> list:
+    """``[kron(a, b) for a in ka for b in kb]`` in one broadcast product."""
+    # kron(a, b)[(i k), (j l)] = a[i, j] * b[k, l]
+    prod = ka[:, None, :, None, :, None] * kb[None, :, None, :, None, :]
+    return list(prod.reshape(-1, CELL_DIM, CELL_DIM))
+
+
+# the appended row: both wires reset, then closed with <00|
+_RESET_ROW = _pair_kraus(_WIRE_KRAUS["reset"], _WIRE_KRAUS["reset"])
 
 
 def cell_kraus(cell: Cell) -> list:
@@ -61,7 +82,21 @@ def cell_kraus(cell: Cell) -> list:
     if len(cell.gates) == 1:
         return [cell.gates[0].matrix]
     a, b = cell.gates
-    return [np.kron(ka, kb) for ka in _single_wire_kraus(a) for kb in _single_wire_kraus(b)]
+    return _pair_kraus(_single_wire_kraus(a), _single_wire_kraus(b))
+
+
+def _site_arrays(families, delta: float) -> np.ndarray:
+    """Site arrays ``[F, i0, i1, o0, o1, a]`` of a list of Kraus families.
+
+    Entry ``[f, i0, i1, o0, o1, a] = c_a * B_a[(o0 o1), (i0 i1)]`` where
+    ``{B_a}`` is the orthonormal completion of family ``f`` and ``c_a`` is 1
+    on its Kraus rows and delta on the completion rows.
+    """
+    ops, counts = kraus_families(families, CELL_DIM)
+    basis = orthonormal_completions(ops, counts, CELL_DIM)  # [f, a, o, i]
+    coeffs = np.where(np.arange(BASIS_SIZE) < counts[:, None], 1.0, delta)  # [f, a]
+    arr = np.transpose(basis, (0, 3, 2, 1)) * coeffs[:, None, None, :]  # [f, i, o, a]
+    return arr.reshape(len(counts), 2, 2, 2, 2, BASIS_SIZE)
 
 
 def build_site_tensor(kraus, delta: float) -> Tensor:
@@ -74,14 +109,8 @@ def build_site_tensor(kraus, delta: float) -> Tensor:
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    basis = kraus_orthonormal_completion(kraus, CELL_DIM)
-    coeffs = np.ones(BASIS_SIZE, dtype=np.float64)
-    coeffs[len(kraus):] = delta
-    stack = np.stack(basis)  # [a, o, i]
-    arr = np.transpose(stack, (2, 1, 0)) * coeffs[None, None, :]  # [i, o, a]
-    arr = arr.reshape(2, 2, 2, 2, BASIS_SIZE)
     legs = [("in0", 2), ("in1", 2), ("out0", 2), ("out1", 2), (PHYS, BASIS_SIZE)]
-    return Tensor(legs, arr)
+    return Tensor(legs, _site_arrays([kraus], delta)[0])
 
 
 def effective_channel(
@@ -142,31 +171,24 @@ def compile_circuit(circuit: Circuit, delta: float) -> CompiledNetwork:
             edges.append(Edge(_edge_id(t, w), t * ncells + su, (t + 1) * ncells + sv, 2))
     graph = explicit_graph(vertices, edges)
 
+    families = [cell_kraus(circuit.cell(t, s)) for t in range(circuit.depth) for s in range(ncells)]
+    arrays = _site_arrays(families + [_RESET_ROW] * ncells, delta)
     sites = {}
-    ket0 = Tensor([("q0", 2)], _KET0)
     for t in range(rows):
         for s in range(ncells):
-            if t < circuit.depth:
-                cell = circuit.cell(t, s)
-                kraus = cell_kraus(cell)
-                wires = cell.wires
+            a, b = cell_wires(width, t, s)
+            arr = arrays[t * ncells + s]
+            legs = []
+            # closing a leg with |0> is taking its index 0
+            if t == 0:
+                arr = arr[0, 0]
             else:
-                # appended reset row: both wires reset, then closed with <00|
-                wires = cell_wires(width, t, s)
-                kraus = [np.kron(ka, kb) for ka in (_P00, _R01) for kb in (_P00, _R01)]
-            site = build_site_tensor(kraus, delta)
-            a, b = wires
-            if t > 0:
-                site = site.relabeled({"in0": _edge_id(t - 1, a), "in1": _edge_id(t - 1, b)})
+                legs += [(_edge_id(t - 1, a), 2), (_edge_id(t - 1, b), 2)]
+            if t == rows - 1:
+                arr = arr[..., 0, 0, :]
             else:
-                site = tz.contract(site, ket0, [("in0", "q0")])
-                site = tz.contract(site, ket0, [("in1", "q0")])
-            if t < rows - 1:
-                site = site.relabeled({"out0": _edge_id(t, a), "out1": _edge_id(t, b)})
-            else:
-                site = tz.contract(site, ket0, [("out0", "q0")])
-                site = tz.contract(site, ket0, [("out1", "q0")])
-            sites[t * ncells + s] = site
+                legs += [(_edge_id(t, a), 2), (_edge_id(t, b), 2)]
+            sites[t * ncells + s] = Tensor(legs + [(PHYS, BASIS_SIZE)], arr)
 
     net = PepsNetwork(graph, sites)
     return CompiledNetwork(
@@ -189,6 +211,8 @@ def readout_observable(compiled: CompiledNetwork, wire: int, matrix) -> Observab
     if m.shape != (2, 2):
         raise ValueError("readout operator must be 2x2")
     width = compiled.circuit.width
+    if not 0 <= wire < width:
+        raise ValueError(f"wire {wire} out of range for a {width}-wire circuit")
     t = compiled.rows - 1
     s, pos = wire_cell(width, t, wire)
     if pos == 0:

@@ -17,6 +17,12 @@ the wires are moved to the front and back.  A partial trace keeps index 0 of
 the traced axes, and ``tr[O rho]`` contracts the operator's own Pauli
 coefficients with those of the state.
 
+``run_noisy_circuit`` computes the transfer matrices of all cells as one
+stack (``_transfer_matrices``, families padded with zero operators) and
+applies them in order between three state buffers that it owns, so no cell
+allocates.  The one-map functions (``apply_noisy_cell`` and the others
+behind ``_local_map``) are stacks of one of the same code.
+
 Noise acts at the cell level: with rate eta the cell output is replaced by
 the maximally mixed state of its wires (times the input trace), so a noisy
 map is ``(1 - eta) S + eta |vec I><vec I| / 2**k``.  Projections are
@@ -37,7 +43,13 @@ import functools
 
 import numpy as np
 
-from .channels import QuantumChannel, depolarize, identity_channel
+from .channels import (
+    QuantumChannel,
+    depolarize,
+    identity_channel,
+    kraus_families,
+    unit_kraus_families,
+)
 from .circuits import Circuit
 from .embed import cell_kraus
 from .errors import GuardExceeded
@@ -171,70 +183,82 @@ def basis_state(bits: str) -> DensityState:
     # |0><0| = (B_I + B_Z) / sqrt(2), |1><1| = (B_I - B_Z) / sqrt(2)
     wire = {"0": np.array([1.0, 0.0, 0.0, 1.0]), "1": np.array([1.0, 0.0, 0.0, -1.0])}
     coeffs = np.ones(())
-    for b in bits:
+    for b in bits[:-1]:
         coeffs = np.multiply.outer(coeffs, wire[b])
-    return DensityState._from_coeffs(coeffs * 2.0 ** (-len(bits) / 2))
+    # entries so far are 0 or +-1, so scaling the last factor is exact and
+    # the product is the one array of the state's size
+    last = wire[bits[-1]] * 2.0 ** (-len(bits) / 2)
+    return DensityState._from_coeffs(np.multiply.outer(coeffs, last))
 
 
-def _superoperator(kraus, eta: float = 0.0) -> np.ndarray:
-    """Liouville matrix of a (noisy) local map over the (ket, bra) index pair."""
-    ops = np.asarray(kraus, dtype=np.complex128)
-    d = ops.shape[-1]
-    s = np.einsum("aij,akl->ikjl", ops, ops.conj()).reshape(d * d, d * d)
+def _superoperators(ops: np.ndarray, eta: float = 0.0) -> np.ndarray:
+    """Liouville matrices of a stack ``[F, M, d, d]`` of (noisy) local maps.
+
+    Each is taken over the (ket, bra) index pair; zero operators that pad a
+    family add nothing.
+    """
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    nmaps, d = ops.shape[0], ops.shape[-1]
+    s = np.einsum("faij,fakl->fikjl", ops, ops.conj()).reshape(nmaps, d * d, d * d)
     if eta == 0.0:
         return s
     vec_id = np.eye(d, dtype=np.complex128).ravel()
     return (1.0 - eta) * s + (eta / d) * np.outer(vec_id, vec_id)
 
 
-def _transfer_matrix(kraus, eta: float = 0.0) -> np.ndarray:
-    """Real Pauli transfer matrix ``T^H S T`` of a (noisy) local map."""
-    s = _superoperator(kraus, eta)
-    t = _basis_change(np.shape(kraus)[-1].bit_length() - 1)
-    r = t.conj().T @ s @ t
-    if np.abs(r.imag).max() > 1e-12 * np.abs(r.real).max():
-        raise ValueError("local map does not preserve Hermiticity")
+def _transfer_matrices(ops: np.ndarray, eta: float = 0.0) -> np.ndarray:
+    """Real Pauli transfer matrices ``T^H S T`` of a stack of (noisy) local maps."""
+    t = _basis_change(ops.shape[-1].bit_length() - 1)
+    r = t.conj().T @ _superoperators(ops, eta) @ t
+    leak = np.abs(r.imag).max(axis=(1, 2)) > 1e-12 * np.abs(r.real).max(axis=(1, 2))
+    if leak.any():
+        raise ValueError(f"local map {np.flatnonzero(leak)[0]} does not preserve Hermiticity")
     return np.ascontiguousarray(r.real)
 
 
-def _apply_transfer(state: DensityState, r: np.ndarray, wires: list) -> DensityState:
-    """Apply a Pauli transfer matrix on checked ``wires``.
+def _apply_transfer(c: np.ndarray, r: np.ndarray, wires: list, out: np.ndarray,
+                    spare: np.ndarray) -> np.ndarray:
+    """Apply a Pauli transfer matrix on checked ``wires`` of the coefficients ``c``.
 
-    Adjacent ascending wires take one matrix product on a view of the state.
-    Other wires are moved to the front and back, on a view that merges the
-    runs of untouched wires so that the copies stride well.
+    The result is written into ``out``; ``out`` and ``spare`` are C-ordered
+    arrays shaped like ``c`` that share no memory with it, and ``spare`` is
+    scratch.  Adjacent ascending wires take one matrix product on views.
+    Other wires are moved to the front into ``out``, multiplied into
+    ``spare`` and moved back into ``out``, on a view that merges the runs of
+    untouched wires so that the copies stride well.
     """
-    c = state._coeffs
     k, first = len(wires), wires[0]
     if wires == list(range(first, first + k)):
         x = c.reshape(4**first, 4**k, -1)
         if x.shape[2] == 1:
-            out = x.reshape(-1, 4**k) @ r.T
+            np.matmul(x.reshape(-1, 4**k), r.T, out=out.reshape(-1, 4**k))
         else:
-            out = np.matmul(r, x)
-        return DensityState._from_coeffs(out.reshape(c.shape))
+            np.matmul(r, x, out=out.reshape(x.shape))
+        return out
     ordered = sorted(wires)
     shape = [4**ordered[0]]
     for a, b in zip(ordered, ordered[1:] + [c.ndim]):
         shape += [4, 4 ** (b - a - 1)]
     axes = [2 * ordered.index(w) + 1 for w in wires]
     front = list(range(k))
-    x = np.moveaxis(c.reshape(shape), axes, front).reshape(4**k, -1)
-    rest = [d for i, d in enumerate(shape) if i not in axes]
-    y = (r @ x).reshape([4] * k + rest)
-    # x is a fresh copy, so its buffer takes the result; copying on the
-    # merged shape keeps the inner loops long
-    out = x.reshape(shape)
-    np.copyto(out, np.moveaxis(y, front, axes))
-    return DensityState._from_coeffs(out.reshape(c.shape))
+    moved = np.moveaxis(c.reshape(shape), axes, front)
+    x = out.reshape(moved.shape)
+    np.copyto(x, moved)
+    y = spare.reshape(4**k, -1)
+    np.matmul(r, x.reshape(4**k, -1), out=y)
+    np.copyto(out.reshape(shape), np.moveaxis(y.reshape(moved.shape), front, axes))
+    return out
 
 
 def _local_map(state: DensityState, kraus, wires, eta: float) -> DensityState:
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    """One (noisy) local map: a stack of one for ``_transfer_matrices``."""
     ops = np.asarray(kraus, dtype=np.complex128)
     wires = _check_wires(state.wires, wires, ops.shape[1:])
-    return _apply_transfer(state, _transfer_matrix(ops, eta), wires)
+    r = _transfer_matrices(ops[None], eta)[0]
+    c = state._coeffs
+    return DensityState._from_coeffs(
+        _apply_transfer(c, r, wires, np.empty_like(c), np.empty_like(c)))
 
 
 def apply_unitary(state: DensityState, u: np.ndarray, wires) -> DensityState:
@@ -288,15 +312,6 @@ def expectation_value(state: DensityState, matrix, wires) -> complex:
     return complex(np.sum(coeffs * local)) * 2.0 ** ((n - m) / 2)
 
 
-def _cell_kraus_for(cell, convention: str):
-    kraus = cell_kraus(cell)
-    if convention == "virtual":
-        return QuantumChannel(4, tuple(kraus)).hs_normalized().kraus
-    if convention == "raw":
-        return kraus
-    raise ValueError(f"unknown convention {convention!r} (use 'raw' or 'virtual')")
-
-
 def run_noisy_circuit(
     circuit: Circuit,
     eta: float,
@@ -309,16 +324,33 @@ def run_noisy_circuit(
     'virtual' rescales every Kraus operator to unit Hilbert-Schmidt norm
     first, which is the map the compiled tensor network realizes (up to one
     scalar per cell that drops out of normalized expectation values).
+
+    Every cell's transfer matrix is computed first, as one stack.  They are
+    then applied in order between three state buffers that this call owns,
+    the input state's and two more, so no cell allocates; the result ends
+    in the input state's buffer.
     """
     if input_bits is None:
         input_bits = "0" * circuit.width
     if len(input_bits) != circuit.width:
         raise ValueError(f"input needs {circuit.width} bits, got {len(input_bits)}")
+    if convention not in ("raw", "virtual"):
+        raise ValueError(f"unknown convention {convention!r} (use 'raw' or 'virtual')")
+    cells = [cell for t in range(circuit.depth) for cell in circuit.cells(t)]
+    ops, counts = kraus_families([cell_kraus(cell) for cell in cells], 4)
+    if convention == "virtual":
+        ops = unit_kraus_families(ops, counts)
+    transfers = _transfer_matrices(ops, eta)
     state = basis_state(input_bits)
-    for t in range(circuit.depth):
-        for cell in circuit.cells(t):
-            kraus = _cell_kraus_for(cell, convention)
-            state = apply_noisy_cell(state, kraus, cell.wires, eta)
+    c = state._coeffs
+    # the other two buffers are one block: glibc's allocator then serves it
+    # from its heap on later runs, where two separate blocks went back to the
+    # system and faulted in again (224 minor faults per 8-wire run)
+    out, spare = np.empty((2,) + c.shape)
+    for r, cell in zip(transfers, cells):
+        c, out = _apply_transfer(c, r, list(cell.wires), out, spare), c
+    if c is not state._coeffs:
+        np.copyto(state._coeffs, c)
     return state
 
 

@@ -331,3 +331,31 @@ def postselect_one_ancilla_at_a_time(rho, eta, copies, observable, post_wire, ou
     obs = full_space_operator(observable, [out_wire - (out_wire > post_wire)], n - 1)
     residual = np.trace(rho).real
     return {"expectation": (np.trace(obs @ rho) / residual).real, "residual_trace": residual}
+
+
+def compiled_sites_cell_by_cell(families, delta, complete, cells_per_row):
+    """Site arrays of a compiled circuit, built one cell at a time.
+
+    ``families`` holds one Kraus family per site in row-major order, the
+    closing reset row included, and ``complete(family, 4)`` returns its
+    orthonormal completion. Each site is ``c_a * B_a[(o0 o1), (i0 i1)]``
+    laid out as ``[i0, i1, o0, o1, a]`` with ``c_a`` 1 on the Kraus rows and
+    delta on the rest; the first row's in-legs and the last row's out-legs
+    are then contracted with |0>.
+    """
+    ket0 = np.array([1.0, 0.0], dtype=complex)
+    last = len(families) // cells_per_row - 1
+    sites = []
+    for v, family in enumerate(families):
+        basis = complete(family, 4)
+        arr = np.zeros((2, 2, 2, 2, 16), dtype=complex)
+        for a, b in enumerate(basis):
+            c = 1.0 if a < len(family) else delta
+            for i0, i1, o0, o1 in itertools.product(range(2), repeat=4):
+                arr[i0, i1, o0, o1, a] = c * b[2 * o0 + o1, 2 * i0 + i1]
+        if v // cells_per_row == 0:
+            arr = np.einsum("i,j,ijkla->kla", ket0, ket0, arr)
+        if v // cells_per_row == last:
+            arr = np.einsum("k,l,ijkla->ija", ket0, ket0, arr)
+        sites.append(arr)
+    return sites

@@ -7,7 +7,9 @@ from pepslab.channels import (
     QuantumChannel,
     depolarize,
     identity_channel,
+    kraus_families,
     kraus_orthonormal_completion,
+    orthonormal_completions,
     unitary_channel,
 )
 
@@ -172,6 +174,51 @@ def test_completion_is_orthonormal_and_matches_one_at_a_time(kind):
         np.testing.assert_allclose(got, k / np.linalg.norm(k), rtol=0, atol=1e-15)
     want = kraus_completion_one_at_a_time(kraus, 4)
     np.testing.assert_allclose(b, np.reshape(want, (16, 16)), rtol=0, atol=1e-12)
+
+
+MIXED = ("unitary", "reset", "project0", "reset-row")
+
+
+def test_mixed_batch_matches_one_at_a_time():
+    # families of 1, 2, 1 and 4 operators completed in one batch
+    families = [cell_family(kind) for kind in MIXED]
+    ops, counts = kraus_families(families, 4)
+    assert list(counts) == [1, 2, 1, 4]
+    full = orthonormal_completions(ops, counts, 4)
+    assert full.shape == (4, 16, 4, 4)
+    for kind, family, got in zip(MIXED, families, full):
+        b = got.reshape(16, 16)
+        want = np.reshape(kraus_completion_one_at_a_time(family, 4), (16, 16))
+        np.testing.assert_allclose(b, want, rtol=0, atol=1e-12)
+        assert np.linalg.norm(b @ b.conj().T - np.eye(16)) <= 1e-13
+        # each family comes out as if completed alone, zeros included
+        alone = np.reshape(kraus_orthonormal_completion(family, 4), (16, 16))
+        np.testing.assert_array_equal(b == 0, alone == 0)
+        if kind != "unitary":  # a Haar unitary's completion has no structural zeros
+            np.testing.assert_array_equal(b == 0, want == 0)
+
+
+def test_second_pass_keeps_a_near_unit_family_orthonormal():
+    # the first unit is almost in the family's span, so its residual is about
+    # 1e-7 of its norm, and one projection pass leaves it far from orthogonal
+    k = np.zeros((4, 4), dtype=complex)
+    k[0, 0], k[0, 1] = 1.0, 1e-7
+    ops, counts = kraus_families([[np.eye(4, dtype=complex)], [k]], 4)
+    for got in orthonormal_completions(ops, counts, 4):
+        b = got.reshape(16, 16)
+        assert np.abs(b @ b.conj().T - np.eye(16)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("bad", ["unequal-norm", "non-orthogonal"])
+def test_batch_names_the_family_that_breaks_the_rules(bad):
+    a = np.eye(2, dtype=complex)
+    b = {
+        "unequal-norm": 2.0 * np.array([[0, 1], [1, 0]], dtype=complex),
+        "non-orthogonal": (np.eye(2) + np.diag([1.0, -1.0])).astype(complex) / np.sqrt(2),
+    }[bad]
+    families = [[a], [np.diag([1.0, -1.0]).astype(complex)], [a, b]]
+    with pytest.raises(ValueError, match="family 2"):
+        orthonormal_completions(*kraus_families(families, 2), 2)
 
 
 def test_hs_normalization_rescales_uniformly():

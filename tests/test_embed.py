@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import pepslab as pl
+from pepslab import embed, sim
 from pepslab import tensor as tz
-from pepslab.channels import depolarize
-from pepslab.circuits import Circuit, Gate
+from pepslab.channels import depolarize, kraus_orthonormal_completion
+from pepslab.circuits import Circuit, Gate, cell_wires
 from pepslab.embed import (
     build_site_tensor,
     cell_kraus,
@@ -16,6 +17,8 @@ from pepslab.embed import (
     readout_observable,
 )
 from pepslab.sim import expectation_value, run_noisy_circuit
+
+from oracles import compiled_sites_cell_by_cell
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -175,3 +178,61 @@ def test_compiled_expectation_matches_simulator():
         want = expectation_value(state, Z, [wire]).real / state.trace
         got = pl.peps_nev(comp.network, readout_observable(comp, wire, Z))
         assert got == pytest.approx(want, abs=1e-12)
+
+
+P0 = np.diag([1.0, 0.0]).astype(complex)
+R01 = np.array([[0, 1], [0, 0]], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [
+        pl.random_circuit(4, 3, seed=9, p_reset=0.3, p_project=0.3),
+        pl.random_circuit(6, 4, seed=3),
+        pl.random_circuit(2, 2, seed=4, p_two=0.0, p_reset=0.4, p_project=0.4),
+    ],
+)
+def test_compiled_sites_match_a_cell_by_cell_reference(circuit):
+    delta = 0.3
+    comp = compile_circuit(circuit, delta)
+    ncells = comp.cells_per_row
+    families = [cell_kraus(circuit.cell(t, s)) for t in range(circuit.depth) for s in range(ncells)]
+    families += [[np.kron(a, b) for a in (P0, R01) for b in (P0, R01)]] * ncells
+    want = compiled_sites_cell_by_cell(families, delta, kraus_orthonormal_completion, ncells)
+    for v, arr in enumerate(want):
+        t, s = divmod(v, ncells)
+        a, b = cell_wires(circuit.width, t, s)
+        legs = [f"w{t - 1}.{a}", f"w{t - 1}.{b}"] if t > 0 else []
+        legs += [f"w{t}.{a}", f"w{t}.{b}"] if t < comp.rows - 1 else []
+        got = tz.permute_legs(comp.network.site(v), legs + ["phys"]).data
+        np.testing.assert_allclose(got, arr, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(got == 0, arr == 0)
+
+
+def test_readout_observable_refuses_wires_outside_the_circuit():
+    comp = compile_circuit(pl.random_circuit(4, 2, seed=0), 0.3)
+    for wire in (-1, 4, 7):
+        with pytest.raises(ValueError, match="out of range"):
+            readout_observable(comp, wire, Z)
+    readout_observable(comp, 3, Z)
+
+
+def test_circuit_cells_are_prepared_in_one_batch(monkeypatch):
+    # per-cell preparation must not creep back: one batched completion per
+    # compile, one transfer-matrix stack per simulation
+    calls = {"completion": 0, "transfer": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(embed, "orthonormal_completions",
+                        counted("completion", embed.orthonormal_completions))
+    monkeypatch.setattr(sim, "_transfer_matrices", counted("transfer", sim._transfer_matrices))
+    circuit = pl.random_circuit(8, 5, seed=2)
+    compile_circuit(circuit, 0.3)
+    assert calls["completion"] == 1
+    run_noisy_circuit(circuit, 0.2, convention="virtual")
+    assert calls["transfer"] == 1

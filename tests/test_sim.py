@@ -12,8 +12,8 @@ from pepslab.embed import cell_kraus
 from pepslab.sim import (
     DensityState,
     _basis_change,
-    _superoperator,
-    _transfer_matrix,
+    _superoperators,
+    _transfer_matrices,
     apply_noisy_cell,
     apply_unitary,
     basis_state,
@@ -165,15 +165,24 @@ def test_noisy_projection_matches_kron_oracle(eta):
 
 
 def test_run_matches_manual_cell_composition():
-    c = random_circuit(4, 2, seed=8)
-    eta = 0.11
-    got = run_noisy_circuit(c, eta)
-    state = basis_state("0" * 4)
-    for t in range(c.depth):
-        for s in range(2):
-            cell = c.cell(t, s)
-            state = apply_noisy_cell(state, cell_kraus(cell), cell.wires, eta)
-    np.testing.assert_allclose(got.rho, state.rho, atol=1e-13)
+    # the batched run against apply_noisy_cell, one cell at a time
+    eta = 0.29
+    circuits = (
+        random_circuit(4, 2, seed=8),
+        random_circuit(6, 5, seed=25, p_project=0.3),  # odd steps hold the wrap cell (5, 0)
+        random_circuit(8, 4, seed=26),
+        Circuit(2, 2, (Gate("unitary", 0, 0, H), Gate("unitary2", 1, 1, CNOT))),  # CNOT on (1, 0)
+    )
+    for circuit, convention in itertools.product(circuits, ("raw", "virtual")):
+        got = run_noisy_circuit(circuit, eta, convention=convention)
+        state = basis_state("0" * circuit.width)
+        for t in range(circuit.depth):
+            for cell in circuit.cells(t):
+                kraus = cell_kraus(cell)
+                if convention == "virtual":
+                    kraus = [k / np.linalg.norm(k) for k in kraus]
+                state = apply_noisy_cell(state, kraus, cell.wires, eta)
+        assert np.abs(got._coeffs - state._coeffs).max() <= 1e-14 * state.trace
 
 
 def test_virtual_convention_trace_scalar():
@@ -354,10 +363,11 @@ def test_transfer_matrix_is_real(cell, eta):
         "project0": PROJECT0,
         "haar": [random_unitary(4, 15)],
     }[cell]
+    ops = np.asarray(kraus)[None]
     t = _basis_change(2)
-    full = t.conj().T @ _superoperator(kraus, eta) @ t
+    full = t.conj().T @ _superoperators(ops, eta) @ t
     assert np.abs(full.imag).max() <= 1e-13 * np.abs(full).max()
-    r = _transfer_matrix(kraus, eta)
+    r = _transfer_matrices(ops, eta)
     assert r.dtype == np.float64
     np.testing.assert_array_equal(r, full.real)
 
