@@ -19,17 +19,19 @@ def backend_name() -> str:
 def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix product, written into ``out`` when it is given.
 
-    Inputs are 2-D float64 or complex128 arrays, and the product has their
-    common type: two real operands make a real GEMM. They are not copied: a
-    C- or Fortran-ordered view, such as a transposed matrix or a slice of
-    rows, goes to BLAS as it is. ``out`` must be a C-ordered array of the
-    product's shape and type, for instance a block of rows of a larger
-    output. This is the single multiply primitive behind every tensor
-    contraction in the package.
+    ``a`` is a 2-D ``(m, k)`` float64 or complex128 array. ``b`` is a matrix
+    ``(k, n)``, giving ``(m, n)``, or a stack ``(s, k, n)`` of them, giving the
+    stack ``(s, m, n)`` of ``a`` times each: one GEMM per matrix of the stack.
+    The product has the operands' common type: two real operands make a real
+    GEMM. They are not copied: a C- or Fortran-ordered view, such as a
+    transposed matrix or a slice of rows, goes to BLAS as it is. ``out`` must
+    be a C-ordered array of the product's shape and type, for instance a
+    block of rows of a larger output. This is the single multiply primitive
+    behind every tensor contraction in the package.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if a.ndim != 2 or b.ndim not in (2, 3) or a.shape[1] != b.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     return np.matmul(a, b, out=out)
 

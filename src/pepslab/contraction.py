@@ -46,6 +46,21 @@ candidate with the smallest peak boundary runs, columns on a tie. When even
 that peak exceeds the guard (default 2**20 entries), the contraction is
 refused with a :class:`GuardExceeded` carrying the best peak.
 
+A boundary keeps its legs in the order of the cut. A layer's cut bonds are
+closed on the layer itself, and its new legs are sorted by the position of
+their other end in the whole order, the latest first (:func:`_ranks`).
+Forwards, the leg whose other end comes soonest thus sits last, next to the
+old legs it will meet; backwards the passes are mirror images, so the forward
+and backward boundaries meet in the same leg order. As the keys do not depend
+on where a pass starts, a resumed prefix is bitwise a fresh one. When the
+legs a layer shares with the boundary form one contiguous run of its axes,
+the step writes the layer's new legs in place of the run by one batched GEMM
+(:func:`tz._contract_run`), and the boundary is not copied. On open grids and
+patches this holds for every step of both sweeps. Otherwise, as on a torus or
+in parts of a compiled circuit, the step falls back to :func:`tz.contract`,
+which appends the new legs at the tail and walks a permuted boundary block by
+block.
+
 The environment is split at an observable's support: the sites before the
 first support site are contracted once, forwards, and the sites after the
 last support site once, backwards. Both are closed twice through the sites in
@@ -124,20 +139,26 @@ def double_layer(net: PepsNetwork, site: int, factor: Tensor | None = None) -> T
     traced, and the operator-bond legs follow the fused ones. The site is a
     matrix ``T[bonds, phys]``, so the square is one matrix product (two with a
     factor) and one transpose that interleaves the bra and ket bond indices.
+    A site with no imaginary part, such as a tile's indicator tensor, is
+    squared in float64, so its plain layer comes out float64 without a copy.
     """
     t = net.site(site)
     edge_ids = net.virtual_labels(site)
     mat = tz.matrix_view(t, edge_ids, [PHYS])
+    if t.is_real:
+        mat = bra = np.ascontiguousarray(mat.real)
+    else:
+        bra = mat.conj()
     dims = [t.dim(l) for l in edge_ids]
     m = len(dims)
     legs = [(l, d * d) for l, d in zip(edge_ids, dims)]
     if factor is None:
-        bonds, sq = [], backend.matmul(mat.conj(), mat.T)
+        bonds, sq = [], backend.matmul(bra, mat.T)
     else:
         # op[x, (k, y)]: conj(T) @ op is [a, (k, y)], then @ T.T gives [(a, k), b]
         bonds = _operator_bonds(factor)
         op = tz.matrix_view(factor, ["out0"], [l for l, _ in bonds] + ["in0"])
-        sq = backend.matmul(backend.matmul(mat.conj(), op).reshape(-1, len(op)), mat.T)
+        sq = backend.matmul(backend.matmul(bra, op).reshape(-1, len(op)), mat.T)
     sq = sq.reshape(dims + [math.prod(d for _, d in bonds)] + dims)
     sq = sq.transpose([ax for i in range(m) for ax in (i, m + 1 + i)] + [m])
     return Tensor._trusted(tuple(legs + bonds), sq)
@@ -416,14 +437,45 @@ def _in_basis(t: Tensor, v: int, bases: dict, real: bool) -> Tensor:
     return Tensor._trusted(t.legs, data.real if real else data)
 
 
+def _ranks(order: Sequence[int], legs: dict[int, list]) -> tuple[dict, dict]:
+    """Sort keys for a layer's new legs, forwards and backwards along ``order``.
+
+    The key is minus the position of the leg's other end: forwards the later
+    end of its bond, backwards the earlier one. Forwards, the leg whose other
+    end is absorbed soonest thus comes last, next to the old legs that will be
+    contracted with it. Backwards the same keys give the mirror image, the
+    soonest first, so that the backward boundary meets the forward one in the
+    same leg order. The keys come from the whole order, so a boundary's leg
+    order does not depend on where a pass starts or stops: a resumed prefix
+    is bitwise a fresh one.
+    """
+    ahead, behind = {}, {}
+    for i, v in enumerate(order):
+        for label, _ in legs[v]:
+            ahead[label] = -i
+            behind.setdefault(label, -i)
+    return ahead, behind
+
+
 def _absorb(acc: Tensor, layers: dict[int, Tensor], order: Sequence[int],
-            closures: dict[str, Tensor]) -> Tensor:
+            closures: dict[str, Tensor], rank: dict[str, int]) -> Tensor:
+    """``acc`` with the layers of ``order`` absorbed in turn, their new legs sorted by ``rank``.
+
+    A layer's cut bonds are closed first. When the legs it shares with the
+    boundary sit at one contiguous run of the boundary's axes, its new legs
+    are written in their place (:func:`tz._contract_run`) and the boundary is
+    not copied; otherwise :func:`tz.contract` appends them at its tail.
+    """
     for v in order:
-        labels = set(layers[v].labels)
-        acc = tz.contract(acc, layers[v], [(l, l) for l in acc.labels if l in labels])
-        for label in acc.labels:
+        layer = layers[v]
+        for label in layer.labels:
             if label in closures:
-                acc = tz.contract(acc, closures[label], [(label, label)])
+                layer = tz.contract(layer, closures[label], [(label, label)])
+        held = set(acc.labels)
+        shared = [l for l in layer.labels if l in held]
+        free = sorted((l for l in layer.labels if l not in held), key=rank.__getitem__)
+        step = tz._contract_run(acc, layer, shared, free)
+        acc = tz.contract(acc, layer, [(l, l) for l in shared]) if step is None else step
     return acc
 
 
@@ -507,11 +559,12 @@ def _contract(net: PepsNetwork, sites: Sequence[int], observable: Observable | N
         last = max((order.index(v) for v in support), default=len(order) - 1)
         peak = max(_peak(observed, order[:last + 1], closures),
                    _peak(legs, order[:last:-1], closures))
-        candidates.append((peak, order, factors))
+        candidates.append((peak, order, factors, observed))
     best = min(c[0] for c in candidates)
     if guard is not None and best > guard:
         raise GuardExceeded("contraction boundary of the best order exceeds guard", best, guard)
-    _, order, factors = next(c for c in candidates if c[0] == best)
+    _, order, factors, observed = next(c for c in candidates if c[0] == best)
+    ahead, behind = _ranks(order, observed)
     first = min((order.index(v) for v in support), default=len(order))
     last = max((order.index(v) for v in support), default=len(order) - 1)
 
@@ -530,20 +583,21 @@ def _contract(net: PepsNetwork, sites: Sequence[int], observable: Observable | N
 
     layers = {v: layer(v) for v in order[start:]}
     special = {v: layer(v, f) for v, f in factors.items()}
-    suffix = _absorb(_ONE, layers, order[:last:-1], closures)
-    prefix = _absorb(prefix, layers, order[start:first], closures)
+    suffix = _absorb(_ONE, layers, order[:last:-1], closures, behind)
+    prefix = _absorb(prefix, layers, order[start:first], closures, ahead)
     slot.prefix = (order, keep, first, prefix)
     _slot = slot
     middle, pairs = order[first:last + 1], [(l, l) for l in suffix.labels]
-    norm = tz.contract(_absorb(prefix, layers, middle, closures), suffix, pairs).item() * prefactor
+    norm = tz.contract(_absorb(prefix, layers, middle, closures, ahead),
+                       suffix, pairs).item() * prefactor
     numer = None
     if special:
-        numer = tz.contract(_absorb(prefix, layers | special, middle, closures),
+        numer = tz.contract(_absorb(prefix, layers | special, middle, closures, ahead),
                             suffix, pairs).item() * prefactor
 
     def absolute() -> float:
         plain = _absolute({v: layer(v) for v in order})
-        return abs(_absorb(_ONE, plain, order, _absolute(closures)).item() * prefactor)
+        return abs(_absorb(_ONE, plain, order, _absolute(closures), ahead).item() * prefactor)
 
     return _real_scalar(norm, absolute), numer
 

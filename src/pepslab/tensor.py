@@ -13,16 +13,22 @@ engine checks its final values once. A contraction's result has the common
 type of its operands, so real operands give a real product.
 
 Pairwise contraction is a matrix multiply by :func:`pepslab.backend.matmul`.
-An operand whose contracted legs already sit at its head or tail is viewed as
-a matrix without a copy; one that needs a permutation is copied one block of
-at most ``_BLOCK`` entries at a time, each block multiplied straight into its
-rows of the output, so a step allocates its output and one block.
+In :func:`contract`, an operand whose contracted legs already sit at its head
+or tail is viewed as a matrix without a copy; one that needs a permutation is
+copied one block of at most ``_BLOCK`` entries at a time, each block
+multiplied straight into its rows of the output, so a step allocates its
+output and one block. The engine's absorption step uses the private
+``_contract_run`` instead when the boundary's contracted legs form one
+contiguous run of axes, wherever it sits: the boundary is viewed as ``(head,
+K, tail)``, one batched GEMM writes the layer's new legs where the run was,
+and nothing but the small layer is permuted.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -119,6 +125,11 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
+    @cached_property
+    def is_real(self) -> bool:
+        """Whether the data has no nonzero imaginary part; scanned once, as it is read-only."""
+        return not self.data.imag.any()
+
     def item(self) -> complex:
         if self.legs:
             raise ValueError(f"item() on non-scalar tensor with legs {self.labels}")
@@ -209,6 +220,44 @@ def _blocked_matmul(x: np.ndarray, axes: list[int], other: np.ndarray, out: np.n
             else:
                 out[row] += backend.matmul(block[None], other[col:col + block.size])[0]
             pos += block.size
+
+
+def _contract_run(a: Tensor, b: Tensor, labels: Sequence[str],
+                  free: Sequence[str]) -> Tensor | None:
+    """``a`` contracted with ``b`` over ``labels``, with b's ``free`` legs in their place.
+
+    ``labels`` name legs of both tensors, ``free`` the rest of b's legs, in the
+    order they are to take. When ``labels`` sit at a contiguous run of a's
+    axes, ``a`` is viewed as ``(head, K, tail)`` with ``K`` that run, and ``b``
+    is copied to a ``(K, N)`` matrix, its rows in the run's order and its
+    columns in the order of ``free``. One batched product ``b.T @ a`` (one
+    GEMM on 2-D views when ``tail`` is 1) writes ``(head, N, tail)``: the
+    result's legs are a's, with the run replaced by ``free``. ``a`` is
+    multiplied as a view, never permuted. No labels make an empty run at a's
+    tail. Returns None when the run is not contiguous.
+    """
+    a_axis = {l: i for i, (l, _) in enumerate(a.legs)}
+    axes = sorted(a_axis[l] for l in labels)
+    start = axes[0] if axes else len(a.legs)
+    stop = start + len(axes)
+    if axes and axes[-1] != stop - 1:
+        return None
+    run = a.legs[start:stop]
+    b_axis = {l: i for i, (l, _) in enumerate(b.legs)}
+    perm = [b_axis[l] for l, _ in run] + [b_axis[l] for l in free]
+    if tuple(b.legs[i] for i in perm[:len(run)]) != run:
+        raise ValueError(f"dim mismatch contracting {run} with {b.legs}")
+    new = tuple(b.legs[i] for i in perm[len(run):])
+    shape = a.data.shape
+    head, k, tail = math.prod(shape[:start]), math.prod(shape[start:stop]), math.prod(shape[stop:])
+    mat = np.ascontiguousarray(b.data.transpose(perm)).reshape(k, -1)
+    n = mat.shape[1]
+    out = np.empty((head, n, tail), dtype=np.result_type(a.data, b.data))
+    if tail == 1:
+        backend.matmul(a.data.reshape(head, k), mat, out=out.reshape(head, n))
+    else:
+        backend.matmul(mat.T, a.data.reshape(head, k, tail), out=out)
+    return Tensor._trusted(a.legs[:start] + new + a.legs[stop:], out)
 
 
 def contract(a: Tensor, b: Tensor, pairs: Sequence[tuple[str, str]]) -> Tensor:

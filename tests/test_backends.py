@@ -26,6 +26,25 @@ def test_matmul_rejects_shape_mismatch():
         backend.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
     with pytest.raises(ValueError, match="shape mismatch"):
         backend.matmul(np.zeros(4), np.zeros(4))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        backend.matmul(np.zeros((2, 3)), np.zeros((5, 2, 4)))  # stack of (2, 4)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        backend.matmul(np.zeros((5, 2, 3)), np.zeros((3, 4)))  # stacked left operand
+    with pytest.raises(ValueError, match="shape mismatch"):
+        backend.matmul(np.zeros((2, 3)), np.zeros((1, 5, 3, 4)))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_matmul_multiplies_a_stacked_right_operand_into_out(dtype):
+    # (m, k) times each of (s, k, n), written into a C-ordered (s, m, n)
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(4, 3)).astype(dtype)
+    b = rng.normal(size=(5, 3, 6)).astype(dtype)
+    out = np.empty((5, 4, 6), dtype=dtype)
+    assert backend.matmul(a.T.copy().T, b, out=out) is out  # a Fortran-ordered view
+    np.testing.assert_allclose(out, np.stack([a @ m for m in b]), atol=1e-13)
+    with pytest.raises(ValueError):
+        backend.matmul(a, b, out=np.empty((5, 6, 4), dtype=dtype))
 
 
 def _sides(ts):

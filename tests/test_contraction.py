@@ -219,20 +219,27 @@ def test_non_finite_norm_gives_no_expectation(norm):
 
 def test_peak_memory_stays_near_the_largest_boundary(monkeypatch):
     # 5x5 D=3: the largest boundary holds 531441 entries (8.1 MiB). A step holds
-    # its input, its output and one block; nev_report also holds the suffix.
+    # its input and its output; nev_report also holds the suffix.
     net = pl.random_network(5, 5, bond_dim=3, seed=0)
     centre = net.graph.vertex_at(2, 2)
     obs = pl.observable_from_matrix((centre,), random_hermitian(net.phys_dim(centre), 5))
     sizes = []
-    contract = tz.contract
+    contract, contract_run = tz.contract, tz._contract_run
 
     def recorded(a, b, pairs):
         out = contract(a, b, pairs)
         sizes.append(out.size)
         return out
 
+    def recorded_run(a, b, labels, free):
+        out = contract_run(a, b, labels, free)
+        if out is not None:
+            sizes.append(out.size)
+        return out
+
     with monkeypatch.context() as patched:
         patched.setattr(tz, "contract", recorded)
+        patched.setattr(tz, "_contract_run", recorded_run)
         pl.nev_report(net, obs)
     boundary = 16 * max(sizes)
     assert max(sizes) == 3 ** 12
@@ -247,6 +254,89 @@ def test_peak_memory_stays_near_the_largest_boundary(monkeypatch):
 
     assert peak(lambda: pl.peps_norm(net)) <= 2.5 * boundary
     assert peak(lambda: pl.nev_report(net, obs)) <= 3.5 * boundary
+
+
+def _count_steps(monkeypatch) -> collections.Counter:
+    """Counts of absorption steps written in place and of those that fall back to
+    tz.contract, and of the permuted operands that tz.contract walks block by block."""
+    counts = collections.Counter()
+    blocked, contract_run = tz._blocked_matmul, tz._contract_run
+
+    def counted_blocked(*args):
+        counts["blocked"] += 1
+        return blocked(*args)
+
+    def counted_run(a, b, labels, free):
+        out = contract_run(a, b, labels, free)
+        counts["fallback" if out is None else "in place"] += 1
+        return out
+
+    monkeypatch.setattr(tz, "_blocked_matmul", counted_blocked)
+    monkeypatch.setattr(tz, "_contract_run", counted_run)
+    return counts
+
+
+@pytest.mark.parametrize("sweep", ["cols", "rows"])
+@pytest.mark.parametrize("rows,cols,bond_dim", [(8, 8, 2), (5, 5, 3)], ids=["8x8-D2", "5x5-D3"])
+def test_grid_steps_never_copy_the_boundary(monkeypatch, rows, cols, bond_dim, sweep):
+    # every step writes its new legs where the contracted ones sat, so no
+    # boundary is permuted, and the forward and backward boundaries meet in
+    # the same leg order
+    net = pl.random_network(rows, cols, bond_dim=bond_dim, seed=0)
+    centre = net.graph.vertex_at(rows // 2, cols // 2)
+    one = pl.observable_from_matrix((centre,), random_hermitian(net.phys_dim(centre), 6))
+    pair = (net.graph.vertex_at(0, cols // 2), net.graph.vertex_at(0, cols // 2 + 1))
+    d, e = (net.phys_dim(v) for v in pair)
+    product = np.kron(random_hermitian(d, 7), random_hermitian(e, 8))
+    two = pl.observable_from_matrix(pair, product, dims=(d, e))
+    counts = _count_steps(monkeypatch)
+    calls = [lambda: pl.peps_norm(net, sweep=sweep),
+             lambda: pl.nev_report(net, one, sweep=sweep),
+             lambda: pl.nev_report(net, two, sweep=sweep)]
+    for call in calls:
+        contraction._slot = None
+        call()
+    assert counts["in place"] > 3 * rows * cols
+    assert counts["fallback"] == 0
+    assert counts["blocked"] == 0
+
+
+def _oracle_case(kind):
+    """A network, an observable, the engine's value and the oracle's."""
+    if kind == "circuit":
+        compiled = pl.compile_circuit(random_circuit(4, 2, seed=1), 0.5)
+        obs = pl.readout_observable(compiled, 2, Z)
+        net = compiled.network
+        return pl.peps_nev(net, obs), einsum_nev(net, obs.support, obs.matrix())
+    if kind == "periodic":
+        net = pl.random_network(3, 3, phys_dim=2, seed=35, geometry="periodic-grid")
+    else:
+        net = pl.random_network(3, 4, phys_dim=2, seed=35)
+    support = (4, 5)
+    m = random_hermitian(4, 43)
+    obs = pl.observable_from_matrix(support, m, dims=(2, 2))
+    if kind.startswith("patch"):
+        net = pl.random_network(6, 6, phys_dim=2, seed=35)
+        support = (14,)
+        m = random_hermitian(2, 44)
+        obs = pl.observable_from_matrix(support, m)
+        radius = int(kind[-1])
+        sites = pl.make_patch(net, support, radius).interior
+        return pl.patch_nev(net, obs, radius), dense_patch_nev(net, sites, support, m)
+    sweep = kind.split("-")[1] if kind.startswith("open") else None
+    return pl.peps_nev(net, obs, sweep=sweep), dense_nev(net, support, m)
+
+
+@pytest.mark.parametrize("kind", ["open-cols", "open-rows", "periodic", "patch-r1", "patch-r2",
+                                  "circuit"])
+def test_both_step_paths_match_the_oracles(monkeypatch, kind):
+    # open grids and patches run every step in place; periodic grids and
+    # compiled circuits mix in-place steps with steps that fall back
+    counts = _count_steps(monkeypatch)
+    got, want = _oracle_case(kind)
+    assert got == pytest.approx(want, abs=1e-12)
+    assert counts["in place"] > 0
+    assert (counts["fallback"] > 0) == (kind in ("periodic", "circuit"))
 
 
 def test_prefix_slot_holds_one_boundary_until_the_next_call():

@@ -86,6 +86,25 @@ def test_counting_routes_agree_with_python_anchor(seed, shape):
     assert report["residue"] == 0.0
 
 
+def test_tile_layers_are_squared_in_float64(monkeypatch):
+    # indicator tensors are real, so their double layers are built real, not
+    # built complex and copied to float64; the counts stay exact
+    dtypes = []
+    layer = contraction.double_layer
+
+    def recorded(net, v, factor=None):
+        out = layer(net, v, factor)
+        dtypes.append(out.data.dtype)
+        return out
+
+    monkeypatch.setattr(contraction, "double_layer", recorded)
+    for ts, shape in ((README4, (3, 3)), (README4, (2, 4)), (random_tileset(4), (3, 3))):
+        report = tiling_count_via_norm(ts, *shape)
+        assert report["count"] == count_tilings_python(ts, *shape)
+        assert report["residue"] == 0.0
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+
+
 def test_norm_route_reports_the_scaled_norm():
     report = tiling_count_via_norm(UNIFORM2, 2, 2)
     # eight bonds of dimension 2 on the 2x2 torus
