@@ -52,7 +52,7 @@ their other end in the whole order, the latest first (:func:`_ranks`).
 Forwards, the leg whose other end comes soonest thus sits last, next to the
 old legs it will meet; backwards the passes are mirror images, so the forward
 and backward boundaries meet in the same leg order. As the keys do not depend
-on where a pass starts, a resumed prefix is bitwise a fresh one. When the
+on where a pass starts, a resumed boundary is bitwise a fresh one. When the
 legs a layer shares with the boundary form one contiguous run of its axes,
 the step writes the layer's new legs in place of the run by one batched GEMM
 (:func:`tz._contract_run`), and the boundary is not copied. On open grids and
@@ -65,19 +65,36 @@ The environment is split at an observable's support: the sites before the
 first support site are contracted once, forwards, and the sites after the
 last support site once, backwards. Both are closed twice through the sites in
 between, with the plain layers for the norm and with the observable's layers
-for the numerator, so an expectation value costs about one norm. One slot
-keeps what the engine read from the last network: each site's live masks,
-each bond's basis block, and the last prefix. A call on the same network
-reads no site tensor again, and when its order (which fixes the contracted
-sites, and so the cut bonds) and kept indices are equal and its support
-starts no earlier, it resumes from the prefix, so reading out every wire of a
-compiled circuit costs about one contraction, with values bitwise those of a
-fresh one. The slot holds at most one boundary (up to 8 MiB at the default
-guard) until the next call, and it keeps no network alive. An operator on
-several sites is split into one factor per support site, in the order the
-candidate contracts them, joined by operator-bond legs of its Schmidt rank r
-across each cut, which the dry run and the guard see like bonds: a product
-operator (r = 1) costs one norm.
+for the numerator, so an expectation value costs about one norm. A norm is
+the same split with no support: its two passes meet at the checkpoint cut
+(below) with the smallest boundary, the nearest the middle on a tie.
+
+One slot keeps what the engine read from the last network: each site's live
+masks, each bond's basis block, and an environment cache of the last order.
+A call on the same network reads no site tensor again. The cache holds plain
+prefixes and suffixes at checkpoint cuts: every column (or row) cut of a grid
+sweep, every ``ceil(sqrt(n))`` sites of an explicit graph, and the cuts where
+each pass stops. A call resumes its prefix from the latest checkpoint at or
+before its first support site and its suffix from the earliest at or after
+the cut past its last, and records the checkpoints it passes. Boundaries made
+with other kept indices on some bond are dropped first. As the leg order of a
+boundary does not depend on where its pass starts, every value is bitwise
+that of a fresh network. So a local value read after a norm costs about one
+column of steps, and reading out every wire of a compiled circuit about one
+contraction. When a call's support lies within one checkpoint gap of the
+last call's, the call is taken for a scan and records every cut it passes,
+so reading every one-site value along the order costs under four norms.
+The cache holds at most ``ENV_BOUNDARIES`` (8) boundaries of the order's peak
+size, in float64 bytes (up to 64 MiB at the default guard): past that it
+drops cuts between checkpoints before checkpoints, those behind a scan first,
+then the farthest from the call; the call's own two never go. It keeps no
+network alive, and a call on another network or order frees it before any
+layer is built.
+
+An operator on several sites is split into one factor per support site, in
+the order the candidate contracts them, joined by operator-bond legs of its
+Schmidt rank r across each cut, which the dry run and the guard see like
+bonds: a product operator (r = 1) costs one norm.
 """
 
 from __future__ import annotations
@@ -98,6 +115,9 @@ from .tensor import Tensor
 
 BOUNDARY_GUARD = 1 << 20
 
+# The environment cache's byte budget, in float64 boundaries of the order's peak size.
+ENV_BOUNDARIES = 8
+
 _SWEEPS = ("cols", "rows")
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -109,21 +129,113 @@ _ONE = Tensor._trusted((), np.ones(()))
 
 
 @dataclass(eq=False)
+class _Env:
+    """Plain boundaries of one order, kept between calls: the environment cache.
+
+    ``held[1, k]`` is the prefix over ``order[:k]`` and ``held[-1, k]`` the
+    suffix over ``order[k:]``, both made of plain layers sliced to ``keep``.
+    ``marks`` are the checkpoint cuts (see :func:`_marks`), ``stride`` the
+    longest run of sites between two of them, and ``ahead``/``behind`` the
+    :func:`_ranks` of the order, which are also minus the last and the first
+    position of each bond's ends. ``span`` is the ``(first, last + 1)`` cut
+    pair of the last call with a support, and ``heading`` the direction of a
+    scan (1 forwards, -1 backwards, 0 none). See :func:`_contract`.
+    """
+
+    order: list[int]
+    marks: frozenset[int]
+    stride: int
+    ahead: dict[str, int]
+    behind: dict[str, int]
+    keep: dict[str, np.ndarray]
+    held: dict[tuple[int, int], Tensor] = field(default_factory=dict)
+    nbytes: int = 0
+    span: tuple[int, int] | None = None
+    heading: int = 0
+
+    def refit(self, keep: dict[str, np.ndarray]) -> None:
+        """Drop the boundaries that some bond's new kept indices would change.
+
+        A prefix over ``order[:k]`` holds a bond when one of its ends comes
+        before ``k``, a suffix over ``order[k:]`` when one comes at or after it.
+        """
+        changed = [label for label in self.keep.keys() | keep.keys()
+                   if not _same(self.keep.get(label), keep.get(label))]
+        if changed:
+            lo = min(-self.behind[label] for label in changed)
+            hi = max(-self.ahead[label] for label in changed)
+            for key in [key for key in self.held
+                        if (key[1] > lo if key[0] > 0 else key[1] <= hi)]:
+                self._drop(key)
+        self.keep = keep
+
+    def _drop(self, key: tuple[int, int]) -> None:
+        self.nbytes -= self.held.pop(key).data.nbytes
+
+    def record(self, key: tuple[int, int], t: Tensor, budget: int,
+               stops: tuple[tuple[int, int], ...]) -> None:
+        """Hold ``t`` at ``key``, then drop boundaries until ``budget`` bytes suffice.
+
+        The boundaries at ``stops`` (this call's ``(1, first)`` and ``(-1, last
+        + 1)``) stay. The others go cuts between marks first, and in each
+        group those behind a scan (see ``heading``) first, then the farthest
+        from this call's stop in their direction.
+        """
+        if key in self.held:  # a repeated read: the same bits, counted once
+            return
+        self.held[key] = t
+        self.nbytes += t.data.nbytes
+        if self.nbytes > budget:
+            here = dict(stops)
+
+            def drop_order(k: tuple[int, int]) -> tuple:
+                gap = k[1] - here[k[0]]
+                return k[1] in self.marks, self.heading * gap >= 0, -abs(gap)
+
+            for drop in sorted((k for k in self.held if k not in stops), key=drop_order):
+                self._drop(drop)
+                if self.nbytes <= budget:
+                    break
+
+    def boundary(self, forward: bool, cut: int, layers, closures: dict[str, Tensor],
+                 budget: int, stops: tuple[tuple[int, int], ...], scan: bool) -> Tensor:
+        """The prefix over ``order[:cut]`` (``forward``) or the suffix over ``order[cut:]``.
+
+        It resumes from the held boundary nearest ``cut`` on the near side
+        (or from the scalar 1 at either end of the order) and absorbs the
+        ``layers(sites)`` of the sites in between. It holds every mark it
+        passes and ``cut`` itself, and during a ``scan`` every cut it passes.
+        """
+        d = 1 if forward else -1
+        start = max((k for s, k in self.held if s == d and d * k <= d * cut),
+                    key=lambda k: d * k, default=0 if forward else len(self.order))
+        acc = self.held.get((d, start), _ONE)
+        rank = self.ahead if forward else self.behind
+        sites = self.order[start:cut] if forward else self.order[cut:start][::-1]
+        built = layers(sites)
+        for k, v in zip(range(start + d, cut + d, d), sites):
+            acc = _step(acc, built.pop(v), closures, rank)
+            if scan or k == cut or k in self.marks:
+                self.record((d, k), acc, budget, stops)
+        return acc
+
+
+@dataclass(eq=False)
 class _Slot:
     """What the engine keeps of the last network it contracted, for the next call.
 
     ``masks`` holds each site's :func:`_live_pairs` and its plain live masks,
     ``kept`` the kept indices of each bond between two plain layers (see
     :func:`_prune`), ``bases`` each bond's basis blocks (see :func:`_bases`),
-    and ``prefix`` the last plain prefix: (order, kept indices, number of
-    sites absorbed, boundary). See :func:`_contract`.
+    and ``env`` the environment cache of the last order (see :class:`_Env`
+    and :func:`_contract`).
     """
 
     net: weakref.ref
     masks: dict = field(default_factory=dict)
     kept: dict = field(default_factory=dict)
     bases: dict = field(default_factory=dict)
-    prefix: tuple | None = None
+    env: _Env | None = None
 
 
 _slot: _Slot | None = None
@@ -243,18 +355,32 @@ def sweep_order(graph, sweep: str = "cols") -> list[int]:
     return [r * cols + c for r in range(rows) for c in range(cols)]
 
 
-def _peak(legs: dict[int, list], order: Sequence[int], closures: dict[str, Tensor]) -> int:
-    """Largest boundary, in entries, left after absorbing each site of ``order``."""
+def _cuts(legs: dict[int, list], order: Sequence[int], closures: dict[str, Tensor]):
+    """Entries of the boundary left after absorbing each site of ``order`` in turn."""
     open_legs: dict[str, int] = {}
-    worst = 1
     for v in order:
         for label, dim in legs[v]:
             if label in open_legs:
                 del open_legs[label]
             elif label not in closures:
                 open_legs[label] = dim
-        worst = max(worst, math.prod(open_legs.values()))
-    return worst
+        yield math.prod(open_legs.values())
+
+
+def _peak(legs: dict[int, list], order: Sequence[int], closures: dict[str, Tensor]) -> int:
+    """Largest boundary, in entries, left after absorbing each site of ``order``."""
+    return max(_cuts(legs, order, closures), default=1)
+
+
+def _marks(graph, order: Sequence[int], sweep: str) -> frozenset[int]:
+    """Checkpoint cuts of an order: where a grid sweep starts a new column (or
+    row), and every ``ceil(sqrt(n))`` sites of an explicit graph's ``n``."""
+    n = len(order)
+    if graph.rows is None:
+        step = math.isqrt(n - 1) + 1
+        return frozenset(range(step, n, step))
+    line = (lambda v: v % graph.cols) if sweep == "cols" else (lambda v: v // graph.cols)
+    return frozenset(k for k in range(1, n) if line(order[k]) != line(order[k - 1]))
 
 
 def _layer_legs(net: PepsNetwork, v: int, keep: dict[str, np.ndarray]) -> list[tuple[str, int]]:
@@ -365,6 +491,11 @@ def _kept(ends: list[np.ndarray | None]) -> np.ndarray | None:
     return None if np.count_nonzero(live) == live.size else np.flatnonzero(live)
 
 
+def _same(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    """Whether two kept-index arrays (None: every index) keep the same indices."""
+    return a is b or (a is not None and b is not None and np.array_equal(a, b))
+
+
 def _basis_block(dim: int, kept: np.ndarray | None) -> tuple[np.ndarray, np.ndarray] | None:
     """The block ``Q[K, K]`` of a bond's change to the Hermitian basis, and ``conj(Q[K, K])``.
 
@@ -447,36 +578,54 @@ def _ranks(order: Sequence[int], legs: dict[int, list]) -> tuple[dict, dict]:
     soonest first, so that the backward boundary meets the forward one in the
     same leg order. The keys come from the whole order, so a boundary's leg
     order does not depend on where a pass starts or stops: a resumed prefix
-    is bitwise a fresh one.
+    or suffix is bitwise a fresh one.
     """
     ahead, behind = {}, {}
     for i, v in enumerate(order):
-        for label, _ in legs[v]:
+        for label, _ in legs.get(v, ()):
             ahead[label] = -i
             behind.setdefault(label, -i)
     return ahead, behind
 
 
-def _absorb(acc: Tensor, layers: dict[int, Tensor], order: Sequence[int],
-            closures: dict[str, Tensor], rank: dict[str, int]) -> Tensor:
-    """``acc`` with the layers of ``order`` absorbed in turn, their new legs sorted by ``rank``.
+def _step(acc: Tensor, layer: Tensor, closures: dict[str, Tensor], rank: dict[str, int]) -> Tensor:
+    """``acc`` with ``layer`` absorbed, its new legs sorted by ``rank``.
 
-    A layer's cut bonds are closed first. When the legs it shares with the
+    The layer's cut bonds are closed first. When the legs it shares with the
     boundary sit at one contiguous run of the boundary's axes, its new legs
     are written in their place (:func:`tz._contract_run`) and the boundary is
     not copied; otherwise :func:`tz.contract` appends them at its tail.
     """
+    for label in layer.labels:
+        if label in closures:
+            layer = tz.contract(layer, closures[label], [(label, label)])
+    held = set(acc.labels)
+    shared = [l for l in layer.labels if l in held]
+    free = sorted((l for l in layer.labels if l not in held), key=rank.__getitem__)
+    step = tz._contract_run(acc, layer, shared, free)
+    return tz.contract(acc, layer, [(l, l) for l in shared]) if step is None else step
+
+
+def _absorb(acc: Tensor, layers: dict[int, Tensor], order: Sequence[int],
+            closures: dict[str, Tensor], rank: dict[str, int]) -> Tensor:
+    """``acc`` with the layers of ``order`` absorbed in turn (see :func:`_step`)."""
     for v in order:
-        layer = layers[v]
-        for label in layer.labels:
-            if label in closures:
-                layer = tz.contract(layer, closures[label], [(label, label)])
-        held = set(acc.labels)
-        shared = [l for l in layer.labels if l in held]
-        free = sorted((l for l in layer.labels if l not in held), key=rank.__getitem__)
-        step = tz._contract_run(acc, layer, shared, free)
-        acc = tz.contract(acc, layer, [(l, l) for l in shared]) if step is None else step
+        acc = _step(acc, layers[v], closures, rank)
     return acc
+
+
+def _pair(a: Tensor, b: Tensor) -> complex:
+    """A norm's final pairing: boundaries ``a`` and ``b`` contracted over all their legs.
+
+    On open grids the two meet in the same leg order and are read as flat
+    vectors. Elsewhere (on a torus) ``b`` is permuted to ``a``'s order by one
+    copy when it fits one block of :func:`tz.contract`'s walk, which would copy
+    it so too, and is walked block by block when it does not.
+    """
+    perm = [b.labels.index(l) for l in a.labels]
+    if perm != sorted(perm) and b.size > tz._BLOCK:
+        return tz.contract(a, b, [(l, l) for l in a.labels]).item()
+    return np.dot(a.data.ravel(), b.data.transpose(perm).ravel()).item()
 
 
 def _absolute(tensors: dict) -> dict:
@@ -515,18 +664,27 @@ def _contract(net: PepsNetwork, sites: Sequence[int], observable: Observable | N
     :func:`_expectation` (the numerator) refuse it there. The numerator is
     None without an observable.
 
-    The slot's masks and basis blocks are reused when it holds this network
-    (checked by identity first). Its prefix resumes when it has the same
-    order and kept indices and no site past this support's first; otherwise
-    the prefix is dropped before any layer is built, so a miss never holds two
-    boundaries. A refusal leaves the slot empty; the absolute pass of
-    :func:`_real_scalar` builds its own layers.
+    The order is split at two cuts: the prefix runs forwards to the first
+    support site, the suffix backwards to just after the last, and the sites
+    between are absorbed into the prefix twice, with plain layers for the norm
+    and with the observable's for the numerator, before each is paired with
+    the suffix. Without a support both cuts are the mark with the smallest
+    boundary, the nearest the middle of the order on a tie, so a norm leaves
+    marks on both sides of it. Each boundary resumes from the slot's
+    environment cache (:class:`_Env`) when it holds this network and order:
+    boundaries made with other kept indices on some bond are dropped first,
+    and an order that misses drops the whole cache before any layer is built.
+    The cache keeps ``ENV_BOUNDARIES`` times the dry run's peak, in float64
+    bytes. A call whose first support site lies within ``stride`` of the last
+    call's keeps every cut it passes and its norm's prefix as well, so a scan
+    of one-site values along the order costs under four norms. A refusal
+    leaves the slot empty; the absolute pass of :func:`_real_scalar` builds
+    its own layers.
     """
     global _slot
     slot, _slot = _slot, None
     if slot is None or slot.net() is not net:
         slot = _Slot(weakref.ref(net))
-    held, slot.prefix = slot.prefix, None
     inside = set(sites)
     prefactor = 1.0
     closures: dict[str, Tensor] = {}
@@ -548,7 +706,7 @@ def _contract(net: PepsNetwork, sites: Sequence[int], observable: Observable | N
     candidates, chains = [], {}
     for name in _SWEEPS if sweep is None else (sweep,):
         order = [v for v in sweep_order(net.graph, name) if v in inside]
-        if any(order == c[1] for c in candidates):
+        if any(order == c[2] for c in candidates):
             continue
         chain = tuple(sorted(support, key=order.index))
         if chain not in chains:
@@ -557,47 +715,64 @@ def _contract(net: PepsNetwork, sites: Sequence[int], observable: Observable | N
         observed = legs | {v: legs[v] + _operator_bonds(f) for v, f in factors.items()}
         # forward through the last support site, backwards through the suffix
         last = max((order.index(v) for v in support), default=len(order) - 1)
-        peak = max(_peak(observed, order[:last + 1], closures),
-                   _peak(legs, order[:last:-1], closures))
-        candidates.append((peak, order, factors, observed))
+        cuts = list(_cuts(observed, order[:last + 1], closures))
+        peak = max(max(cuts), _peak(legs, order[:last:-1], closures))
+        candidates.append((peak, name, order, factors, cuts))
     best = min(c[0] for c in candidates)
     if guard is not None and best > guard:
         raise GuardExceeded("contraction boundary of the best order exceeds guard", best, guard)
-    _, order, factors, observed = next(c for c in candidates if c[0] == best)
-    ahead, behind = _ranks(order, observed)
-    first = min((order.index(v) for v in support), default=len(order))
-    last = max((order.index(v) for v in support), default=len(order) - 1)
+    _, name, order, factors, cuts = next(c for c in candidates if c[0] == best)
+    n, marks = len(order), _marks(net.graph, order, name)
+    if support:  # the cuts before the first support site and after the last
+        first = min(order.index(v) for v in support)
+        past = 1 + max(order.index(v) for v in support)
+    else:
+        first = past = min(marks or range(1, n) or (n,),
+                           key=lambda k: (cuts[k - 1], abs(2 * k - n), k))
 
-    start, prefix = 0, _ONE
-    if (held is not None and held[0] == order and held[2] <= first
-            and held[1].keys() == keep.keys()
-            and all(k is keep[label] or np.array_equal(k, keep[label])
-                    for label, k in held[1].items())):
-        start, prefix = held[2], held[3]
-    del held  # a miss drops the old prefix before any layer is built
+    env = slot.env
+    if env is None or env.order != order:
+        slot.env = env = None  # a miss drops the old boundaries before any layer is built
+        ends = sorted(marks | {0, n})
+        stride = max(j - i for i, j in zip(ends, ends[1:]))
+        env = slot.env = _Env(order, marks, stride, *_ranks(order, legs), keep)
+    else:
+        env.refit(keep)
+    scan = bool(support) and env.span is not None and abs(first - env.span[0]) <= env.stride
+    env.heading = (first > env.span[0]) - (first < env.span[0]) if scan else 0
+    if support:
+        env.span = (first, past)
+    budget, stops = ENV_BOUNDARIES * 8 * best, ((1, first), (-1, past))
     bases = _bases(net, inside, keep, slot)
 
     def layer(v: int, factor: Tensor | None = None) -> Tensor:
         real = factor is None or not _operator_bonds(factor)
         return _in_basis(_sliced(double_layer(net, v, factor), keep), v, bases, real)
 
-    layers = {v: layer(v) for v in order[start:]}
-    special = {v: layer(v, f) for v, f in factors.items()}
-    suffix = _absorb(_ONE, layers, order[:last:-1], closures, behind)
-    prefix = _absorb(prefix, layers, order[start:first], closures, ahead)
-    slot.prefix = (order, keep, first, prefix)
+    def layers(sites: Sequence[int]) -> dict[int, Tensor]:
+        return {v: layer(v) for v in sites}
+
     _slot = slot
-    middle, pairs = order[first:last + 1], [(l, l) for l in suffix.labels]
-    norm = tz.contract(_absorb(prefix, layers, middle, closures, ahead),
-                       suffix, pairs).item() * prefactor
+    suffix = env.boundary(False, past, layers, closures, budget, stops, scan)
+    prefix = env.boundary(True, first, layers, closures, budget, stops, scan)
+    middle, pairs = order[first:past], [(l, l) for l in suffix.labels]
+    plain = layers(middle)
+    closed = _absorb(prefix, plain, middle, closures, env.ahead)
+    if scan:
+        env.record((1, past), closed, budget, stops)
+    norm = (_pair(closed, suffix) if not support
+            else tz.contract(closed, suffix, pairs).item()) * prefactor
+    del closed  # before the numerator's boundary is made
     numer = None
-    if special:
-        numer = tz.contract(_absorb(prefix, layers | special, middle, closures, ahead),
+    if factors:
+        special = {v: layer(v, f) for v, f in factors.items()}
+        ahead = env.ahead | _ranks(order, {v: _operator_bonds(f) for v, f in factors.items()})[0]
+        numer = tz.contract(_absorb(prefix, plain | special, middle, closures, ahead),
                             suffix, pairs).item() * prefactor
 
     def absolute() -> float:
-        plain = _absolute({v: layer(v) for v in order})
-        return abs(_absorb(_ONE, plain, order, _absolute(closures), ahead).item() * prefactor)
+        plain = _absolute(layers(order))
+        return abs(_absorb(_ONE, plain, order, _absolute(closures), env.ahead).item() * prefactor)
 
     return _real_scalar(norm, absolute), numer
 

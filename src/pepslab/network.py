@@ -120,8 +120,8 @@ def explicit_graph(vertices: Iterable[int], edges: Iterable[Edge]) -> LatticeGra
 class PepsNetwork:
     """Lattice graph plus site tensors, stored in canonical leg order.
 
-    ``tensors`` is read-only, so a network cannot change under a prefix the
-    contraction engine keeps for it; :meth:`with_site` returns a copy.
+    ``tensors`` is read-only, so a network cannot change under the boundaries
+    the contraction engine keeps for it; :meth:`with_site` returns a copy.
     """
 
     def __init__(self, graph: LatticeGraph, tensors: Mapping[int, Tensor]) -> None:

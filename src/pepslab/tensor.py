@@ -374,11 +374,16 @@ def to_literal(t: Tensor) -> dict:
     flat = t.data.ravel()
     return {
         "legs": [{"label": l, "dim": d} for l, d in t.legs],
-        "data": [[float(v.real), float(v.imag)] for v in flat],
+        "data": np.stack([flat.real, flat.imag], axis=1).tolist(),
     }
 
 
 def from_literal(obj: dict) -> Tensor:
+    """Tensor of a literal from :func:`to_literal`, bitwise.
+
+    The pairs are parsed by one numpy call; only when that fails does a loop
+    look for the first entry that is not a ``[re, im]`` pair, to name it.
+    """
     if not isinstance(obj, dict) or "legs" not in obj or "data" not in obj:
         raise ValueError("tensor literal must have 'legs' and 'data'")
     legs = _as_legs((leg["label"], leg["dim"]) for leg in obj["legs"])
@@ -386,9 +391,15 @@ def from_literal(obj: dict) -> Tensor:
     raw = obj["data"]
     if len(raw) != expected:
         raise ValueError(f"data length {len(raw)} does not match leg dims (expected {expected})")
-    flat = np.empty(expected, dtype=np.complex128)
-    for i, pair in enumerate(raw):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ValueError(f"data entry {i} is not a [re, im] pair")
-        flat[i] = complex(float(pair[0]), float(pair[1]))
-    return Tensor(legs, flat.reshape([d for _, d in legs]) if legs else flat.reshape(()))
+    try:
+        pairs = np.array(raw, dtype=np.float64)
+    except (TypeError, ValueError):
+        pairs = None
+    if pairs is None or pairs.shape != (expected, 2):
+        for i, pair in enumerate(raw):
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ValueError(f"data entry {i} is not a [re, im] pair")
+            float(pair[0]), float(pair[1])  # raises on the first part that is no number
+        raise ValueError("data entries are not [re, im] pairs of numbers")
+    # (re, im) float64 pairs are complex128 entries in memory, so the view is bitwise
+    return Tensor(legs, pairs.view(np.complex128).reshape([d for _, d in legs]))

@@ -31,6 +31,8 @@ from .tensor import Tensor
 SIDES = ("left", "top", "right", "bottom")
 
 INTEGER_RESIDUE_TOL = 1e-6
+# float64 holds every integer below 2**53 and no odd one above it
+EXACT_COUNT_LIMIT = 1 << 53
 TRANSFER_GUARD = 1 << 10
 INT64_MAX = (1 << 63) - 1
 
@@ -160,17 +162,26 @@ def tiling_count_via_norm(ts: WangTileSet, rows: int, cols: int, *, guard: int =
     bond dim D (at most; fewer where a color never meets itself across a
     bond), and a bond whose two sides share no color counts 0 without
     contracting.  The result must sit on an integer to within
-    INTEGER_RESIDUE_TOL.
+    INTEGER_RESIDUE_TOL, and below 2**53, where float64 stops telling
+    neighbouring integers apart.
     """
     net = tiling_network(ts, rows, cols)
     norm = peps_norm(net, guard=guard)
     scale = float(ts.colors) ** (2 * rows * cols)
     z = norm * scale
+    _check_exact(z)
     count = round(z)
     residue = abs(z - count)
     if residue > INTEGER_RESIDUE_TOL * max(1.0, abs(z)):
         raise ValueError(f"contracted count {z!r} is not integral (residue {residue:.3e})")
     return {"count": int(count), "z": z, "norm": norm, "residue": residue}
+
+
+def _check_exact(z: float) -> None:
+    """Refuse a float count at or above 2**53, which no float64 value pins to one integer."""
+    if abs(z) >= EXACT_COUNT_LIMIT:
+        raise ValueError(
+            f"contracted count {z!r} is at or above 2**53, beyond float64's exact integers")
 
 
 def _barycentric_weights(nodes: np.ndarray) -> np.ndarray:
@@ -208,7 +219,8 @@ def extrapolate_norm_to_zero(
     2 * rows * cols in delta, pinned by samples at 2n + 1 nodes inside
     (0.5, 1), the region where the interpolated tensor is guaranteed
     injective.  Three extra samples are held out to measure the interpolation
-    residual before extrapolating to delta = 0.
+    residual before extrapolating to delta = 0.  A count at or above 2**53 is
+    refused, as in :func:`tiling_count_via_norm`.
     """
     n = rows * cols
     degree = 2 * n
@@ -240,6 +252,7 @@ def extrapolate_norm_to_zero(
     norm0, amplification = _barycentric_eval(nodes, weights, fvals, 0.0)
     scale = float(ts.colors) ** (2 * n)
     z = norm0 * scale
+    _check_exact(z)
     count = round(z)
     return {
         "z": z,

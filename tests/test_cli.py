@@ -314,6 +314,17 @@ def test_tile_count_fits_once_dead_color_pairs_are_dropped(capsys, tmp_path):
     assert doc["count"] == count_tilings_exhaustive(ts, 3, 4)
 
 
+def test_tile_count_above_2_53_exits_1(capsys, tmp_path):
+    # every two-color tile but (0,0,0,0) tiles the 6x6 torus about 6.03e20 times
+    ts = WangTileSet(2, tuple(t for t in np.ndindex(2, 2, 2, 2) if t != (0, 0, 0, 0)))
+    tilef = write_json(tmp_path / "tiles.json", tileset_to_json(ts))
+    code = main(["tile", "count", "--tiles", tilef, "--rows", "6", "--cols", "6"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert "2**53" in err
+
+
 def test_missing_file_exits_1(capsys):
     code = main(["norm", "--network", "/no/such/file.json"])
     out, err = capsys.readouterr()

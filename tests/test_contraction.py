@@ -339,23 +339,91 @@ def test_both_step_paths_match_the_oracles(monkeypatch, kind):
     assert (counts["fallback"] > 0) == (kind in ("periodic", "circuit"))
 
 
-def test_prefix_slot_holds_one_boundary_until_the_next_call():
-    # 5x5 D=3: the prefix before the centre is a largest boundary, 3**12
-    # float64 entries (4.1 MiB); a call on another network drops it
+def test_environment_cache_stays_within_its_budget_until_another_network():
+    # 5x5 D=3: the largest boundary holds 3**12 float64 entries (4.1 MiB). A
+    # norm, then every one-site value along the order (a scan, which keeps
+    # every cut it passes): after each call the slot holds at most
+    # ENV_BOUNDARIES of them; a call on another network frees them all
     net = pl.random_network(5, 5, bond_dim=3, seed=0)
-    centre = net.graph.vertex_at(2, 2)
-    obs = pl.observable_from_matrix((centre,), random_hermitian(net.phys_dim(centre), 5))
     boundary = 8 * 3 ** 12
+    budget = contraction.ENV_BOUNDARIES * boundary
+    calls = [pl.peps_norm] + [
+        lambda n, v=v: pl.nev_report(n, pl.observable_from_matrix(
+            (v,), np.diag(np.arange(float(n.phys_dim(v))))))
+        for v in sweep_order(net.graph)]
+    held = []
     tracemalloc.start()
     try:
-        pl.nev_report(net, obs)
-        held = tracemalloc.get_traced_memory()[0]
+        for call in calls:
+            call(net)
+            held.append(tracemalloc.get_traced_memory()[0])
+            assert contraction._slot.env.nbytes <= budget
         pl.peps_norm(pl.random_network(2, 2, seed=1))
+        gc.collect()  # which also empties the interpreter's free lists
         after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert boundary <= held <= 1.05 * boundary
+    assert max(held) <= budget + boundary / 10
+    assert max(held) >= budget / 2  # the scan fills the cache
     assert after < boundary / 100
+
+
+def test_centre_value_after_the_norm_builds_one_column(monkeypatch):
+    # 8x8 D=2: the norm leaves the column cuts of both passes, so the centre
+    # value resumes one cut below its site and one above, and builds the
+    # layers of one column (its own twice: plain and with the operator)
+    net = pl.random_network(8, 8, bond_dim=2, delta=0.8, seed=1)
+    centre = net.graph.vertex_at(4, 4)
+    obs = pl.observable_from_matrix((centre,), random_hermitian(net.phys_dim(centre), 9))
+    pl.peps_norm(net)
+    built = []
+
+    def recorded(net, v, factor=None):
+        built.append(v)
+        return double_layer(net, v, factor)
+
+    monkeypatch.setattr(contraction, "double_layer", recorded)
+    got = pl.nev_report(net, obs)
+    assert len(built) <= 8 + 2
+    assert {v % 8 for v in built} == {4}
+    assert got == pl.nev_report(pl.PepsNetwork(net.graph, net.tensors), obs)
+
+
+def test_scan_of_every_site_costs_at_most_four_norms(monkeypatch):
+    # 8x8 D=2, a norm and then all 64 one-site values along the contraction
+    # order: the scan keeps the cuts it passes, so each value costs its two
+    # layers and about one step of the suffix
+    net = pl.random_network(8, 8, bond_dim=2, delta=0.8, seed=1)
+    order = sweep_order(net.graph)
+    obs = [pl.observable_from_matrix((v,), random_hermitian(net.phys_dim(v), v)) for v in order]
+    pl.peps_norm(net)
+    steps = collections.Counter()
+    step = contraction._step
+
+    def counted(*args):
+        steps["absorbed"] += 1
+        return step(*args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(contraction, "_step", counted)
+        got = [pl.nev_report(net, o) for o in obs]
+    assert steps["absorbed"] <= 4 * len(order)
+    assert got == [pl.nev_report(pl.PepsNetwork(net.graph, net.tensors), o) for o in obs]
+
+
+@pytest.mark.parametrize("geometry,shape", [("open-grid", (4, 5)), ("periodic-grid", (3, 4)),
+                                            ("periodic-grid", (4, 4))])
+def test_norm_pairs_at_the_middle_cut_to_round_off(geometry, shape):
+    # the norm's passes meet at a column cut, in one leg order on the open
+    # grid and in two on the tori (a cut of 4096 entries is permuted in one
+    # copy, one of 65536 walked block by block); a one-site identity pairs
+    # its passes elsewhere, and the forward pass alone ends at the last site
+    net = pl.random_network(*shape, phys_dim=2, seed=12, geometry=geometry)
+    order = sweep_order(net.graph)
+    norm = pl.peps_norm(net)
+    for v in (order[0], order[7], order[-1]):
+        assert pl.nev_report(net, pl.observable_from_matrix((v,), np.eye(2)))["norm"] == \
+            pytest.approx(norm, rel=1e-14)
 
 
 Z = np.diag([1.0, -1.0]).astype(np.complex128)
@@ -429,14 +497,13 @@ def test_second_wire_of_a_cell_builds_no_layer_before_its_support(monkeypatch):
 
     monkeypatch.setattr(contraction, "double_layer", recorded)
     pl.nev_report(net, second)
-    order = sweep_order(net.graph)
-    assert built == order[order.index(site):] + [site]
+    assert built == [site, site]  # the prefix and the suffix both resume
 
 
-def test_refusal_empties_the_prefix_slot_and_it_keeps_no_network_alive():
+def test_refusal_empties_the_slot_and_it_keeps_no_network_alive():
     net = pl.random_network(3, 3, seed=1)
     pl.peps_norm(net)
-    assert contraction._slot.prefix is not None
+    assert contraction._slot.env.held
     with pytest.raises(GuardExceeded):
         pl.peps_norm(net, guard=1)
     assert contraction._slot is None
@@ -476,7 +543,9 @@ def test_absolute_pass_on_a_resumed_prefix_matches_a_fresh_network(monkeypatch):
         pl.nev_report(net, pl.observable_from_matrix((2,), np.eye(2)))
     built.clear()
     resumed = pl.peps_norm(net)
-    assert built == [2, 0, 1, 2]  # the resumed site, then the absolute pass's own layers
+    # the prefix to the cut after site 0 resumes; the suffix is built back to
+    # it, and then the absolute pass builds its own layers
+    assert built == [2, 1, 0, 1, 2]
     fresh = pl.peps_norm(pl.PepsNetwork(net.graph, net.tensors))
     assert resumed == fresh == 0.0
     assert seen[1][0].real < 0 and seen[1] == seen[2]

@@ -1,5 +1,7 @@
 """Labeled tensor container against loop-level oracles."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,19 @@ def test_literal_roundtrip_is_exact():
     back = tz.from_literal(tz.to_literal(t))
     assert back.legs == t.legs
     assert np.array_equal(arr(back), arr(t))
+
+
+def test_literal_keeps_every_bit():
+    data = np.array([-0.0 + 0j, complex(5e-324, -0.0), complex(np.pi, -1e300), 1 / 3 + 0j])
+    back = tz.from_literal(json.loads(json.dumps(tz.to_literal(mk("a", data)))))
+    assert back.data.view(np.uint64).tolist() == data.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("data,index", [([[1, 2], [3]], 1), ([1, 2], 0), ([[1, 2], "ab"], 1),
+                                        ([[1, 2, 3], [4]], 0), ([[1, 2], {"re": 1, "im": 2}], 1)])
+def test_literal_names_the_first_entry_that_is_not_a_pair(data, index):
+    with pytest.raises(ValueError, match=f"data entry {index} is not"):
+        tz.from_literal({"legs": [{"label": "a", "dim": 2}], "data": data})
 
 
 def test_singular_values_match_gram_oracle():

@@ -240,3 +240,27 @@ def test_bond_with_no_live_pair_counts_zero_without_contracting(monkeypatch):
     assert contraction._contract(net, net.graph.vertices, obs, guard=1, sweep=None) == (0.0, 0j)
     with pytest.raises(ValueError, match="zero norm"):
         pl.nev_report(net, obs)
+
+
+# every two-color tile but (0,0,0,0), and every one but (0,1,1,0)
+ALL_BUT_ZERO = WangTileSet(2, tuple(t for t in np.ndindex(2, 2, 2, 2) if t != (0, 0, 0, 0)))
+ALL_BUT_0110 = WangTileSet(2, tuple(t for t in np.ndindex(2, 2, 2, 2) if t != (0, 1, 1, 0)))
+
+
+@pytest.mark.parametrize("ts", [ALL_BUT_ZERO, ALL_BUT_0110], ids=["no-0000", "no-0110"])
+def test_counts_at_or_above_2_53_are_refused(ts):
+    # the 6x6 counts exceed 2**69: the float64 norm route read 603379021931915247616
+    # with residue 0.0 for the first board, whose exact count is 603379021931915302062
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        tiling_count_via_norm(ts, 6, 6)
+
+
+def test_counts_below_2_53_stay_exact():
+    assert tiling_count_via_norm(ALL_BUT_ZERO, 5, 5)["count"] == 269749521612333
+
+
+def test_extrapolated_counts_at_or_above_2_53_are_refused(monkeypatch):
+    # a constant norm of 2**53 extrapolates to itself, times 2**8 at 2x2
+    monkeypatch.setattr("pepslab.tiling.peps_norm", lambda net, guard: 2.0 ** 53)
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        extrapolate_norm_to_zero(README4, 2, 2)
