@@ -16,6 +16,7 @@ from .contraction import (
     nev_report,
     patch_nev,
     peps_norm,
+    peps_norms,
     peps_nev,
 )
 from .embed import (
@@ -116,6 +117,7 @@ __all__ = [
     "peps_injectivity",
     "peps_nev",
     "peps_norm",
+    "peps_norms",
     "periodic_grid",
     "postselected_expectation",
     "projection_error_coeffs",

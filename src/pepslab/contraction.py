@@ -91,6 +91,18 @@ then the farthest from the call; the call's own two never go. It keeps no
 network alive, and a call on another network or order frees it before any
 layer is built.
 
+Networks that differ only in their entries, such as the samples of a tiling
+extrapolation, take one call to :func:`peps_norms`, which plans once for all
+of them. It prunes once, over the union of their nonzero patterns, and makes
+one dry run and guard check, one order and meeting cut, and one set of leg
+ranks and basis blocks. Each site's matrices are squared as one stack, which
+is then sliced and put in the Hermitian basis as a whole. Then each network is
+absorbed and checked on its own by the steps :func:`peps_norm` takes, so its
+value has that norm's bits when the networks share their zero entries. The
+call holds one network's boundaries and at most ``guard`` stacked layer
+entries; past that the networks go in chunks. It neither reads nor clears the
+slot.
+
 An operator on several sites is split into one factor per support site, in
 the order the candidate contracts them, joined by operator-bond legs of its
 Schmidt rank r across each cut, which the dry run and the guard see like
@@ -262,7 +274,6 @@ def double_layer(net: PepsNetwork, site: int, factor: Tensor | None = None) -> T
     else:
         bra = mat.conj()
     dims = [t.dim(l) for l in edge_ids]
-    m = len(dims)
     legs = [(l, d * d) for l, d in zip(edge_ids, dims)]
     if factor is None:
         bonds, sq = [], backend.matmul(bra, mat.T)
@@ -271,9 +282,39 @@ def double_layer(net: PepsNetwork, site: int, factor: Tensor | None = None) -> T
         bonds = _operator_bonds(factor)
         op = tz.matrix_view(factor, ["out0"], [l for l, _ in bonds] + ["in0"])
         sq = backend.matmul(backend.matmul(bra, op).reshape(-1, len(op)), mat.T)
-    sq = sq.reshape(dims + [math.prod(d for _, d in bonds)] + dims)
-    sq = sq.transpose([ax for i in range(m) for ax in (i, m + 1 + i)] + [m])
-    return Tensor._trusted(tuple(legs + bonds), sq)
+    return Tensor._trusted(tuple(legs + bonds), _fused(sq, dims, math.prod(d for _, d in bonds)))
+
+
+def _fused(sq: np.ndarray, dims: list[int], rank: int = 1) -> np.ndarray:
+    """Squares ``sq[..., (bra, k), ket]`` with each bond's bra and ket index side by side.
+
+    ``dims`` are the site's bond dims and ``rank`` the dim of the operator-bond
+    index ``k``. The result is a view with axes ``[..., bra_0, ket_0, ...,
+    bra_m-1, ket_m-1, k]``, which the caller copies once.
+    """
+    lead, m = sq.ndim - 2, len(dims)
+    sq = sq.reshape(sq.shape[:lead] + (*dims, rank, *dims))
+    return sq.transpose([*range(lead)] + [lead + ax for i in range(m) for ax in (i, m + 1 + i)]
+                        + [lead + m])
+
+
+def _squares(mats: np.ndarray, real: np.ndarray) -> np.ndarray:
+    """``conj(M) @ M.T`` for each site matrix ``M`` of the stack ``mats``.
+
+    ``real`` says which sites have no imaginary part; when all are real the
+    stack is squared in float64. One ``np.matmul`` over the stack makes, for
+    each matrix, the BLAS call :func:`double_layer` makes for one site (dsyrk
+    for a real site, zgemm otherwise), so every square is bitwise that
+    site's. It is not ``backend.matmul``, whose left operand is one matrix.
+    The real sites of a mixed stack are squared apart, so they keep their bits.
+    """
+    if real.all():
+        m = np.ascontiguousarray(mats.real)
+        return np.matmul(m, m.transpose(0, 2, 1))
+    sq = np.matmul(mats.conj(), mats.transpose(0, 2, 1))
+    if real.any():
+        sq[real] = _squares(mats[real], real[real])
+    return sq
 
 
 def _operator_bonds(factor: Tensor) -> list[tuple[str, int]]:
@@ -647,6 +688,65 @@ def _real_scalar(value: complex, abs_scale_fn) -> float:
     return max(real, 0.0)
 
 
+def _closures(graph, inside: set) -> tuple[float, dict[str, Tensor]]:
+    """The bond prefactor over ``inside``, 1/dim per bond with both ends there,
+    and a :func:`mixed_closure` per bond with one end there."""
+    prefactor = 1.0
+    closures: dict[str, Tensor] = {}
+    for e in graph.edges:
+        if e.u in inside and e.v in inside:
+            prefactor /= e.dim
+        elif e.u in inside or e.v in inside:
+            closures[e.id] = mixed_closure(e.dim, e.id)
+    return prefactor, closures
+
+
+def _dry_run(graph, inside: set, legs: dict[int, list], closures: dict[str, Tensor],
+             observable: Observable | None, sweep: str | None) -> list[tuple]:
+    """The candidate orders over ``inside``, each as ``(peak, name, order, factors, cuts)``.
+
+    ``sweep=None`` tries every sweep, a name only that one; a sweep that gives
+    an order already tried is skipped. ``factors`` are the observable's, split
+    along the order (none without one), and ``cuts`` the boundary entries
+    after each site up to the last support site (every site for a norm).
+    ``peak`` is the largest boundary of the whole order, the suffix past the
+    support included. Nothing but leg dims is read.
+    """
+    support = observable.support if observable is not None else ()
+    # operator-bond labels longer than every edge id, so that none is a bond
+    tag = "~" * max((len(e.id) for e in graph.edges), default=0)
+    candidates, chains = [], {}
+    for name in _SWEEPS if sweep is None else (sweep,):
+        order = [v for v in sweep_order(graph, name) if v in inside]
+        if any(order == c[2] for c in candidates):
+            continue
+        chain = tuple(sorted(support, key=order.index))
+        if chain not in chains:
+            chains[chain] = _operator_factors(observable, chain, tag) if support else {}
+        factors = chains[chain]
+        observed = legs | {v: legs[v] + _operator_bonds(f) for v, f in factors.items()}
+        # forward through the last support site, backwards through the suffix
+        last = max((order.index(v) for v in support), default=len(order) - 1)
+        cuts = list(_cuts(observed, order[:last + 1], closures))
+        peak = max(max(cuts), _peak(legs, order[:last:-1], closures))
+        candidates.append((peak, name, order, factors, cuts))
+    return candidates
+
+
+def _best(candidates: list[tuple], guard: int | None) -> tuple:
+    """The candidate with the smallest peak, the first on a tie; a refusal when it exceeds ``guard``."""
+    best = min(c[0] for c in candidates)
+    if guard is not None and best > guard:
+        raise GuardExceeded("contraction boundary of the best order exceeds guard", best, guard)
+    return next(c for c in candidates if c[0] == best)
+
+
+def _meeting_cut(cuts: list[int], marks: frozenset[int], n: int) -> int:
+    """Where a norm's two passes meet: the mark with the smallest boundary, the
+    nearest the middle of the order on a tie (any cut when there is no mark)."""
+    return min(marks or range(1, n) or (n,), key=lambda k: (cuts[k - 1], abs(2 * k - n), k))
+
+
 def _contract(net: PepsNetwork, sites: Sequence[int], observable: Observable | None = None, *,
               guard: int | None, sweep: str | None) -> tuple[float, complex | None]:
     """Norm and numerator of ``observable`` over ``sites``, each double layer built once.
@@ -686,13 +786,7 @@ def _contract(net: PepsNetwork, sites: Sequence[int], observable: Observable | N
     if slot is None or slot.net() is not net:
         slot = _Slot(weakref.ref(net))
     inside = set(sites)
-    prefactor = 1.0
-    closures: dict[str, Tensor] = {}
-    for e in net.graph.edges:
-        if e.u in inside and e.v in inside:
-            prefactor /= e.dim
-        elif e.u in inside or e.v in inside:
-            closures[e.id] = mixed_closure(e.dim, e.id)
+    prefactor, closures = _closures(net.graph, inside)
     support = observable.support if observable is not None else ()
     keep = _prune(net, sites, _patterns(observable) if support else {}, closures, slot)
     if keep is None:
@@ -700,35 +794,14 @@ def _contract(net: PepsNetwork, sites: Sequence[int], observable: Observable | N
         return 0.0, (None if observable is None else 0j)
     closures = {label: _sliced(t, keep) for label, t in closures.items()}
     legs = {v: _layer_legs(net, v, keep) for v in inside}
-    # operator-bond labels longer than every edge id, so that none is a bond
-    tag = "~" * max((len(e.id) for e in net.graph.edges), default=0)
-
-    candidates, chains = [], {}
-    for name in _SWEEPS if sweep is None else (sweep,):
-        order = [v for v in sweep_order(net.graph, name) if v in inside]
-        if any(order == c[2] for c in candidates):
-            continue
-        chain = tuple(sorted(support, key=order.index))
-        if chain not in chains:
-            chains[chain] = _operator_factors(observable, chain, tag) if support else {}
-        factors = chains[chain]
-        observed = legs | {v: legs[v] + _operator_bonds(f) for v, f in factors.items()}
-        # forward through the last support site, backwards through the suffix
-        last = max((order.index(v) for v in support), default=len(order) - 1)
-        cuts = list(_cuts(observed, order[:last + 1], closures))
-        peak = max(max(cuts), _peak(legs, order[:last:-1], closures))
-        candidates.append((peak, name, order, factors, cuts))
-    best = min(c[0] for c in candidates)
-    if guard is not None and best > guard:
-        raise GuardExceeded("contraction boundary of the best order exceeds guard", best, guard)
-    _, name, order, factors, cuts = next(c for c in candidates if c[0] == best)
+    best, name, order, factors, cuts = _best(
+        _dry_run(net.graph, inside, legs, closures, observable, sweep), guard)
     n, marks = len(order), _marks(net.graph, order, name)
     if support:  # the cuts before the first support site and after the last
         first = min(order.index(v) for v in support)
         past = 1 + max(order.index(v) for v in support)
     else:
-        first = past = min(marks or range(1, n) or (n,),
-                           key=lambda k: (cuts[k - 1], abs(2 * k - n), k))
+        first = past = _meeting_cut(cuts, marks, n)
 
     env = slot.env
     if env is None or env.order != order:
@@ -810,6 +883,104 @@ def peps_norm(net: PepsNetwork, *, guard: int | None = BOUNDARY_GUARD,
               sweep: str | None = None) -> float:
     """Exact squared norm of the physical state; ``sweep=None`` picks the order."""
     return _contract(net, net.graph.vertices, guard=guard, sweep=sweep)[0]
+
+
+def peps_norms(nets: Sequence[PepsNetwork], *, guard: int | None = BOUNDARY_GUARD,
+               sweep: str | None = None) -> list[float]:
+    """Exact squared norms of networks that differ only in their entries, planned once.
+
+    The networks must share one :class:`LatticeGraph` object and have equal
+    site legs. Each value is bitwise ``peps_norm(net)`` when every network is
+    nonzero at the same entries; otherwise pruning keeps the union of their
+    live bond indices (see :func:`_union`), which adds only exact zeros.
+    Planning happens once: the pruning, the dry run and the guard, the order,
+    the meeting cut, the leg ranks and the basis blocks. A refusal comes
+    before any layer is built and carries the peak ``peps_norm`` would
+    report on the same kept indices. Each site's
+    layers of all networks are built as one stack (:func:`_plain_stacks`),
+    then each network is absorbed and checked on its own, as by
+    :func:`peps_norm`. At most ``guard`` layer entries, or one network's, are
+    stacked at once (the networks go in chunks), plus one network's
+    boundaries. The engine's slot is neither read nor cleared.
+    """
+    nets = list(nets)
+    if not nets:
+        return []
+    net, graph = nets[0], nets[0].graph
+    for other in nets[1:]:
+        if other.graph is not graph:
+            raise ValueError("peps_norms needs networks on one LatticeGraph object")
+        if any(other.site(v).legs != net.site(v).legs for v in graph.vertices):
+            raise ValueError("peps_norms needs networks with equal site legs")
+    sites, inside = graph.vertices, set(graph.vertices)
+    prefactor, closures = _closures(graph, inside)
+    slot = _Slot(weakref.ref(net))  # this call's own, not the engine's
+    keep = _prune(_union(nets), sites, {}, closures, slot)
+    if keep is None:
+        return [0.0] * len(nets)
+    legs = {v: _layer_legs(net, v, keep) for v in sites}
+    _, name, order, _, cuts = _best(_dry_run(graph, inside, legs, closures, None, sweep), guard)
+    first = _meeting_cut(cuts, _marks(graph, order, name), len(order))
+    ahead, behind = _ranks(order, legs)
+    bases = _bases(net, inside, keep, slot)
+    entries = sum(math.prod(e.dim ** 2 for e in graph.incident(v)) for v in sites)
+    chunk = len(nets) if guard is None else max(1, guard // entries)
+    out = []
+    for start in range(0, len(nets), chunk):
+        part = nets[start:start + chunk]
+        stacks = _plain_stacks(part, keep, bases)
+        for s in range(len(part)):
+            layers = {v: Tensor._trusted(t.legs[1:], t.data[s]) for v, t in stacks.items()}
+            suffix = _absorb(_ONE, layers, order[first:][::-1], closures, behind)
+            prefix = _absorb(_ONE, layers, order[:first], closures, ahead)
+            norm = _pair(prefix, suffix) * prefactor
+            del prefix, suffix
+
+            def absolute() -> float:
+                plain = _absolute(layers)
+                return abs(_absorb(_ONE, plain, order, closures, ahead).item() * prefactor)
+
+            out.append(_real_scalar(norm, absolute))
+        del stacks, layers
+    return out
+
+
+def _union(nets: Sequence[PepsNetwork]) -> PepsNetwork:
+    """A network nonzero wherever one of ``nets`` is, for :func:`_prune`.
+
+    Its live pairs are the union of theirs, so a bond index kept for it is
+    live in some network; in the others it multiplies exact zeros.
+    """
+    if len(nets) == 1:
+        return nets[0]
+    graph = nets[0].graph
+    return PepsNetwork(graph, {
+        v: Tensor._trusted(nets[0].site(v).legs,
+                           np.logical_or.reduce([n.site(v).data != 0 for n in nets]).astype(float))
+        for v in graph.vertices})
+
+
+def _plain_stacks(nets: Sequence[PepsNetwork], keep: dict[str, np.ndarray],
+                  bases: dict) -> dict[int, Tensor]:
+    """Each site's plain layers of all ``nets`` as one tensor, with a leading sample leg ``""``.
+
+    Sample ``s`` is bitwise the layer :func:`_contract` builds for
+    ``nets[s]``: the site matrices are squared by :func:`_squares`, and
+    :func:`_sliced` and :func:`_in_basis` act on the stack as on one layer
+    (no edge id is empty, so the sample leg is neither sliced nor put in a
+    basis).
+    """
+    graph = nets[0].graph
+    out = {}
+    for v in graph.vertices:
+        ts = [n.site(v) for n in nets]
+        edges = graph.incident(v)
+        dims = [e.dim for e in edges]
+        mats = np.stack([t.data.reshape(math.prod(dims), -1) for t in ts])
+        sq = _squares(mats, np.array([t.is_real for t in ts]))
+        legs = (("", len(ts)),) + tuple((e.id, e.dim * e.dim) for e in edges)
+        out[v] = _in_basis(_sliced(Tensor._trusted(legs, _fused(sq, dims)), keep), v, bases, True)
+    return out
 
 
 def nev_report(net: PepsNetwork, obs: Observable, *, guard: int | None = BOUNDARY_GUARD,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import backend
 from . import tensor as tz
-from .contraction import BOUNDARY_GUARD, peps_norm
+from .contraction import BOUNDARY_GUARD, peps_norm, peps_norms
 from .errors import GuardExceeded
 from .network import PHYS, PepsNetwork, periodic_grid
 from .tensor import Tensor
@@ -118,17 +118,29 @@ def interpolated_tensor(ts: WangTileSet, delta: float) -> Tensor:
 def tiling_network(ts: WangTileSet, rows: int, cols: int, delta: float = None) -> PepsNetwork:
     """Tile tensors on a periodic grid; matching is enforced by the bonds."""
     graph = periodic_grid(rows, cols, bond_dim=ts.colors)
-    base = tile_tensor(ts) if delta is None else interpolated_tensor(ts, delta)
-    tensors = {}
-    for r in range(rows):
-        for c in range(cols):
-            mapping = {
-                "left": f"h{r}.{(c - 1) % cols}",
-                "right": f"h{r}.{c}",
-                "top": f"v{(r - 1) % rows}.{c}",
-                "bottom": f"v{r}.{c}",
-            }
-            tensors[r * cols + c] = base.relabeled(mapping)
+    return _tile_network(graph, tile_tensor(ts) if delta is None else interpolated_tensor(ts, delta))
+
+
+def _tile_network(graph, base: Tensor) -> PepsNetwork:
+    """``base`` (legs ``SIDES`` + phys) on every site of the torus ``graph``.
+
+    Each site's legs are its bonds in the graph's canonical order, so the
+    network keeps its tensors as they are. The data is ``base``'s transposed
+    once per distinct leg order and shared, read-only, by the sites with
+    that order.
+    """
+    rows, cols = graph.rows, graph.cols
+    data, tensors = {}, {}
+    for v in graph.vertices:
+        r, c = divmod(v, cols)
+        side = {f"h{r}.{(c - 1) % cols}": 0, f"v{(r - 1) % rows}.{c}": 1,
+                f"h{r}.{c}": 2, f"v{r}.{c}": 3}
+        edges = graph.incident(v)
+        perm = tuple(side[e.id] for e in edges) + (4,)
+        if perm not in data:
+            data[perm] = np.ascontiguousarray(base.data.transpose(perm))
+        legs = tuple((e.id, e.dim) for e in edges) + (base.legs[4],)
+        tensors[v] = Tensor._trusted(legs, data[perm])
     return PepsNetwork(graph, tensors)
 
 
@@ -142,6 +154,8 @@ def count_tilings_exhaustive(ts: WangTileSet, rows: int, cols: int) -> int:
     TRANSFER_GUARD, and the assignments by the int64 range every partial
     count must fit in.
     """
+    if rows < 1 or cols < 1:
+        raise ValueError(f"a torus needs rows, cols >= 1, got rows={rows}, cols={cols}")
     t = ts.count
     states = t ** min(rows, cols)
     if states > TRANSFER_GUARD:
@@ -221,6 +235,11 @@ def extrapolate_norm_to_zero(
     injective.  Three extra samples are held out to measure the interpolation
     residual before extrapolating to delta = 0.  A count at or above 2**53 is
     refused, as in :func:`tiling_count_via_norm`.
+
+    All 2n + 4 samples share one periodic grid and the same zero entries, so
+    their norms come from one :func:`peps_norms` call: the contraction is
+    planned once, each site's layers are squared as one stack, and each
+    sample's norm is bitwise the one :func:`peps_norm` gives its network.
     """
     n = rows * cols
     degree = 2 * n
@@ -235,10 +254,10 @@ def extrapolate_norm_to_zero(
     while len(node_idx) > num_nodes:
         node_idx.pop()
 
-    values = {}
-    for i in np.concatenate([node_idx, held_idx]):
-        net = tiling_network(ts, rows, cols, delta=float(xs[i]))
-        values[int(i)] = peps_norm(net, guard=guard)
+    graph = periodic_grid(rows, cols, bond_dim=ts.colors)
+    sampled = node_idx + held_idx
+    nets = [_tile_network(graph, interpolated_tensor(ts, float(xs[i]))) for i in sampled]
+    values = dict(zip(sampled, peps_norms(nets, guard=guard)))
 
     nodes = xs[node_idx]
     fvals = np.array([values[i] for i in node_idx])

@@ -261,6 +261,55 @@ def test_counts_below_2_53_stay_exact():
 
 def test_extrapolated_counts_at_or_above_2_53_are_refused(monkeypatch):
     # a constant norm of 2**53 extrapolates to itself, times 2**8 at 2x2
-    monkeypatch.setattr("pepslab.tiling.peps_norm", lambda net, guard: 2.0 ** 53)
+    monkeypatch.setattr("pepslab.tiling.peps_norms", lambda nets, guard: [2.0 ** 53] * len(nets))
     with pytest.raises(ValueError, match="2\\*\\*53"):
         extrapolate_norm_to_zero(README4, 2, 2)
+
+
+def _old_tiling_network(ts, rows, cols, delta=None):
+    """The construction tiling_network replaced: relabel the base tensor per site."""
+    graph = pl.periodic_grid(rows, cols, bond_dim=ts.colors)
+    base = tile_tensor(ts) if delta is None else interpolated_tensor(ts, delta)
+    tensors = {}
+    for r in range(rows):
+        for c in range(cols):
+            mapping = {"left": f"h{r}.{(c - 1) % cols}", "right": f"h{r}.{c}",
+                       "top": f"v{(r - 1) % rows}.{c}", "bottom": f"v{r}.{c}"}
+            tensors[r * cols + c] = base.relabeled(mapping)
+    return pl.PepsNetwork(graph, tensors)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 5)])
+@pytest.mark.parametrize("delta", [None, 0.7])
+def test_tiling_network_sites_are_bitwise_the_relabeled_ones(shape, delta):
+    for ts in (README4, random_tileset(3, count=4, colors=3)):
+        new, old = tiling_network(ts, *shape, delta=delta), _old_tiling_network(ts, *shape, delta)
+        for v in old.graph.vertices:
+            assert new.site(v).legs == old.site(v).legs
+            assert new.site(v).data.dtype == old.site(v).data.dtype
+            assert np.array_equal(new.site(v).data, old.site(v).data)
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (2, 0), (-1, 2)])
+def test_exhaustive_count_refuses_empty_boards(shape):
+    with pytest.raises(ValueError, match=f"rows={shape[0]}, cols={shape[1]}"):
+        count_tilings_exhaustive(README4, *shape)
+
+
+@pytest.mark.parametrize("ts,shape", [(README4, (2, 2)), (README4, (2, 3)), (UNIFORM2, (2, 2))])
+def test_extrapolation_matches_one_norm_per_sample(monkeypatch, ts, shape):
+    # one peps_norms call plans once and gives every sample's peps_norm bits,
+    # so the whole report is the one a norm per sample gave
+    prunes = []
+    prune = contraction._prune
+
+    def counted(*args):
+        prunes.append(args[0])
+        return prune(*args)
+
+    monkeypatch.setattr(contraction, "_prune", counted)
+    got = extrapolate_norm_to_zero(ts, *shape)
+    assert len(prunes) == 1
+    monkeypatch.setattr("pepslab.tiling.peps_norms",
+                        lambda nets, guard: [pl.peps_norm(n, guard=guard) for n in nets])
+    assert got == extrapolate_norm_to_zero(ts, *shape)
