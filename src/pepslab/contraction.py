@@ -37,14 +37,21 @@ is the same in either basis. The layers of an operator on several sites
 carry its operator-bond legs and stay complex, so only the steps through the
 support run in complex128.
 
-The order comes from a dry run over the live leg dims, made before anything
-is allocated but the masks: the layers are built only once the guard has
-passed. Grids have two candidate sweeps (column by column, bottom to top
-within a column; row by row, left to right), a patch the same two restricted
-to its interior, and explicit graphs their ascending vertex ids. The
-candidate with the smallest peak boundary runs, columns on a tie. When even
-that peak exceeds the guard (default 2**20 entries), the contraction is
-refused with a :class:`GuardExceeded` carrying the best peak.
+Every contraction first makes one plan (:func:`_plan`, a frozen
+:class:`_Plan`), before anything is allocated but the masks; the layers are
+built only from the plan, once the guard has passed. The plan holds the bond
+prefactor, the closures and kept indices, the basis blocks, each site's layer
+legs, the order with its peak and checkpoint cuts, the operator's factors,
+and the two cuts where the passes meet. Its order comes from a dry run over
+the live leg dims. Grids have two candidate sweeps (column by column, bottom
+to top within a column; row by row, left to right), a patch the same two
+restricted to its interior, and explicit graphs their ascending vertex ids.
+The candidate with the smallest peak boundary runs, columns on a tie. When
+even that peak exceeds the guard (default 2**20 entries), the plan refuses
+the contraction with a :class:`GuardExceeded` carrying the best peak. The
+plan also builds each layer (:meth:`_Plan.layer`) and checks each norm
+(:meth:`_Plan.norm`), so every path squares, slices and closes the same way.
+The plan/execute split follows Gray and Kourtis, Quantum 5, 410 (2021).
 
 A boundary keeps its legs in the order of the cut. A layer's cut bonds are
 closed on the layer itself, and its new legs are sorted by the position of
@@ -92,14 +99,13 @@ network alive, and a call on another network or order frees it before any
 layer is built.
 
 Networks that differ only in their entries, such as the samples of a tiling
-extrapolation, take one call to :func:`peps_norms`, which plans once for all
-of them. It prunes once, over the union of their nonzero patterns, and makes
-one dry run and guard check, one order and meeting cut, and one set of leg
-ranks and basis blocks. Each site's matrices are squared as one stack, which
-is then sliced and put in the Hermitian basis as a whole. Then each network is
-absorbed and checked on its own by the steps :func:`peps_norm` takes, so its
-value has that norm's bits when the networks share their zero entries. The
-call holds one network's boundaries and at most ``guard`` stacked layer
+extrapolation, take one call to :func:`peps_norms`, which makes one plan for
+all of them, on the union of their nonzero patterns (:func:`_union`), and one
+set of leg ranks. Each site's matrices are squared as one stack, which is
+then sliced and put in the Hermitian basis as a whole. Then each network is
+absorbed, paired and checked on its own by the steps :func:`peps_norm` takes,
+so its value has that norm's bits when the networks share their zero entries.
+The call holds one network's boundaries and at most ``guard`` stacked layer
 entries; past that the networks go in chunks. It neither reads nor clears the
 slot.
 
@@ -408,11 +414,6 @@ def _cuts(legs: dict[int, list], order: Sequence[int], closures: dict[str, Tenso
         yield math.prod(open_legs.values())
 
 
-def _peak(legs: dict[int, list], order: Sequence[int], closures: dict[str, Tensor]) -> int:
-    """Largest boundary, in entries, left after absorbing each site of ``order``."""
-    return max(_cuts(legs, order, closures), default=1)
-
-
 def _marks(graph, order: Sequence[int], sweep: str) -> frozenset[int]:
     """Checkpoint cuts of an order: where a grid sweep starts a new column (or
     row), and every ``ceil(sqrt(n))`` sites of an explicit graph's ``n``."""
@@ -422,12 +423,6 @@ def _marks(graph, order: Sequence[int], sweep: str) -> frozenset[int]:
         return frozenset(range(step, n, step))
     line = (lambda v: v % graph.cols) if sweep == "cols" else (lambda v: v // graph.cols)
     return frozenset(k for k in range(1, n) if line(order[k]) != line(order[k - 1]))
-
-
-def _layer_legs(net: PepsNetwork, v: int, keep: dict[str, np.ndarray]) -> list[tuple[str, int]]:
-    """Legs of ``double_layer(net, v)`` sliced to ``keep``, unbuilt."""
-    return [(e.id, keep[e.id].size if e.id in keep else e.dim * e.dim)
-            for e in net.graph.incident(v)]
 
 
 def _live_pairs(net: PepsNetwork, v: int) -> dict[str, np.ndarray]:
@@ -656,7 +651,7 @@ def _absorb(acc: Tensor, layers: dict[int, Tensor], order: Sequence[int],
 
 
 def _pair(a: Tensor, b: Tensor) -> complex:
-    """A norm's final pairing: boundaries ``a`` and ``b`` contracted over all their legs.
+    """The final pairing of a norm or numerator: ``a`` and ``b`` contracted over all their legs.
 
     On open grids the two meet in the same leg order and are read as flat
     vectors. Elsewhere (on a torus) ``b`` is permuted to ``a``'s order by one
@@ -688,166 +683,179 @@ def _real_scalar(value: complex, abs_scale_fn) -> float:
     return max(real, 0.0)
 
 
-def _closures(graph, inside: set) -> tuple[float, dict[str, Tensor]]:
-    """The bond prefactor over ``inside``, 1/dim per bond with both ends there,
-    and a :func:`mixed_closure` per bond with one end there."""
-    prefactor = 1.0
-    closures: dict[str, Tensor] = {}
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """What a contraction fixes before it builds any layer (see :func:`_plan`).
+
+    ``prefactor`` is 1/dim per bond with both ends inside, ``closures`` holds
+    the :func:`mixed_closure` of each cut bond sliced to ``keep``, the kept
+    indices of :func:`_prune`, and ``bases`` the blocks of :func:`_bases`.
+    ``legs`` are each site's layer legs sliced to ``keep``, ``peak`` the
+    largest boundary of ``order`` in entries, ``marks`` its checkpoint cuts
+    (:func:`_marks`) and ``factors`` the observable's, split along it. The
+    prefix runs over ``order[:first]`` and the suffix over ``order[past:]``.
+    """
+
+    prefactor: float
+    closures: dict[str, Tensor]
+    keep: dict[str, np.ndarray]
+    bases: dict
+    legs: dict[int, list]
+    peak: int
+    order: list[int]
+    marks: frozenset[int]
+    factors: dict[int, Tensor]
+    first: int
+    past: int
+
+    def layer(self, net: PepsNetwork, v: int, factor: Tensor | None = None) -> Tensor:
+        """The double layer of site ``v``, sliced to ``keep`` and put in the Hermitian basis."""
+        real = factor is None or not _operator_bonds(factor)
+        return _in_basis(_sliced(double_layer(net, v, factor), self.keep), v, self.bases, real)
+
+    def norm(self, value: complex, layers, ahead: dict[str, int]) -> float:
+        """The paired ``value`` times the prefactor, checked by :func:`_real_scalar`.
+
+        Its absolute pass absorbs ``layers(order)`` along ``order`` with the
+        ``ahead`` ranks, on the absolute values of the layers and closures.
+        """
+        def absolute() -> float:
+            plain, closures = _absolute(layers(self.order)), _absolute(self.closures)
+            return abs(_absorb(_ONE, plain, self.order, closures, ahead).item() * self.prefactor)
+
+        return _real_scalar(value * self.prefactor, absolute)
+
+
+def _plan(net: PepsNetwork, sites: Sequence[int], observable: Observable | None,
+          guard: int | None, sweep: str | None, slot: _Slot) -> _Plan | None:
+    """The plan of a contraction over ``sites``, made before any layer is built.
+
+    :func:`_prune` picks the kept bond indices; None means some bond keeps
+    none. The dry run tries each sweep (``sweep=None``: every one), with the
+    observable split along each order, and keeps the smallest peak, the first
+    on a tie. The peak counts the operator bonds up to the last support site
+    and the plain suffix past it; above ``guard`` it raises
+    :class:`GuardExceeded`. A norm's ``first`` and ``past`` are both the mark
+    with the smallest boundary, the nearest the middle of the order on a tie
+    (any cut when there is no mark).
+    """
+    graph, inside = net.graph, set(sites)
+    prefactor, closures = 1.0, {}
     for e in graph.edges:
         if e.u in inside and e.v in inside:
             prefactor /= e.dim
         elif e.u in inside or e.v in inside:
             closures[e.id] = mixed_closure(e.dim, e.id)
-    return prefactor, closures
-
-
-def _dry_run(graph, inside: set, legs: dict[int, list], closures: dict[str, Tensor],
-             observable: Observable | None, sweep: str | None) -> list[tuple]:
-    """The candidate orders over ``inside``, each as ``(peak, name, order, factors, cuts)``.
-
-    ``sweep=None`` tries every sweep, a name only that one; a sweep that gives
-    an order already tried is skipped. ``factors`` are the observable's, split
-    along the order (none without one), and ``cuts`` the boundary entries
-    after each site up to the last support site (every site for a norm).
-    ``peak`` is the largest boundary of the whole order, the suffix past the
-    support included. Nothing but leg dims is read.
-    """
     support = observable.support if observable is not None else ()
+    keep = _prune(net, sites, _patterns(observable) if support else {}, closures, slot)
+    if keep is None:
+        return None
+    closures = {label: _sliced(t, keep) for label, t in closures.items()}
+    legs = {v: [(e.id, keep[e.id].size if e.id in keep else e.dim * e.dim)
+                for e in graph.incident(v)] for v in inside}
     # operator-bond labels longer than every edge id, so that none is a bond
     tag = "~" * max((len(e.id) for e in graph.edges), default=0)
-    candidates, chains = [], {}
+    best, chains = None, {}
     for name in _SWEEPS if sweep is None else (sweep,):
         order = [v for v in sweep_order(graph, name) if v in inside]
-        if any(order == c[2] for c in candidates):
+        if best is not None and order == best[2]:
             continue
         chain = tuple(sorted(support, key=order.index))
         if chain not in chains:
             chains[chain] = _operator_factors(observable, chain, tag) if support else {}
-        factors = chains[chain]
-        observed = legs | {v: legs[v] + _operator_bonds(f) for v, f in factors.items()}
+        observed = legs | {v: legs[v] + _operator_bonds(f) for v, f in chains[chain].items()}
         # forward through the last support site, backwards through the suffix
         last = max((order.index(v) for v in support), default=len(order) - 1)
         cuts = list(_cuts(observed, order[:last + 1], closures))
-        peak = max(max(cuts), _peak(legs, order[:last:-1], closures))
-        candidates.append((peak, name, order, factors, cuts))
-    return candidates
-
-
-def _best(candidates: list[tuple], guard: int | None) -> tuple:
-    """The candidate with the smallest peak, the first on a tie; a refusal when it exceeds ``guard``."""
-    best = min(c[0] for c in candidates)
-    if guard is not None and best > guard:
-        raise GuardExceeded("contraction boundary of the best order exceeds guard", best, guard)
-    return next(c for c in candidates if c[0] == best)
-
-
-def _meeting_cut(cuts: list[int], marks: frozenset[int], n: int) -> int:
-    """Where a norm's two passes meet: the mark with the smallest boundary, the
-    nearest the middle of the order on a tie (any cut when there is no mark)."""
-    return min(marks or range(1, n) or (n,), key=lambda k: (cuts[k - 1], abs(2 * k - n), k))
+        peak = max(max(cuts), max(_cuts(legs, order[:last:-1], closures), default=1))
+        if best is None or peak < best[0]:
+            best = peak, name, order, chains[chain], cuts
+    peak, name, order, factors, cuts = best
+    if guard is not None and peak > guard:
+        raise GuardExceeded("contraction boundary of the best order exceeds guard", peak, guard)
+    n, marks = len(order), _marks(graph, order, name)
+    if support:
+        first = min(order.index(v) for v in support)
+        past = 1 + max(order.index(v) for v in support)
+    else:
+        first = past = min(marks or range(1, n) or (n,),
+                           key=lambda k: (cuts[k - 1], abs(2 * k - n), k))
+    return _Plan(prefactor, closures, keep, _bases(net, inside, keep, slot), legs, peak, order,
+                 marks, factors, first, past)
 
 
 def _contract(net: PepsNetwork, sites: Sequence[int], observable: Observable | None = None, *,
               guard: int | None, sweep: str | None) -> tuple[float, complex | None]:
     """Norm and numerator of ``observable`` over ``sites``, each double layer built once.
 
-    Bonds with both ends in ``sites`` carry 1/dim; bonds with one end there are
-    closed with :func:`mixed_closure`. The dry run, the guard and the
-    contraction see the bond indices :func:`_prune` keeps, read from the site
-    tensors; the layers are built after the guard, sliced to them and put in
-    the Hermitian basis (:func:`_in_basis`). A bond with no live index gives an
+    :func:`_plan` fixes the prefactor, closures, kept indices, order, cuts
+    and operator factors, and refuses before any layer is built; the layers
+    are then built by :meth:`_Plan.layer`. A bond with no live index gives an
     exact zero norm (and numerator) without contracting anything.
-    ``sweep=None`` dry-runs every sweep and runs the one with the smallest
-    peak; a multi-site operator is split along each candidate's order.
     Intermediates are not scanned for finiteness: a non-finite entry anywhere
-    reaches the final scalars, so :func:`_real_scalar` (the norm) and
+    reaches the final scalars, so :meth:`_Plan.norm` (the norm) and
     :func:`_expectation` (the numerator) refuse it there. The numerator is
     None without an observable.
 
-    The order is split at two cuts: the prefix runs forwards to the first
-    support site, the suffix backwards to just after the last, and the sites
-    between are absorbed into the prefix twice, with plain layers for the norm
-    and with the observable's for the numerator, before each is paired with
-    the suffix. Without a support both cuts are the mark with the smallest
-    boundary, the nearest the middle of the order on a tie, so a norm leaves
-    marks on both sides of it. Each boundary resumes from the slot's
-    environment cache (:class:`_Env`) when it holds this network and order:
-    boundaries made with other kept indices on some bond are dropped first,
-    and an order that misses drops the whole cache before any layer is built.
-    The cache keeps ``ENV_BOUNDARIES`` times the dry run's peak, in float64
-    bytes. A call whose first support site lies within ``stride`` of the last
-    call's keeps every cut it passes and its norm's prefix as well, so a scan
-    of one-site values along the order costs under four norms. A refusal
-    leaves the slot empty; the absolute pass of :func:`_real_scalar` builds
-    its own layers.
+    The prefix runs forwards to the plan's ``first`` cut and the suffix
+    backwards to its ``past`` cut. The sites between are absorbed into the
+    prefix twice, with plain layers for the norm and with the observable's for
+    the numerator, and each result is paired with the suffix by :func:`_pair`.
+    A norm's two cuts are one mark, so it leaves marks on both sides of it.
+    Each boundary resumes from the slot's environment cache (:class:`_Env`)
+    when it holds this network and order: boundaries made with other kept
+    indices on some bond are dropped first, and an order that misses drops the
+    whole cache before any layer is built. The cache keeps ``ENV_BOUNDARIES``
+    times the plan's peak, in float64 bytes. A call whose first support site
+    lies within ``stride`` of the last call's keeps every cut it passes and
+    its norm's prefix as well, so a scan of one-site values along the order
+    costs under four norms. A refusal leaves the slot empty; the absolute pass
+    of :meth:`_Plan.norm` builds its own layers.
     """
     global _slot
     slot, _slot = _slot, None
     if slot is None or slot.net() is not net:
         slot = _Slot(weakref.ref(net))
-    inside = set(sites)
-    prefactor, closures = _closures(net.graph, inside)
-    support = observable.support if observable is not None else ()
-    keep = _prune(net, sites, _patterns(observable) if support else {}, closures, slot)
-    if keep is None:
+    plan = _plan(net, sites, observable, guard, sweep, slot)
+    if plan is None:
         _slot = slot
         return 0.0, (None if observable is None else 0j)
-    closures = {label: _sliced(t, keep) for label, t in closures.items()}
-    legs = {v: _layer_legs(net, v, keep) for v in inside}
-    best, name, order, factors, cuts = _best(
-        _dry_run(net.graph, inside, legs, closures, observable, sweep), guard)
-    n, marks = len(order), _marks(net.graph, order, name)
-    if support:  # the cuts before the first support site and after the last
-        first = min(order.index(v) for v in support)
-        past = 1 + max(order.index(v) for v in support)
-    else:
-        first = past = _meeting_cut(cuts, marks, n)
-
+    order, first, past, closures = plan.order, plan.first, plan.past, plan.closures
     env = slot.env
     if env is None or env.order != order:
-        slot.env = env = None  # a miss drops the old boundaries before any layer is built
-        ends = sorted(marks | {0, n})
+        ends = sorted(plan.marks | {0, len(order)})
         stride = max(j - i for i, j in zip(ends, ends[1:]))
-        env = slot.env = _Env(order, marks, stride, *_ranks(order, legs), keep)
+        # a miss drops the old boundaries before any layer is built
+        env = slot.env = _Env(order, plan.marks, stride, *_ranks(order, plan.legs), plan.keep)
     else:
-        env.refit(keep)
-    scan = bool(support) and env.span is not None and abs(first - env.span[0]) <= env.stride
+        env.refit(plan.keep)
+    scan = bool(plan.factors) and env.span is not None and abs(first - env.span[0]) <= env.stride
     env.heading = (first > env.span[0]) - (first < env.span[0]) if scan else 0
-    if support:
+    if plan.factors:
         env.span = (first, past)
-    budget, stops = ENV_BOUNDARIES * 8 * best, ((1, first), (-1, past))
-    bases = _bases(net, inside, keep, slot)
-
-    def layer(v: int, factor: Tensor | None = None) -> Tensor:
-        real = factor is None or not _operator_bonds(factor)
-        return _in_basis(_sliced(double_layer(net, v, factor), keep), v, bases, real)
+    budget, stops = ENV_BOUNDARIES * 8 * plan.peak, ((1, first), (-1, past))
 
     def layers(sites: Sequence[int]) -> dict[int, Tensor]:
-        return {v: layer(v) for v in sites}
+        return {v: plan.layer(net, v) for v in sites}
 
     _slot = slot
     suffix = env.boundary(False, past, layers, closures, budget, stops, scan)
     prefix = env.boundary(True, first, layers, closures, budget, stops, scan)
-    middle, pairs = order[first:past], [(l, l) for l in suffix.labels]
+    middle = order[first:past]
     plain = layers(middle)
     closed = _absorb(prefix, plain, middle, closures, env.ahead)
     if scan:
         env.record((1, past), closed, budget, stops)
-    norm = (_pair(closed, suffix) if not support
-            else tz.contract(closed, suffix, pairs).item()) * prefactor
+    norm = _pair(closed, suffix)
     del closed  # before the numerator's boundary is made
     numer = None
-    if factors:
-        special = {v: layer(v, f) for v, f in factors.items()}
-        ahead = env.ahead | _ranks(order, {v: _operator_bonds(f) for v, f in factors.items()})[0]
-        numer = tz.contract(_absorb(prefix, plain | special, middle, closures, ahead),
-                            suffix, pairs).item() * prefactor
-
-    def absolute() -> float:
-        plain = _absolute(layers(order))
-        return abs(_absorb(_ONE, plain, order, _absolute(closures), env.ahead).item() * prefactor)
-
-    return _real_scalar(norm, absolute), numer
+    if plan.factors:
+        special = {v: plan.layer(net, v, f) for v, f in plan.factors.items()}
+        ahead = env.ahead | _ranks(order, {v: _operator_bonds(f)
+                                           for v, f in plan.factors.items()})[0]
+        numer = _pair(_absorb(prefix, plain | special, middle, closures, ahead),
+                      suffix) * plan.prefactor
+    return plan.norm(norm, layers, env.ahead), numer
 
 
 def _expectation(norm: float, numer: complex, what: str) -> tuple[float, float]:
@@ -893,12 +901,12 @@ def peps_norms(nets: Sequence[PepsNetwork], *, guard: int | None = BOUNDARY_GUAR
     site legs. Each value is bitwise ``peps_norm(net)`` when every network is
     nonzero at the same entries; otherwise pruning keeps the union of their
     live bond indices (see :func:`_union`), which adds only exact zeros.
-    Planning happens once: the pruning, the dry run and the guard, the order,
-    the meeting cut, the leg ranks and the basis blocks. A refusal comes
-    before any layer is built and carries the peak ``peps_norm`` would
-    report on the same kept indices. Each site's
-    layers of all networks are built as one stack (:func:`_plain_stacks`),
-    then each network is absorbed and checked on its own, as by
+    One :func:`_plan` on the union fixes the pruning, the order, the meeting
+    cut and the basis blocks, and the leg ranks are made once. A refusal
+    comes from the plan, before any layer is built, and carries the peak
+    ``peps_norm`` would report on the same kept indices. Each site's layers
+    of all networks are built as one stack (:func:`_plain_stacks`), then each
+    network is absorbed, paired and checked on its own, as by
     :func:`peps_norm`. At most ``guard`` layer entries, or one network's, are
     stacked at once (the networks go in chunks), plus one network's
     boundaries. The engine's slot is neither read nor cleared.
@@ -912,35 +920,24 @@ def peps_norms(nets: Sequence[PepsNetwork], *, guard: int | None = BOUNDARY_GUAR
             raise ValueError("peps_norms needs networks on one LatticeGraph object")
         if any(other.site(v).legs != net.site(v).legs for v in graph.vertices):
             raise ValueError("peps_norms needs networks with equal site legs")
-    sites, inside = graph.vertices, set(graph.vertices)
-    prefactor, closures = _closures(graph, inside)
-    slot = _Slot(weakref.ref(net))  # this call's own, not the engine's
-    keep = _prune(_union(nets), sites, {}, closures, slot)
-    if keep is None:
+    union = _union(nets)
+    plan = _plan(union, graph.vertices, None, guard, sweep, _Slot(weakref.ref(union)))
+    if plan is None:
         return [0.0] * len(nets)
-    legs = {v: _layer_legs(net, v, keep) for v in sites}
-    _, name, order, _, cuts = _best(_dry_run(graph, inside, legs, closures, None, sweep), guard)
-    first = _meeting_cut(cuts, _marks(graph, order, name), len(order))
-    ahead, behind = _ranks(order, legs)
-    bases = _bases(net, inside, keep, slot)
-    entries = sum(math.prod(e.dim ** 2 for e in graph.incident(v)) for v in sites)
+    ahead, behind = _ranks(plan.order, plan.legs)
+    entries = sum(math.prod(e.dim ** 2 for e in graph.incident(v)) for v in graph.vertices)
     chunk = len(nets) if guard is None else max(1, guard // entries)
     out = []
     for start in range(0, len(nets), chunk):
         part = nets[start:start + chunk]
-        stacks = _plain_stacks(part, keep, bases)
+        stacks = _plain_stacks(part, plan.keep, plan.bases)
         for s in range(len(part)):
             layers = {v: Tensor._trusted(t.legs[1:], t.data[s]) for v, t in stacks.items()}
-            suffix = _absorb(_ONE, layers, order[first:][::-1], closures, behind)
-            prefix = _absorb(_ONE, layers, order[:first], closures, ahead)
-            norm = _pair(prefix, suffix) * prefactor
+            suffix = _absorb(_ONE, layers, plan.order[plan.first:][::-1], plan.closures, behind)
+            prefix = _absorb(_ONE, layers, plan.order[:plan.first], plan.closures, ahead)
+            norm = _pair(prefix, suffix)
             del prefix, suffix
-
-            def absolute() -> float:
-                plain = _absolute(layers)
-                return abs(_absorb(_ONE, plain, order, closures, ahead).item() * prefactor)
-
-            out.append(_real_scalar(norm, absolute))
+            out.append(plan.norm(norm, lambda _: layers, ahead))
         del stacks, layers
     return out
 

@@ -421,8 +421,11 @@ def spectrum_report(ham: ParentHamiltonian, net: PepsNetwork = None, k: int = 6)
 
     The gap is E_{deg} - E_0 where deg counts eigenvalues within
     DEGENERACY_TOL of E_0.  gap_normalized divides by the largest term norm
-    (the convention that caps every local term at unit norm).
+    (the convention that caps every local term at unit norm). ``k`` must be at
+    least 1; ``k = 1`` computes two eigenvalues, as the gap needs them.
     """
+    if k < 1:
+        raise ValueError(f"spectrum_report needs k >= 1 eigenvalues, got k = {k}")
     if ham.dim > DENSE_DIM_LIMIT:
         raise GuardExceeded("Hamiltonian dimension exceeds the dense guard", ham.dim, DENSE_DIM_LIMIT)
     norms = ham.term_norms()

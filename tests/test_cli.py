@@ -162,6 +162,15 @@ def test_parent_ham_report(capsys):
     assert out["gap"] > 0
 
 
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_parent_ham_refuses_fewer_than_one_eigenvalue(capsys, k):
+    code = main(["parent-ham", "--random", "2x2", "--eigenvalues", k])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert f"k = {k}" in err
+
+
 def test_parent_ham_past_the_matvec_budget_exits_with_the_guard_code(capsys, monkeypatch):
     monkeypatch.setattr(hamiltonian, "LANCZOS_MATVEC_BUDGET", 20)
     code = main(["parent-ham", "--random", "1x6", "--delta", "0.6", "--eigenvalues", "4"])

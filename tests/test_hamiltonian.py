@@ -102,6 +102,21 @@ def test_spectrum_report_dense_path():
     assert len(rep.eigenvalues) == 5
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_spectrum_report_refuses_fewer_than_one_eigenvalue(k):
+    net = pl.random_network(2, 2, delta=0.6, seed=4)
+    with pytest.raises(ValueError, match=f"k = {k}"):
+        pl.spectrum_report(pl.parent_hamiltonian(net), net, k=k)
+
+
+def test_spectrum_report_promotes_one_eigenvalue_to_two_for_the_gap():
+    net = pl.random_network(2, 2, delta=0.6, seed=4)
+    ham = pl.parent_hamiltonian(net)
+    one, two = pl.spectrum_report(ham, net, k=1), pl.spectrum_report(ham, net, k=2)
+    assert len(one.eigenvalues) == 2
+    assert one.eigenvalues == two.eigenvalues and one.gap == two.gap
+
+
 # 2x2 (dim 256) is solved densely by default, 1x4 at bond dim 3 (dim 729) and
 # 1x6 at bond dim 2 (dim 1024) by Lanczos; each is compared with the other
 # route, forced through the cutoff, and with every eigenvalue of the dense matrix.
