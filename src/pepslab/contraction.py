@@ -101,13 +101,18 @@ layer is built.
 Networks that differ only in their entries, such as the samples of a tiling
 extrapolation, take one call to :func:`peps_norms`, which makes one plan for
 all of them, on the union of their nonzero patterns (:func:`_union`), and one
-set of leg ranks. Each site's matrices are squared as one stack, which is
-then sliced and put in the Hermitian basis as a whole. Then each network is
-absorbed, paired and checked on its own by the steps :func:`peps_norm` takes,
-so its value has that norm's bits when the networks share their zero entries.
-The call holds one network's boundaries and at most ``guard`` stacked layer
-entries; past that the networks go in chunks. It neither reads nor clears the
-slot.
+set of leg ranks. A step's layout depends only on leg lists: the shared run,
+the order of the new legs, the layer's permutation, ``(head, K, tail)`` or
+the block walk. So the call derives the steps of both passes once, as
+:func:`_step` would (:func:`_schedule`), and each network replays that
+schedule with numpy calls only. Each site's matrices are squared as one
+stack, which is sliced, put in the Hermitian basis and permuted into its
+step's operand as a whole. The boundaries are written into buffers the call
+owns: two of the largest boundary's size, in turn, and one for the suffix.
+Every GEMM keeps its shape and the layout of its operands, so each value has
+:func:`peps_norm`'s bits when the networks share their zero entries. The
+call holds these buffers and at most ``guard`` stacked layer entries; past
+that the networks go in chunks. It neither reads nor clears the slot.
 
 An operator on several sites is split into one factor per support site, in
 the order the candidate contracts them, joined by operator-bond legs of its
@@ -624,20 +629,28 @@ def _ranks(order: Sequence[int], legs: dict[int, list]) -> tuple[dict, dict]:
     return ahead, behind
 
 
+def _split(held: Sequence[str], labels: Sequence[str], rank: dict[str, int]) -> tuple[list, list]:
+    """A layer's ``labels`` shared with a boundary's ``held`` ones, in the layer's
+    order, and its new ones, sorted by ``rank``."""
+    held = set(held)
+    shared = [l for l in labels if l in held]
+    return shared, sorted((l for l in labels if l not in held), key=rank.__getitem__)
+
+
 def _step(acc: Tensor, layer: Tensor, closures: dict[str, Tensor], rank: dict[str, int]) -> Tensor:
     """``acc`` with ``layer`` absorbed, its new legs sorted by ``rank``.
 
     The layer's cut bonds are closed first. When the legs it shares with the
     boundary sit at one contiguous run of the boundary's axes, its new legs
     are written in their place (:func:`tz._contract_run`) and the boundary is
-    not copied; otherwise :func:`tz.contract` appends them at its tail.
+    not copied; otherwise :func:`tz.contract` appends them at its tail. Each
+    derives its layout from the legs (:func:`tz._run`, :func:`tz._product`),
+    then executes it; :func:`peps_norms` replays the same layouts.
     """
     for label in layer.labels:
         if label in closures:
             layer = tz.contract(layer, closures[label], [(label, label)])
-    held = set(acc.labels)
-    shared = [l for l in layer.labels if l in held]
-    free = sorted((l for l in layer.labels if l not in held), key=rank.__getitem__)
+    shared, free = _split(acc.labels, layer.labels, rank)
     step = tz._contract_run(acc, layer, shared, free)
     return tz.contract(acc, layer, [(l, l) for l in shared]) if step is None else step
 
@@ -904,12 +917,16 @@ def peps_norms(nets: Sequence[PepsNetwork], *, guard: int | None = BOUNDARY_GUAR
     One :func:`_plan` on the union fixes the pruning, the order, the meeting
     cut and the basis blocks, and the leg ranks are made once. A refusal
     comes from the plan, before any layer is built, and carries the peak
-    ``peps_norm`` would report on the same kept indices. Each site's layers
-    of all networks are built as one stack (:func:`_plain_stacks`), then each
-    network is absorbed, paired and checked on its own, as by
-    :func:`peps_norm`. At most ``guard`` layer entries, or one network's, are
-    stacked at once (the networks go in chunks), plus one network's
-    boundaries. The engine's slot is neither read nor cleared.
+    ``peps_norm`` would report on the same kept indices. The steps of both
+    passes are derived once from the leg lists (:func:`_schedule`). Each
+    site's layers of all networks are built as one stack
+    (:func:`_plain_stacks`) and made into the step's right operand as a
+    whole; then each network replays the steps (:func:`_replay`), is paired
+    and checked on its own, as by :func:`peps_norm`. At most ``guard`` layer
+    entries, or one network's, are stacked at once (the networks go in
+    chunks), plus the call's own boundary buffers: two of the largest
+    boundary's size and one of the suffix's. The engine's slot is neither
+    read nor cleared.
     """
     nets = list(nets)
     if not nets:
@@ -925,21 +942,75 @@ def peps_norms(nets: Sequence[PepsNetwork], *, guard: int | None = BOUNDARY_GUAR
     if plan is None:
         return [0.0] * len(nets)
     ahead, behind = _ranks(plan.order, plan.legs)
+    # (sites, steps) of the suffix, then of the prefix; every layer is used once
+    passes = [(sites, _schedule(plan.legs, sites, rank))
+              for sites, rank in ((plan.order[plan.first:][::-1], behind),
+                                  (plan.order[:plan.first], ahead))]
     entries = sum(math.prod(e.dim ** 2 for e in graph.incident(v)) for v in graph.vertices)
     chunk = len(nets) if guard is None else max(1, guard // entries)
     out = []
     for start in range(0, len(nets), chunk):
         part = nets[start:start + chunk]
         stacks = _plain_stacks(part, plan.keep, plan.bases)
-        for s in range(len(part)):
-            layers = {v: Tensor._trusted(t.legs[1:], t.data[s]) for v, t in stacks.items()}
-            suffix = _absorb(_ONE, layers, plan.order[plan.first:][::-1], plan.closures, behind)
-            prefix = _absorb(_ONE, layers, plan.order[:plan.first], plan.closures, ahead)
-            norm = _pair(prefix, suffix)
-            del prefix, suffix
-            out.append(plan.norm(norm, lambda _: layers, ahead))
-        del stacks, layers
+        operands = {v: step.operand(stacks.pop(v).data, 1)
+                    for sites, steps in passes for v, step in zip(sites, steps)}
+        buffers = _buffers([steps for _, steps in passes])
+        for s, sample in enumerate(part):
+            suffix, prefix = (_replay(steps, [operands[v][s] for v in sites], outs)
+                              for (sites, steps), outs in zip(passes, buffers))
+            out.append(plan.norm(_pair(prefix, suffix),
+                                 lambda order: {v: plan.layer(sample, v) for v in order}, ahead))
+        del operands, buffers
     return out
+
+
+def _schedule(legs: dict[int, list], sites: Sequence[int], rank: dict[str, int]) -> list:
+    """The steps that absorb the plain layers of ``sites`` in turn into the scalar 1.
+
+    Each is the layout :func:`_step` derives for it, a ``tz._Run`` when it
+    writes in place and a ``tz._Product`` when it walks, made from the leg
+    lists alone: the layers of a whole graph have no cut bond to close.
+    """
+    steps, held = [], ()
+    for v in sites:
+        layer = tuple(legs[v])
+        shared, free = _split([l for l, _ in held], [l for l, _ in layer], rank)
+        step = (tz._run(held, layer, shared, free)
+                or tz._product(held, layer, [(l, l) for l in shared]))
+        steps.append(step)
+        held = step.legs
+    return steps
+
+
+def _buffers(passes: list[list]) -> list[list[np.ndarray]]:
+    """The output buffer of each step of the suffix's and the prefix's steps.
+
+    Two buffers of the largest step's size take turns, so no step writes the
+    boundary it reads; the suffix's last step writes a third one of its own
+    size, which the prefix's steps leave alone. All are float64, as every
+    plain layer is.
+    """
+    suffix, prefix = passes
+    size = max(step.size for steps in passes for step in steps)
+    ping = (np.empty(size), np.empty(size))
+    own = [np.empty(suffix[-1].size)] if suffix else []
+    return [[ping[i % 2] for i in range(len(suffix) - 1)] + own,
+            [ping[i % 2] for i in range(len(prefix))]]
+
+
+def _replay(steps: list, operands: list[np.ndarray], buffers: list[np.ndarray]) -> Tensor:
+    """One network's boundary: ``steps`` executed in turn from the scalar 1.
+
+    ``operands`` are its layers as the steps' right operands, and step ``i``
+    writes into the head of ``buffers[i]`` (see :func:`_buffers`). Every GEMM
+    is the one :func:`_step` makes, into an array of the same layout, so the
+    boundary is bitwise that of :func:`_absorb`. The result is a view of the
+    last buffer, valid until that buffer is written again.
+    """
+    acc = _ONE.data
+    for step, operand, buffer in zip(steps, operands, buffers):
+        acc = step.into(acc, operand, buffer[:step.size].reshape(step.shape))
+    return Tensor._trusted(steps[-1].legs, acc) if steps else _ONE
 
 
 def _union(nets: Sequence[PepsNetwork]) -> PepsNetwork:

@@ -22,6 +22,13 @@ output and one block. The engine's absorption step uses the private
 contiguous run of axes, wherever it sits: the boundary is viewed as ``(head,
 K, tail)``, one batched GEMM writes the layer's new legs where the run was,
 and nothing but the small layer is permuted.
+
+Both first derive, from the operands' legs alone, how they multiply
+(:func:`_product`, :func:`_run`): the result's legs, the GEMM's shape, and
+how each operand becomes its matrix. The derived object then executes with
+numpy calls only, into an output array it is given. A caller that multiplies
+many operands with the same legs derives once and writes into buffers it
+owns; every GEMM is the same, so every value keeps its bits.
 """
 
 from __future__ import annotations
@@ -175,29 +182,54 @@ def split_leg(t: Tensor, label: str, sublegs: Iterable) -> Tensor:
     return Tensor(legs, t.data.reshape([d for _, d in legs]))
 
 
-def _view(x: np.ndarray, lead: list[int], tail: list[int]) -> np.ndarray | None:
-    """``x`` as a matrix with ``lead`` axes as rows and ``tail`` as columns, or None.
+# How an operand becomes its matrix in a product: viewed as it lies, viewed
+# transposed (BLAS reads either as is), copied whole, or walked block by block.
+_VIEW, _FLIP, _COPY, _WALK = range(4)
 
-    Only a copy-free view is returned: the groups must already sit in that
-    order, or in the reverse one (a transposed view, which BLAS reads as is).
+
+def _how(lead: list[int], tail: list[int]) -> int:
+    """``_VIEW`` when the axes ``lead`` (the rows) then ``tail`` (the columns) already
+    lie in that order, ``_FLIP`` when they lie in the reverse one, else ``_COPY``."""
+    whole = list(range(len(lead) + len(tail)))
+    return _VIEW if lead + tail == whole else _FLIP if tail + lead == whole else _COPY
+
+
+def _matrix(x: np.ndarray, axes: Sequence[int], how: int, rows: int, cols: int,
+            batch: int = 0) -> np.ndarray:
+    """``transpose(x, axes)`` as a ``(rows, cols)`` matrix, made as ``how`` says.
+
+    The ``batch`` leading axes of ``x`` are not in ``axes`` and stay in front:
+    item ``i`` of the result is then bitwise, and laid out as, the matrix of
+    ``x[i]``.
     """
-    rows = math.prod(x.shape[i] for i in lead)
-    cols = math.prod(x.shape[i] for i in tail)
-    if lead + tail == list(range(x.ndim)):
-        return x.reshape(rows, cols)
-    if tail + lead == list(range(x.ndim)):
-        return x.reshape(cols, rows).T
-    return None
+    lead = x.shape[:batch]
+    if how == _VIEW:
+        return x.reshape(*lead, rows, cols)
+    if how == _FLIP:
+        return x.reshape(*lead, cols, rows).swapaxes(-1, -2)
+    if batch:
+        axes = [*range(batch), *(batch + i for i in axes)]
+    return np.ascontiguousarray(x.transpose(axes)).reshape(*lead, rows, cols)
+
+
+def _axes(legs: tuple[tuple[str, int], ...], labels: Sequence[str]) -> list[int]:
+    """Positions of ``labels`` among ``legs``."""
+    index = {l: i for i, (l, _) in enumerate(legs)}
+    try:
+        return [index[l] for l in labels]
+    except KeyError as missing:
+        raise KeyError(f"no leg labeled {missing.args[0]!r} (have {tuple(index)})") from None
 
 
 def _blocked_matmul(x: np.ndarray, axes: list[int], other: np.ndarray, out: np.ndarray) -> None:
     """``out = transpose(x, axes)``, viewed as ``(rows, k)``, times ``other`` ``(k, n)``.
 
     The permuted operand is never copied whole. Its leading axes are walked in
-    blocks of at most ``_BLOCK`` entries; each block is copied and multiplied
-    straight into its rows of ``out``. When one row alone exceeds a block (a
-    pairing to a scalar), the walk goes on into the contracted axes and each
-    row sums its partial products.
+    blocks of at most ``_BLOCK`` entries; each block is copied into one
+    scratch block, made once per walk, and multiplied straight into its rows
+    of ``out``. When one row alone exceeds a block (a pairing to a scalar),
+    the walk goes on into the contracted axes and each row sums its partial
+    products.
     """
     p = x.transpose(axes)
     k = other.shape[0]
@@ -208,10 +240,13 @@ def _blocked_matmul(x: np.ndarray, axes: list[int], other: np.ndarray, out: np.n
         inner *= p.shape[split]
     walk = max(split - 1, 0)
     step = _BLOCK // math.prod(p.shape[walk + 1:])
+    scratch = np.empty(min(_BLOCK, p.size), dtype=p.dtype)
     pos = 0
     for idx in np.ndindex(*p.shape[:walk]):
         for start in range(0, p.shape[walk], step):
-            block = np.ascontiguousarray(p[idx + (slice(start, start + step),)]).reshape(-1)
+            part = p[idx + (slice(start, start + step),)]
+            block = scratch[:part.size]
+            np.copyto(block.reshape(part.shape), part)
             row, col = divmod(pos, k)
             if block.size % k == 0:
                 backend.matmul(block.reshape(-1, k), other, out=out[row:row + block.size // k])
@@ -220,6 +255,62 @@ def _blocked_matmul(x: np.ndarray, axes: list[int], other: np.ndarray, out: np.n
             else:
                 out[row] += backend.matmul(block[None], other[col:col + block.size])[0]
             pos += block.size
+
+
+@dataclass(eq=False, slots=True)
+class _Run:
+    """How :func:`_contract_run` multiplies operands with given legs, derived from the legs alone.
+
+    ``a`` is viewed as ``(head, k, tail)`` and the product, with legs ``legs``
+    (``shape`` their dims, ``size`` entries), as ``(head, n, tail)``. ``perm``
+    orders b's axes into its ``(k, n)`` matrix.
+    """
+
+    legs: tuple[tuple[str, int], ...]
+    shape: tuple[int, ...]
+    size: int
+    head: int
+    k: int
+    n: int
+    tail: int
+    perm: list[int]
+
+    def operand(self, b: np.ndarray, batch: int = 0) -> np.ndarray:
+        """``b`` as the product's right operand, a C-ordered ``(k, n)`` matrix
+        (``batch`` leading axes stay in front, see :func:`_matrix`)."""
+        return _matrix(b, self.perm, _COPY, self.k, self.n, batch)
+
+    def into(self, a: np.ndarray, mat: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out``, a C-ordered array of ``shape``, set to ``a`` times ``mat = operand(b)``."""
+        if self.tail == 1:
+            backend.matmul(a.reshape(self.head, self.k), mat, out=out.reshape(self.head, self.n))
+        else:
+            backend.matmul(mat.T, a.reshape(self.head, self.k, self.tail),
+                           out=out.reshape(self.head, self.n, self.tail))
+        return out
+
+
+def _run(a_legs: tuple[tuple[str, int], ...], b_legs: tuple[tuple[str, int], ...],
+         labels: Sequence[str], free: Sequence[str]) -> _Run | None:
+    """The :class:`_Run` of :func:`_contract_run` on operands with these legs, or None
+    when ``labels`` do not sit at one contiguous run of a's axes."""
+    a_axis = {l: i for i, (l, _) in enumerate(a_legs)}
+    axes = sorted([a_axis[l] for l in labels])
+    start = axes[0] if axes else len(a_legs)
+    stop = start + len(axes)
+    if axes and axes[-1] != stop - 1:
+        return None
+    run = a_legs[start:stop]
+    b_axis = {l: i for i, (l, _) in enumerate(b_legs)}
+    perm = [b_axis[l] for l, _ in run] + [b_axis[l] for l in free]
+    if tuple([b_legs[i] for i in perm[:len(run)]]) != run:
+        raise ValueError(f"dim mismatch contracting {run} with {b_legs}")
+    new = tuple([b_legs[i] for i in perm[len(run):]])
+    legs = a_legs[:start] + new + a_legs[stop:]
+    dims = [d for _, d in a_legs]
+    head, n, tail = math.prod(dims[:start]), math.prod([d for _, d in new]), math.prod(dims[stop:])
+    return _Run(legs, tuple([d for _, d in legs]), head * n * tail, head,
+                math.prod(dims[start:stop]), n, tail, perm)
 
 
 def _contract_run(a: Tensor, b: Tensor, labels: Sequence[str],
@@ -234,30 +325,99 @@ def _contract_run(a: Tensor, b: Tensor, labels: Sequence[str],
     GEMM on 2-D views when ``tail`` is 1) writes ``(head, N, tail)``: the
     result's legs are a's, with the run replaced by ``free``. ``a`` is
     multiplied as a view, never permuted. No labels make an empty run at a's
-    tail. Returns None when the run is not contiguous.
+    tail. Returns None when the run is not contiguous. The layout is derived
+    from the legs by :func:`_run`, then executed by :meth:`_Run.into`.
     """
-    a_axis = {l: i for i, (l, _) in enumerate(a.legs)}
-    axes = sorted(a_axis[l] for l in labels)
-    start = axes[0] if axes else len(a.legs)
-    stop = start + len(axes)
-    if axes and axes[-1] != stop - 1:
+    run = _run(a.legs, b.legs, labels, free)
+    if run is None:
         return None
-    run = a.legs[start:stop]
-    b_axis = {l: i for i, (l, _) in enumerate(b.legs)}
-    perm = [b_axis[l] for l, _ in run] + [b_axis[l] for l in free]
-    if tuple(b.legs[i] for i in perm[:len(run)]) != run:
-        raise ValueError(f"dim mismatch contracting {run} with {b.legs}")
-    new = tuple(b.legs[i] for i in perm[len(run):])
-    shape = a.data.shape
-    head, k, tail = math.prod(shape[:start]), math.prod(shape[start:stop]), math.prod(shape[stop:])
-    mat = np.ascontiguousarray(b.data.transpose(perm)).reshape(k, -1)
-    n = mat.shape[1]
-    out = np.empty((head, n, tail), dtype=np.result_type(a.data, b.data))
-    if tail == 1:
-        backend.matmul(a.data.reshape(head, k), mat, out=out.reshape(head, n))
-    else:
-        backend.matmul(mat.T, a.data.reshape(head, k, tail), out=out)
-    return Tensor._trusted(a.legs[:start] + new + a.legs[stop:], out)
+    out = np.empty(run.shape, dtype=np.result_type(a.data, b.data))
+    return Tensor._trusted(run.legs, run.into(a.data, run.operand(b.data), out))
+
+
+@dataclass(eq=False, slots=True)
+class _Product:
+    """How :func:`contract` multiplies operands with given legs, derived from the legs alone.
+
+    The product is the ``(m, k) @ (k, n)`` GEMM, with legs ``legs`` (``shape``
+    their dims, ``size`` entries). ``a_how`` and ``b_how`` say how each
+    operand becomes its matrix, or that it is walked (see
+    :func:`_blocked_matmul`); ``a_axes`` lists a's axes in the matrix's order
+    (free, then contracted), and ``b_axes`` b's (contracted, then free; free
+    first when b is walked).
+    """
+
+    legs: tuple[tuple[str, int], ...]
+    shape: tuple[int, ...]
+    size: int
+    m: int
+    k: int
+    n: int
+    a_axes: list[int]
+    a_how: int
+    b_axes: list[int]
+    b_how: int
+
+    def operand(self, b: np.ndarray, batch: int = 0) -> np.ndarray:
+        """``b`` as the product's right operand: its ``(k, n)`` matrix, or ``b``
+        itself when it is walked (``batch`` leading axes stay in front, see
+        :func:`_matrix`)."""
+        if self.b_how == _WALK:
+            return b
+        return _matrix(b, self.b_axes, self.b_how, self.k, self.n, batch)
+
+    def into(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out``, a C-ordered array of ``shape``, set to ``a`` times ``b = operand(b)``."""
+        mat = out.reshape(self.m, self.n)
+        if self.a_how == _WALK:
+            _blocked_matmul(a, self.a_axes, b, mat)
+        else:
+            a = _matrix(a, self.a_axes, self.a_how, self.m, self.k)
+            if self.b_how == _WALK:
+                # out.T = b^T a^T: the walk over b writes blocks of columns of out
+                _blocked_matmul(b, self.b_axes, a.T, mat.T)
+            else:
+                backend.matmul(a, b, out=mat)
+        return out
+
+
+def _product(a_legs: tuple[tuple[str, int], ...], b_legs: tuple[tuple[str, int], ...],
+             pairs: Sequence[tuple[str, str]]) -> _Product:
+    """The :class:`_Product` of :func:`contract` on operands with these legs."""
+    a_con = [p[0] for p in pairs]
+    b_con = [p[1] for p in pairs]
+    if len(set(a_con)) != len(a_con) or len(set(b_con)) != len(b_con):
+        raise ValueError(f"repeated legs in contraction pairs {pairs}")
+    a_ax, b_ax = _axes(a_legs, a_con), _axes(b_legs, b_con)
+    a_dims = [d for _, d in a_legs]
+    b_dims = [d for _, d in b_legs]
+    k = 1
+    for i, j in zip(a_ax, b_ax):
+        if a_dims[i] != b_dims[j]:
+            raise ValueError(f"dim mismatch contracting {a_legs[i][0]!r} ({a_dims[i]}) "
+                             f"with {b_legs[j][0]!r} ({b_dims[j]})")
+        k *= a_dims[i]
+    a_free = [i for i in range(len(a_legs)) if i not in a_ax]
+    b_free = [i for i in range(len(b_legs)) if i not in b_ax]
+    legs = tuple([a_legs[i] for i in a_free] + [b_legs[i] for i in b_free])
+    overlap = {a_legs[i][0] for i in a_free} & {b_legs[i][0] for i in b_free}
+    if overlap:
+        raise ValueError(f"result would carry duplicate labels {sorted(overlap)}")
+
+    m, n = math.prod([a_dims[i] for i in a_free]), math.prod([b_dims[i] for i in b_free])
+    # the contracted legs take their order in the larger operand (m k against k n entries)
+    a_big = m >= n
+    perm = sorted(range(len(pairs)), key=(a_ax if a_big else b_ax).__getitem__)
+    a_ax = [a_ax[i] for i in perm]
+    b_ax = [b_ax[i] for i in perm]
+    a_how, b_how = _how(a_free, a_ax), _how(b_ax, b_free)
+    # an operand that is no view is walked; when both are not, the larger is
+    if a_how == _COPY and (b_how != _COPY or a_big):
+        a_how = _WALK
+    elif b_how == _COPY:
+        b_how = _WALK
+    return _Product(legs, tuple([d for _, d in legs]), m * n, m, k, n, a_free + a_ax, a_how,
+                    b_free + b_ax if b_how == _WALK else b_ax + b_free, b_how)
 
 
 def contract(a: Tensor, b: Tensor, pairs: Sequence[tuple[str, str]]) -> Tensor:
@@ -269,48 +429,12 @@ def contract(a: Tensor, b: Tensor, pairs: Sequence[tuple[str, str]]) -> Tensor:
     tail. An operand that needs a permutation is walked block by block; when
     both do, the smaller one is copied whole. The result is a new read-only
     array of the operands' common type (``np.result_type``) that shares no
-    buffer with ``a`` or ``b``.
+    buffer with ``a`` or ``b``. The layout is derived from the legs by
+    :func:`_product`, then executed by :meth:`_Product.into`.
     """
-    a_con = [p[0] for p in pairs]
-    b_con = [p[1] for p in pairs]
-    if len(set(a_con)) != len(a_con) or len(set(b_con)) != len(b_con):
-        raise ValueError(f"repeated legs in contraction pairs {pairs}")
-    for la, lb in pairs:
-        if a.dim(la) != b.dim(lb):
-            raise ValueError(
-                f"dim mismatch contracting {la!r} ({a.dim(la)}) with {lb!r} ({b.dim(lb)})"
-            )
-    a_ax = [a.axis(l) for l in a_con]
-    b_ax = [b.axis(l) for l in b_con]
-    a_free = [i for i in range(len(a.legs)) if i not in a_ax]
-    b_free = [i for i in range(len(b.legs)) if i not in b_ax]
-    legs = tuple(a.legs[i] for i in a_free) + tuple(b.legs[i] for i in b_free)
-    overlap = {a.legs[i][0] for i in a_free} & {b.legs[i][0] for i in b_free}
-    if overlap:
-        raise ValueError(f"result would carry duplicate labels {sorted(overlap)}")
-
-    a_big = a.size >= b.size
-    perm = sorted(range(len(pairs)), key=(a_ax if a_big else b_ax).__getitem__)
-    a_ax = [a_ax[i] for i in perm]
-    b_ax = [b_ax[i] for i in perm]
-    m = math.prod(a.legs[i][1] for i in a_free)
-    n = math.prod(b.legs[i][1] for i in b_free)
-    a_mat = _view(a.data, a_free, a_ax)
-    b_mat = _view(b.data, b_ax, b_free)
-    if a_mat is None and b_mat is None:  # copy the smaller whole, walk the larger
-        if a_big:
-            b_mat = np.ascontiguousarray(b.data.transpose(b_ax + b_free)).reshape(-1, n)
-        else:
-            a_mat = np.ascontiguousarray(a.data.transpose(a_free + a_ax)).reshape(m, -1)
-    out = np.empty((m, n), dtype=np.result_type(a.data, b.data))
-    if a_mat is None:
-        _blocked_matmul(a.data, a_free + a_ax, b_mat, out)
-    elif b_mat is None:
-        # out.T = b^T a^T: the walk over b writes blocks of columns of out
-        _blocked_matmul(b.data, b_free + b_ax, a_mat.T, out.T)
-    else:
-        backend.matmul(a_mat, b_mat, out=out)
-    return Tensor._trusted(legs, out)
+    p = _product(a.legs, b.legs, pairs)
+    out = np.empty(p.shape, dtype=np.result_type(a.data, b.data))
+    return Tensor._trusted(p.legs, p.into(a.data, p.operand(b.data), out))
 
 
 def matrix_view(t: Tensor, row_legs: Sequence[str], col_legs: Sequence[str]) -> np.ndarray:

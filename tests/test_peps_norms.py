@@ -1,10 +1,13 @@
 """peps_norms: many networks of one graph, planned once, each value peps_norm's."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import pepslab as pl
 from pepslab import contraction
+from pepslab import tensor as tz
 from pepslab import tiling
 from pepslab.circuits import random_circuit
 from pepslab.errors import GuardExceeded
@@ -166,3 +169,41 @@ def test_bonds_dead_in_every_sample_give_zeros_without_contracting(monkeypatch):
     monkeypatch.setattr(contraction, "_squares", refuse)
     monkeypatch.setattr(contraction, "_absorb", refuse)
     assert pl.peps_norms(nets) == [0.0, 0.0]
+
+
+def _readme_extrapolation_samples():
+    """The 22 samples the README4 3x3 extrapolation takes, at its nodes and held-out points."""
+    return _interpolated_samples(README4, 3, 3, 0.5 + 0.5 * np.arange(1, 23) / 23)
+
+
+def test_steps_are_derived_once_per_chunk_not_per_sample(monkeypatch):
+    # each of the 9 steps (6 of the suffix, 3 of the prefix) derives its layout
+    # once; the 22 samples replay it
+    nets = _readme_extrapolation_samples()
+    want = [pl.peps_norm(net) for net in nets]
+    derived = []
+    run = tz._run
+
+    def counted(*args):
+        derived.append(args)
+        return run(*args)
+
+    monkeypatch.setattr(tz, "_run", counted)
+    assert pl.peps_norms(nets) == want
+    assert len(derived) == len(nets[0].graph.vertices) == 9
+
+
+def test_replay_holds_no_more_memory_than_absorbing_each_sample():
+    # 3x3 torus, bonds of 4 kept indices: the largest boundary holds 4**8
+    # float64 entries (512 KiB). Absorbing each sample with boundaries
+    # allocated per step peaks at 1.80 MB (numpy 2.4); the replay holds two of
+    # the largest, the suffix, one walk's block and the layer stacks.
+    nets = _readme_extrapolation_samples()
+    pl.peps_norms(nets)
+    tracemalloc.start()
+    try:
+        pl.peps_norms(nets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_804_441
