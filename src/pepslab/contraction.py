@@ -59,14 +59,19 @@ their other end in the whole order, the latest first (:func:`_ranks`).
 Forwards, the leg whose other end comes soonest thus sits last, next to the
 old legs it will meet; backwards the passes are mirror images, so the forward
 and backward boundaries meet in the same leg order. As the keys do not depend
-on where a pass starts, a resumed boundary is bitwise a fresh one. When the
-legs a layer shares with the boundary form one contiguous run of its axes,
-the step writes the layer's new legs in place of the run by one batched GEMM
-(:func:`tz._contract_run`), and the boundary is not copied. On open grids and
-patches this holds for every step of both sweeps. Otherwise, as on a torus or
-in parts of a compiled circuit, the step falls back to :func:`tz.contract`,
-which appends the new legs at the tail and walks a permuted boundary block by
-block.
+on where a pass starts, a resumed boundary is bitwise a fresh one.
+
+Every absorption step is derived from leg lists alone (:func:`_schedule`),
+starting from any boundary's legs, and run by one loop (:func:`_replay`)
+with numpy calls only. When the legs a layer shares with the boundary form
+one contiguous run of its axes, the step (a ``tz._Run``) writes the layer's
+new legs in place of the run by one batched GEMM, and the boundary is not
+copied. On open grids and patches this holds for every step of both sweeps.
+Otherwise, as on a torus or in parts of a compiled circuit, the step (a
+``tz._Product``) appends the new legs at the tail and walks a permuted
+boundary block by block. The loop writes each boundary into a fresh array,
+or into buffers its caller owns; every GEMM is the same either way, so the
+bits are too.
 
 The environment is split at an observable's support: the sites before the
 first support site are contracted once, forwards, and the sites after the
@@ -101,11 +106,9 @@ layer is built.
 Networks that differ only in their entries, such as the samples of a tiling
 extrapolation, take one call to :func:`peps_norms`, which makes one plan for
 all of them, on the union of their nonzero patterns (:func:`_union`), and one
-set of leg ranks. A step's layout depends only on leg lists: the shared run,
-the order of the new legs, the layer's permutation, ``(head, K, tail)`` or
-the block walk. So the call derives the steps of both passes once, as
-:func:`_step` would (:func:`_schedule`), and each network replays that
-schedule with numpy calls only. Each site's matrices are squared as one
+set of leg ranks. As a step's layout depends only on leg lists, the call
+schedules the steps of both passes once, and each network replays that
+schedule. Each site's matrices are squared as one
 stack, which is sliced, put in the Hermitian basis and permuted into its
 step's operand as a whole. The boundaries are written into buffers the call
 owns: two of the largest boundary's size, in turn, and one for the suffix.
@@ -126,7 +129,7 @@ import cmath
 import math
 import weakref
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -232,15 +235,15 @@ class _Env:
         d = 1 if forward else -1
         start = max((k for s, k in self.held if s == d and d * k <= d * cut),
                     key=lambda k: d * k, default=0 if forward else len(self.order))
-        acc = self.held.get((d, start), _ONE)
-        rank = self.ahead if forward else self.behind
         sites = self.order[start:cut] if forward else self.order[cut:start][::-1]
-        built = layers(sites)
-        for k, v in zip(range(start + d, cut + d, d), sites):
-            acc = _step(acc, built.pop(v), closures, rank)
+
+        def seen(i: int, acc: Tensor) -> None:
+            k = start + d * (i + 1)
             if scan or k == cut or k in self.marks:
                 self.record((d, k), acc, budget, stops)
-        return acc
+
+        return _absorb(self.held.get((d, start), _ONE), layers(sites), closures,
+                       self.ahead if forward else self.behind, seen)
 
 
 @dataclass(eq=False)
@@ -629,38 +632,71 @@ def _ranks(order: Sequence[int], legs: dict[int, list]) -> tuple[dict, dict]:
     return ahead, behind
 
 
-def _split(held: Sequence[str], labels: Sequence[str], rank: dict[str, int]) -> tuple[list, list]:
-    """A layer's ``labels`` shared with a boundary's ``held`` ones, in the layer's
-    order, and its new ones, sorted by ``rank``."""
-    held = set(held)
-    shared = [l for l in labels if l in held]
-    return shared, sorted((l for l in labels if l not in held), key=rank.__getitem__)
+def _schedule(held: tuple[tuple[str, int], ...], layers: Sequence[Sequence[tuple[str, int]]],
+              rank: dict[str, int]) -> list:
+    """The steps that absorb layers with legs ``layers`` in turn into a boundary with legs ``held``.
 
-
-def _step(acc: Tensor, layer: Tensor, closures: dict[str, Tensor], rank: dict[str, int]) -> Tensor:
-    """``acc`` with ``layer`` absorbed, its new legs sorted by ``rank``.
-
-    The layer's cut bonds are closed first. When the legs it shares with the
-    boundary sit at one contiguous run of the boundary's axes, its new legs
-    are written in their place (:func:`tz._contract_run`) and the boundary is
-    not copied; otherwise :func:`tz.contract` appends them at its tail. Each
-    derives its layout from the legs (:func:`tz._run`, :func:`tz._product`),
-    then executes it; :func:`peps_norms` replays the same layouts.
+    This is the one place a step's layout is derived, from the leg lists
+    alone; the layers' cut bonds must already be closed. The legs a layer
+    shares with the boundary keep the layer's order, and its new legs are
+    sorted by ``rank``. A step is a ``tz._Run`` when the shared legs sit at one
+    contiguous run of the boundary's axes (the new legs are written in their
+    place), else a ``tz._Product`` (they are appended at its tail).
     """
+    steps = []
+    for layer in layers:
+        labels = {l for l, _ in held}
+        shared = [l for l, _ in layer if l in labels]
+        free = sorted((l for l, _ in layer if l not in labels), key=rank.__getitem__)
+        step = (tz._run(held, layer, shared, free)
+                or tz._product(held, layer, [(l, l) for l in shared]))
+        steps.append(step)
+        held = step.legs
+    return steps
+
+
+def _replay(steps: list, acc: Tensor, operands: Iterable[np.ndarray],
+            buffers: list[np.ndarray] | None = None, seen=None) -> Tensor:
+    """The boundary ``acc`` with ``steps`` run in turn: the one loop that runs absorption steps.
+
+    ``operands`` are the layers as the steps' right operands
+    (``step.operand``). Step ``i`` writes a fresh array of its operands'
+    common type, or, given ``buffers``, the head of ``buffers[i]`` (see
+    :func:`_buffers`); every GEMM and the layout of its operands are the same
+    either way, so a boundary keeps its bits. ``seen(i, boundary)``, if
+    given, is called after each step. A fresh boundary is the caller's alone;
+    a buffer view is valid only until that buffer is written again.
+    """
+    data = acc.data
+    for i, (step, operand) in enumerate(zip(steps, operands)):
+        out = (np.empty(step.shape, np.result_type(data, operand)) if buffers is None
+               else buffers[i][:step.size].reshape(step.shape))
+        data = step.into(data, operand, out)
+        if seen is not None:
+            seen(i, Tensor._trusted(step.legs, data))
+    return Tensor._trusted(steps[-1].legs, data) if steps else acc
+
+
+def _closed(layer: Tensor, closures: dict[str, Tensor]) -> Tensor:
+    """``layer`` with each of its cut bonds closed by that bond's closure."""
     for label in layer.labels:
         if label in closures:
             layer = tz.contract(layer, closures[label], [(label, label)])
-    shared, free = _split(acc.labels, layer.labels, rank)
-    step = tz._contract_run(acc, layer, shared, free)
-    return tz.contract(acc, layer, [(l, l) for l in shared]) if step is None else step
+    return layer
 
 
-def _absorb(acc: Tensor, layers: dict[int, Tensor], order: Sequence[int],
-            closures: dict[str, Tensor], rank: dict[str, int]) -> Tensor:
-    """``acc`` with the layers of ``order`` absorbed in turn (see :func:`_step`)."""
-    for v in order:
-        acc = _step(acc, layers[v], closures, rank)
-    return acc
+def _absorb(acc: Tensor, layers: Sequence[Tensor], closures: dict[str, Tensor],
+            rank: dict[str, int], seen=None) -> Tensor:
+    """``acc`` with ``layers`` absorbed in turn, their new legs sorted by ``rank``.
+
+    Each layer's cut bonds are closed first (:func:`_closed`); the steps are
+    then derived from the legs (:func:`_schedule`) and run into fresh arrays
+    (:func:`_replay`, which calls ``seen``).
+    """
+    layers = [_closed(t, closures) for t in layers]
+    steps = _schedule(acc.legs, [t.legs for t in layers], rank)
+    return _replay(steps, acc, (step.operand(t.data) for step, t in zip(steps, layers)),
+                   seen=seen)
 
 
 def _pair(a: Tensor, b: Tensor) -> complex:
@@ -677,8 +713,8 @@ def _pair(a: Tensor, b: Tensor) -> complex:
     return np.dot(a.data.ravel(), b.data.transpose(perm).ravel()).item()
 
 
-def _absolute(tensors: dict) -> dict:
-    return {k: Tensor._trusted(t.legs, np.abs(t.data)) for k, t in tensors.items()}
+def _absolute(t: Tensor) -> Tensor:
+    return Tensor._trusted(t.legs, np.abs(t.data))
 
 
 def _real_scalar(value: complex, abs_scale_fn) -> float:
@@ -730,11 +766,13 @@ class _Plan:
         """The paired ``value`` times the prefactor, checked by :func:`_real_scalar`.
 
         Its absolute pass absorbs ``layers(order)`` along ``order`` with the
-        ``ahead`` ranks, on the absolute values of the layers and closures.
+        ``ahead`` ranks, closing the absolute value of each layer with the
+        absolute values of the closures.
         """
         def absolute() -> float:
-            plain, closures = _absolute(layers(self.order)), _absolute(self.closures)
-            return abs(_absorb(_ONE, plain, self.order, closures, ahead).item() * self.prefactor)
+            plain = [_absolute(t) for t in layers(self.order)]
+            closures = {label: _absolute(t) for label, t in self.closures.items()}
+            return abs(_absorb(_ONE, plain, closures, ahead).item() * self.prefactor)
 
         return _real_scalar(value * self.prefactor, absolute)
 
@@ -848,26 +886,26 @@ def _contract(net: PepsNetwork, sites: Sequence[int], observable: Observable | N
         env.span = (first, past)
     budget, stops = ENV_BOUNDARIES * 8 * plan.peak, ((1, first), (-1, past))
 
-    def layers(sites: Sequence[int]) -> dict[int, Tensor]:
-        return {v: plan.layer(net, v) for v in sites}
+    def layers(sites: Sequence[int]) -> list[Tensor]:
+        return [plan.layer(net, v) for v in sites]
 
     _slot = slot
     suffix = env.boundary(False, past, layers, closures, budget, stops, scan)
     prefix = env.boundary(True, first, layers, closures, budget, stops, scan)
     middle = order[first:past]
     plain = layers(middle)
-    closed = _absorb(prefix, plain, middle, closures, env.ahead)
+    closed = _absorb(prefix, plain, closures, env.ahead)
     if scan:
         env.record((1, past), closed, budget, stops)
     norm = _pair(closed, suffix)
     del closed  # before the numerator's boundary is made
     numer = None
     if plan.factors:
-        special = {v: plan.layer(net, v, f) for v, f in plan.factors.items()}
+        special = [plan.layer(net, v, plan.factors[v]) if v in plan.factors else t
+                   for v, t in zip(middle, plain)]
         ahead = env.ahead | _ranks(order, {v: _operator_bonds(f)
                                            for v, f in plan.factors.items()})[0]
-        numer = _pair(_absorb(prefix, plain | special, middle, closures, ahead),
-                      suffix) * plan.prefactor
+        numer = _pair(_absorb(prefix, special, closures, ahead), suffix) * plan.prefactor
     return plan.norm(norm, layers, env.ahead), numer
 
 
@@ -943,7 +981,7 @@ def peps_norms(nets: Sequence[PepsNetwork], *, guard: int | None = BOUNDARY_GUAR
         return [0.0] * len(nets)
     ahead, behind = _ranks(plan.order, plan.legs)
     # (sites, steps) of the suffix, then of the prefix; every layer is used once
-    passes = [(sites, _schedule(plan.legs, sites, rank))
+    passes = [(sites, _schedule((), [plan.legs[v] for v in sites], rank))
               for sites, rank in ((plan.order[plan.first:][::-1], behind),
                                   (plan.order[:plan.first], ahead))]
     entries = sum(math.prod(e.dim ** 2 for e in graph.incident(v)) for v in graph.vertices)
@@ -956,30 +994,12 @@ def peps_norms(nets: Sequence[PepsNetwork], *, guard: int | None = BOUNDARY_GUAR
                     for sites, steps in passes for v, step in zip(sites, steps)}
         buffers = _buffers([steps for _, steps in passes])
         for s, sample in enumerate(part):
-            suffix, prefix = (_replay(steps, [operands[v][s] for v in sites], outs)
+            suffix, prefix = (_replay(steps, _ONE, [operands[v][s] for v in sites], outs)
                               for (sites, steps), outs in zip(passes, buffers))
             out.append(plan.norm(_pair(prefix, suffix),
-                                 lambda order: {v: plan.layer(sample, v) for v in order}, ahead))
+                                 lambda order: [plan.layer(sample, v) for v in order], ahead))
         del operands, buffers
     return out
-
-
-def _schedule(legs: dict[int, list], sites: Sequence[int], rank: dict[str, int]) -> list:
-    """The steps that absorb the plain layers of ``sites`` in turn into the scalar 1.
-
-    Each is the layout :func:`_step` derives for it, a ``tz._Run`` when it
-    writes in place and a ``tz._Product`` when it walks, made from the leg
-    lists alone: the layers of a whole graph have no cut bond to close.
-    """
-    steps, held = [], ()
-    for v in sites:
-        layer = tuple(legs[v])
-        shared, free = _split([l for l, _ in held], [l for l, _ in layer], rank)
-        step = (tz._run(held, layer, shared, free)
-                or tz._product(held, layer, [(l, l) for l in shared]))
-        steps.append(step)
-        held = step.legs
-    return steps
 
 
 def _buffers(passes: list[list]) -> list[list[np.ndarray]]:
@@ -996,21 +1016,6 @@ def _buffers(passes: list[list]) -> list[list[np.ndarray]]:
     own = [np.empty(suffix[-1].size)] if suffix else []
     return [[ping[i % 2] for i in range(len(suffix) - 1)] + own,
             [ping[i % 2] for i in range(len(prefix))]]
-
-
-def _replay(steps: list, operands: list[np.ndarray], buffers: list[np.ndarray]) -> Tensor:
-    """One network's boundary: ``steps`` executed in turn from the scalar 1.
-
-    ``operands`` are its layers as the steps' right operands, and step ``i``
-    writes into the head of ``buffers[i]`` (see :func:`_buffers`). Every GEMM
-    is the one :func:`_step` makes, into an array of the same layout, so the
-    boundary is bitwise that of :func:`_absorb`. The result is a view of the
-    last buffer, valid until that buffer is written again.
-    """
-    acc = _ONE.data
-    for step, operand, buffer in zip(steps, operands, buffers):
-        acc = step.into(acc, operand, buffer[:step.size].reshape(step.shape))
-    return Tensor._trusted(steps[-1].legs, acc) if steps else _ONE
 
 
 def _union(nets: Sequence[PepsNetwork]) -> PepsNetwork:

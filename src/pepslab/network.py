@@ -71,17 +71,19 @@ class LatticeGraph:
             out.append(e)
         self.edges = tuple(out)
         self._by_id = {e.id: e for e in self.edges}
-        self._incident: dict[int, list[Edge]] = {v: [] for v in self.vertices}
+        incident: dict[int, list[Edge]] = {v: [] for v in self.vertices}
         for e in self.edges:
-            self._incident[e.u].append(e)
-            self._incident[e.v].append(e)
+            incident[e.u].append(e)
+            incident[e.v].append(e)
+        self._incident = {v: tuple(sorted(es, key=lambda e: (e.other(v), e.id)))
+                          for v, es in incident.items()}
 
     def edge(self, edge_id: str) -> Edge:
         return self._by_id[edge_id]
 
-    def incident(self, vertex: int) -> list[Edge]:
-        """Incident edges in canonical order: (neighbor id, edge id) ascending."""
-        return sorted(self._incident[vertex], key=lambda e: (e.other(vertex), e.id))
+    def incident(self, vertex: int) -> tuple[Edge, ...]:
+        """Incident edges in canonical order: (neighbor id, edge id) ascending, sorted once."""
+        return self._incident[vertex]
 
     def vertex_at(self, r: int, c: int) -> int:
         if self.cols is None:

@@ -17,18 +17,21 @@ In :func:`contract`, an operand whose contracted legs already sit at its head
 or tail is viewed as a matrix without a copy; one that needs a permutation is
 copied one block of at most ``_BLOCK`` entries at a time, each block
 multiplied straight into its rows of the output, so a step allocates its
-output and one block. The engine's absorption step uses the private
-``_contract_run`` instead when the boundary's contracted legs form one
-contiguous run of axes, wherever it sits: the boundary is viewed as ``(head,
-K, tail)``, one batched GEMM writes the layer's new legs where the run was,
-and nothing but the small layer is permuted.
+output and one block.
 
-Both first derive, from the operands' legs alone, how they multiply
-(:func:`_product`, :func:`_run`): the result's legs, the GEMM's shape, and
-how each operand becomes its matrix. The derived object then executes with
-numpy calls only, into an output array it is given. A caller that multiplies
-many operands with the same legs derives once and writes into buffers it
-owns; every GEMM is the same, so every value keeps its bits.
+The contraction engine's absorption steps also take the private
+:func:`_run` when the boundary's contracted legs form one contiguous run of
+axes, wherever it sits: the boundary is viewed as ``(head, K, tail)``, one
+batched GEMM writes the layer's new legs where the run was, and nothing but
+the small layer is permuted.
+
+Each product is first derived, from the operands' legs alone, as a
+:class:`_Product` (:func:`_product`) or a :class:`_Run` (:func:`_run`): the
+result's legs, the GEMM's shape, and how each operand becomes its matrix.
+The derived object then executes with numpy calls only, into an output array
+it is given. A caller that multiplies many operands with the same legs
+derives once and writes into buffers it owns; every GEMM is the same, so
+every value keeps its bits.
 """
 
 from __future__ import annotations
@@ -102,7 +105,9 @@ class Tensor:
 
         ``arr`` is float64 or complex128. There is no finiteness scan, and no
         copy unless ``arr`` is not C-ordered (a transposed view); ``legs`` must
-        already be valid.
+        already be valid. One exception to "fresh": a boundary replayed into
+        buffers its caller owns (``contraction._replay``) is a view of such a
+        buffer, valid only until that buffer is written again.
         """
         arr = np.ascontiguousarray(arr).reshape([d for _, d in legs])
         arr.setflags(write=False)
@@ -259,11 +264,15 @@ def _blocked_matmul(x: np.ndarray, axes: list[int], other: np.ndarray, out: np.n
 
 @dataclass(eq=False, slots=True)
 class _Run:
-    """How :func:`_contract_run` multiplies operands with given legs, derived from the legs alone.
+    """How ``a`` and ``b`` multiply when b's free legs replace a contiguous run of
+    a's axes, derived from the legs alone (see :func:`_run`).
 
-    ``a`` is viewed as ``(head, k, tail)`` and the product, with legs ``legs``
-    (``shape`` their dims, ``size`` entries), as ``(head, n, tail)``. ``perm``
-    orders b's axes into its ``(k, n)`` matrix.
+    ``a`` is viewed as ``(head, k, tail)``, with ``k`` the run, and the
+    product, with legs ``legs`` (``shape`` their dims, ``size`` entries), as
+    ``(head, n, tail)``. ``perm`` orders b's axes into its ``(k, n)`` matrix,
+    its rows in the run's order. One batched product ``b.T @ a`` (one GEMM on
+    2-D views when ``tail`` is 1) writes the result; ``a`` is multiplied as a
+    view, never permuted.
     """
 
     legs: tuple[tuple[str, int], ...]
@@ -292,8 +301,10 @@ class _Run:
 
 def _run(a_legs: tuple[tuple[str, int], ...], b_legs: tuple[tuple[str, int], ...],
          labels: Sequence[str], free: Sequence[str]) -> _Run | None:
-    """The :class:`_Run` of :func:`_contract_run` on operands with these legs, or None
-    when ``labels`` do not sit at one contiguous run of a's axes."""
+    """The :class:`_Run` that contracts ``a`` with ``b`` over ``labels``, with b's
+    ``free`` legs in their place and order, for operands with these legs; None
+    when ``labels`` do not sit at one contiguous run of a's axes. No labels
+    make an empty run at a's tail."""
     a_axis = {l: i for i, (l, _) in enumerate(a_legs)}
     axes = sorted([a_axis[l] for l in labels])
     start = axes[0] if axes else len(a_legs)
@@ -311,28 +322,6 @@ def _run(a_legs: tuple[tuple[str, int], ...], b_legs: tuple[tuple[str, int], ...
     head, n, tail = math.prod(dims[:start]), math.prod([d for _, d in new]), math.prod(dims[stop:])
     return _Run(legs, tuple([d for _, d in legs]), head * n * tail, head,
                 math.prod(dims[start:stop]), n, tail, perm)
-
-
-def _contract_run(a: Tensor, b: Tensor, labels: Sequence[str],
-                  free: Sequence[str]) -> Tensor | None:
-    """``a`` contracted with ``b`` over ``labels``, with b's ``free`` legs in their place.
-
-    ``labels`` name legs of both tensors, ``free`` the rest of b's legs, in the
-    order they are to take. When ``labels`` sit at a contiguous run of a's
-    axes, ``a`` is viewed as ``(head, K, tail)`` with ``K`` that run, and ``b``
-    is copied to a ``(K, N)`` matrix, its rows in the run's order and its
-    columns in the order of ``free``. One batched product ``b.T @ a`` (one
-    GEMM on 2-D views when ``tail`` is 1) writes ``(head, N, tail)``: the
-    result's legs are a's, with the run replaced by ``free``. ``a`` is
-    multiplied as a view, never permuted. No labels make an empty run at a's
-    tail. Returns None when the run is not contiguous. The layout is derived
-    from the legs by :func:`_run`, then executed by :meth:`_Run.into`.
-    """
-    run = _run(a.legs, b.legs, labels, free)
-    if run is None:
-        return None
-    out = np.empty(run.shape, dtype=np.result_type(a.data, b.data))
-    return Tensor._trusted(run.legs, run.into(a.data, run.operand(b.data), out))
 
 
 @dataclass(eq=False, slots=True)

@@ -224,22 +224,15 @@ def test_peak_memory_stays_near_the_largest_boundary(monkeypatch):
     centre = net.graph.vertex_at(2, 2)
     obs = pl.observable_from_matrix((centre,), random_hermitian(net.phys_dim(centre), 5))
     sizes = []
-    contract, contract_run = tz.contract, tz._contract_run
+    schedule = contraction._schedule
 
-    def recorded(a, b, pairs):
-        out = contract(a, b, pairs)
-        sizes.append(out.size)
-        return out
-
-    def recorded_run(a, b, labels, free):
-        out = contract_run(a, b, labels, free)
-        if out is not None:
-            sizes.append(out.size)
-        return out
+    def recorded(*args):
+        steps = schedule(*args)
+        sizes.extend(step.size for step in steps)
+        return steps
 
     with monkeypatch.context() as patched:
-        patched.setattr(tz, "contract", recorded)
-        patched.setattr(tz, "_contract_run", recorded_run)
+        patched.setattr(contraction, "_schedule", recorded)
         pl.nev_report(net, obs)
     boundary = 16 * max(sizes)
     assert max(sizes) == 3 ** 12
@@ -257,22 +250,23 @@ def test_peak_memory_stays_near_the_largest_boundary(monkeypatch):
 
 
 def _count_steps(monkeypatch) -> collections.Counter:
-    """Counts of absorption steps written in place and of those that fall back to
-    tz.contract, and of the permuted operands that tz.contract walks block by block."""
+    """Counts of absorption steps scheduled to write in place (``tz._Run``) and of
+    those that fall back to a pairwise product (``tz._Product``), and of the
+    permuted operands walked block by block."""
     counts = collections.Counter()
-    blocked, contract_run = tz._blocked_matmul, tz._contract_run
+    blocked, schedule = tz._blocked_matmul, contraction._schedule
 
     def counted_blocked(*args):
         counts["blocked"] += 1
         return blocked(*args)
 
-    def counted_run(a, b, labels, free):
-        out = contract_run(a, b, labels, free)
-        counts["fallback" if out is None else "in place"] += 1
-        return out
+    def counted_schedule(*args):
+        steps = schedule(*args)
+        counts.update("in place" if isinstance(step, tz._Run) else "fallback" for step in steps)
+        return steps
 
     monkeypatch.setattr(tz, "_blocked_matmul", counted_blocked)
-    monkeypatch.setattr(tz, "_contract_run", counted_run)
+    monkeypatch.setattr(contraction, "_schedule", counted_schedule)
     return counts
 
 
@@ -398,14 +392,15 @@ def test_scan_of_every_site_costs_at_most_four_norms(monkeypatch):
     obs = [pl.observable_from_matrix((v,), random_hermitian(net.phys_dim(v), v)) for v in order]
     pl.peps_norm(net)
     steps = collections.Counter()
-    step = contraction._step
+    schedule = contraction._schedule
 
     def counted(*args):
-        steps["absorbed"] += 1
-        return step(*args)
+        derived = schedule(*args)
+        steps["absorbed"] += len(derived)
+        return derived
 
     with monkeypatch.context() as patched:
-        patched.setattr(contraction, "_step", counted)
+        patched.setattr(contraction, "_schedule", counted)
         got = [pl.nev_report(net, o) for o in obs]
     assert steps["absorbed"] <= 4 * len(order)
     assert got == [pl.nev_report(pl.PepsNetwork(net.graph, net.tensors), o) for o in obs]

@@ -40,6 +40,25 @@ def test_periodic_grid_wraps():
     assert (e.u, e.v) == (2, 0)
 
 
+def test_incident_edges_come_in_neighbour_then_edge_id_order():
+    # listed out of order, with two bonds between vertices 0 and 2
+    g = explicit_graph([0, 1, 2, 3], [Edge("z", 2, 0, 2), Edge("b", 3, 0, 2), Edge("a", 0, 2, 3),
+                                      Edge("m", 1, 0, 2), Edge("c", 2, 1, 2)])
+    assert [(e.other(0), e.id) for e in g.incident(0)] == [(1, "m"), (2, "a"), (2, "z"), (3, "b")]
+    assert [(e.other(2), e.id) for e in g.incident(2)] == [(0, "a"), (0, "z"), (1, "c")]
+    assert [(e.other(3), e.id) for e in g.incident(3)] == [(0, "b")]
+    assert g.incident(0) is g.incident(0)  # sorted once, not on every call
+
+
+def test_incident_edges_on_the_2x2_torus():
+    # every neighbouring pair is joined by two bonds, one each way round
+    g = pl.periodic_grid(2, 2)
+    assert [(e.other(0), e.id) for e in g.incident(0)] == \
+        [(1, "h0.0"), (1, "h0.1"), (2, "v0.0"), (2, "v1.0")]
+    assert [(e.other(3), e.id) for e in g.incident(3)] == \
+        [(1, "v0.1"), (1, "v1.1"), (2, "h1.0"), (2, "h1.1")]
+
+
 def test_explicit_graph_validation():
     with pytest.raises(ValueError):
         explicit_graph([0, 1], [Edge("e", 0, 1, 2), Edge("e", 1, 0, 2)])

@@ -168,6 +168,7 @@ def test_bonds_dead_in_every_sample_give_zeros_without_contracting(monkeypatch):
 
     monkeypatch.setattr(contraction, "_squares", refuse)
     monkeypatch.setattr(contraction, "_absorb", refuse)
+    monkeypatch.setattr(contraction, "_replay", refuse)
     assert pl.peps_norms(nets) == [0.0, 0.0]
 
 
@@ -191,6 +192,41 @@ def test_steps_are_derived_once_per_chunk_not_per_sample(monkeypatch):
     monkeypatch.setattr(tz, "_run", counted)
     assert pl.peps_norms(nets) == want
     assert len(derived) == len(nets[0].graph.vertices) == 9
+
+
+@pytest.mark.parametrize("case,count,walks", [
+    ("open-4x4", 16, False), ("torus-3x3", 9, True), ("circuit", 8, True)])
+def test_peps_norm_derives_the_steps_that_peps_norms_replays(monkeypatch, case, count, walks):
+    # one absorption path: each boundary is scheduled from its legs and
+    # replayed, so a norm alone and a batch of one run the same steps
+    net = {"open-4x4": lambda: pl.random_network(4, 4, seed=0),
+           "torus-3x3": lambda: pl.random_network(3, 3, seed=0, geometry="periodic-grid"),
+           "circuit": lambda: pl.compile_circuit(random_circuit(4, 3, seed=0), 0.5).network}[case]()
+    derived = []
+    schedule = contraction._schedule
+
+    def recorded(*args):
+        steps = schedule(*args)
+        derived.extend((type(step), step.legs, step.shape) for step in steps)
+        return steps
+
+    monkeypatch.setattr(contraction, "_schedule", recorded)
+    contraction._slot = None
+    alone = pl.peps_norm(net)
+    single, derived[:] = list(derived), []
+    assert pl.peps_norms([net]) == [alone]
+    assert derived == single
+    assert len(single) == count
+    assert any(kind is tz._Product for kind, _, _ in single) == walks
+
+
+def test_absolute_pass_of_each_sample_is_that_of_peps_norm(monkeypatch):
+    # the check's absolute pass, forced for every value: each sample's scale
+    # is the one peps_norm computes for its network
+    nets = CASES["torus-3x3"]() + CASES["open-4x4"]()[:2]
+    monkeypatch.setattr(contraction, "_real_scalar", lambda value, scale: scale())
+    for part in (nets[:5], nets[5:]):
+        assert pl.peps_norms(part) == [pl.peps_norm(net) for net in part]
 
 
 def test_replay_holds_no_more_memory_than_absorbing_each_sample():
