@@ -163,25 +163,37 @@ def circuit_from_json(obj: dict) -> Circuit:
     try:
         width = int(obj["width"])
         depth = int(obj["depth"])
-        raw = obj["gates"]
+        raw = list(obj["gates"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed circuit object: {exc}") from exc
     gates = []
-    for entry in raw:
-        kind = entry["kind"]
-        matrix = None
-        if "matrix" in entry and entry["matrix"] is not None:
+    for i, entry in enumerate(raw):
+        try:
+            kind, t, wire = entry["kind"], int(entry["t"]), int(entry["wire"])
+        except (KeyError, TypeError):
+            raise ValueError(f"circuit gate {i}, {entry!r}, needs 'kind', 't' and 'wire'") from None
+        matrix, flat = None, entry.get("matrix")
+        if flat is not None:
             size = {"unitary": 2, "unitary2": 4}.get(kind)
             if size is None:
                 raise ValueError(f"{kind} gate does not carry a matrix")
-            flat = entry["matrix"]
-            if len(flat) != size * size:
-                raise ValueError(f"{kind} matrix needs {size * size} entries, got {len(flat)}")
-            matrix = np.array(
-                [complex(re, im) for re, im in flat], dtype=np.complex128
-            ).reshape(size, size)
-        gates.append(Gate(kind, int(entry["t"]), int(entry["wire"]), matrix))
+            matrix = _matrix_from_pairs(flat, size, f"circuit gate {i}: {kind} matrix")
+        gates.append(Gate(kind, t, wire, matrix))
     return Circuit(width, depth, gates)
+
+
+def _matrix_from_pairs(flat, size: int, what: str) -> np.ndarray:
+    """The ``size`` x ``size`` complex matrix of the row-major ``[re, im]`` pairs ``flat``.
+
+    Raises ValueError, naming ``what``, unless ``flat`` holds ``size**2`` such pairs.
+    """
+    try:
+        if len(flat) == size * size:
+            return np.array([complex(re, im) for re, im in flat],
+                            dtype=np.complex128).reshape(size, size)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{what} needs {size * size} [re, im] pairs, row-major; got {flat!r}")
 
 
 def load_circuit(path: str) -> Circuit:

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .circuits import load_circuit
+from .circuits import _matrix_from_pairs, load_circuit
 from .contraction import BOUNDARY_GUARD, _decision, nev_report, patch_nev, peps_norm
 from .embed import compile_circuit, eta_from_delta, readout_observable
 from .errors import GuardExceeded
@@ -168,10 +168,9 @@ def cmd_compile(args) -> dict:
 def _sim_observable(args) -> np.ndarray:
     if args.observable:
         lit = _load_json(args.observable)
-        flat = lit["matrix"]
-        if len(flat) != 4:
-            raise ValueError("sim observable matrix must be 2x2 ([re, im] pairs, row-major)")
-        return np.array([complex(re, im) for re, im in flat], dtype=np.complex128).reshape(2, 2)
+        if not isinstance(lit, dict) or "matrix" not in lit:
+            raise ValueError(f"sim observable file {args.observable} must have 'matrix'")
+        return _matrix_from_pairs(lit["matrix"], 2, "sim observable matrix")
     return PAULIS[args.pauli]
 
 
@@ -299,7 +298,7 @@ def main(argv=None) -> int:
     except GuardExceeded as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(result)

@@ -49,13 +49,27 @@ restricted to its interior, and explicit graphs their ascending vertex ids.
 The candidate with the smallest peak boundary runs, columns on a tie. When
 even that peak exceeds the guard (default 2**20 entries), the plan refuses
 the contraction with a :class:`GuardExceeded` carrying the best peak. The
-plan also builds each layer (:meth:`_Plan.layer`) and checks each norm
-(:meth:`_Plan.norm`), so every path squares, slices and closes the same way.
-The plan/execute split follows Gray and Kourtis, Quantum 5, 410 (2021).
+plan/execute split follows Gray and Kourtis, Quantum 5, 410 (2021).
 
-A boundary keeps its legs in the order of the cut. A layer's cut bonds are
-closed on the layer itself, and its new legs are sorted by the position of
-their other end in the whole order, the latest first (:func:`_ranks`).
+The plan is the one place a layer is finished, so every path squares, slices
+and closes the same way. :meth:`_Plan.layer` squares a site, slices it to the
+kept indices, puts it in the Hermitian basis, and closes each of its cut bonds
+with that bond's closure when it is built; the plan's leg lists are these
+closed legs. :meth:`_Plan.stacks` builds the plain layers of many networks as
+one stack. A pass builds its layers before its steps, then only schedules and
+replays them, and lets each layer go once its step has run (the plain layers
+of the sites between the two cuts are kept for the numerator).
+:meth:`_Plan.norm` checks each norm by :func:`_real_scalar`, whose scale is
+the absolute pass: the contraction of the absolute values of the layers, the
+``x_abs`` of the forward error bound ``gamma_N * x_abs`` of a chain of
+products (Higham, Accuracy and Stability of Numerical Algorithms, §3.5). The
+same builder makes its layers: with ``absolute`` it takes the absolute value
+of every entry after the basis change and before closing (the closures are
+nonnegative). It runs only when a norm looks wrong.
+
+A boundary keeps its legs in the order of the cut. A layer's new legs are
+sorted by the position of their other end in the whole order, the latest
+first (:func:`_ranks`).
 Forwards, the leg whose other end comes soonest thus sits last, next to the
 old legs it will meet; backwards the passes are mirror images, so the forward
 and backward boundaries meet in the same leg order. As the keys do not depend
@@ -158,91 +172,100 @@ _ONE = Tensor._trusted((), np.ones(()))
 class _Env:
     """Plain boundaries of one order, kept between calls: the environment cache.
 
-    ``held[1, k]`` is the prefix over ``order[:k]`` and ``held[-1, k]`` the
-    suffix over ``order[k:]``, both made of plain layers sliced to ``keep``.
-    ``marks`` are the checkpoint cuts (see :func:`_marks`), ``stride`` the
-    longest run of sites between two of them, and ``ahead``/``behind`` the
-    :func:`_ranks` of the order, which are also minus the last and the first
-    position of each bond's ends. ``span`` is the ``(first, last + 1)`` cut
-    pair of the last call with a support, and ``heading`` the direction of a
-    scan (1 forwards, -1 backwards, 0 none). See :func:`_contract`.
+    ``plan`` is the last call's :class:`_Plan` of the order. ``held[1, k]`` is
+    the prefix over ``order[:k]`` and ``held[-1, k]`` the suffix over
+    ``order[k:]``, both made of the plan's plain layers. ``stride`` is the
+    longest run of sites between two of the plan's ``marks``, and
+    ``ahead``/``behind`` the :func:`_ranks` of the order, which are also minus
+    the last and the first position of each bond's ends. ``span`` is the
+    ``(first, last + 1)`` cut pair of the last call with a support, and
+    ``heading`` the direction of a scan (1 forwards, -1 backwards, 0 none).
+    See :func:`_contract`.
     """
 
-    order: list[int]
-    marks: frozenset[int]
-    stride: int
-    ahead: dict[str, int]
-    behind: dict[str, int]
-    keep: dict[str, np.ndarray]
+    plan: _Plan
+    stride: int = field(init=False)
+    ahead: dict[str, int] = field(init=False)
+    behind: dict[str, int] = field(init=False)
     held: dict[tuple[int, int], Tensor] = field(default_factory=dict)
     nbytes: int = 0
     span: tuple[int, int] | None = None
     heading: int = 0
 
-    def refit(self, keep: dict[str, np.ndarray]) -> None:
-        """Drop the boundaries that some bond's new kept indices would change.
+    def __post_init__(self) -> None:
+        ends = sorted(self.plan.marks | {0, len(self.plan.order)})
+        self.stride = max(j - i for i, j in zip(ends, ends[1:]))
+        self.ahead, self.behind = _ranks(self.plan.order, self.plan.legs)
+
+    def refit(self, plan: _Plan) -> None:
+        """Take ``plan``, of the same order, dropping the boundaries its kept indices change.
 
         A prefix over ``order[:k]`` holds a bond when one of its ends comes
         before ``k``, a suffix over ``order[k:]`` when one comes at or after it.
+        A cut bond, which has no rank, never changes: it keeps the diagonal of
+        its closure, which an observable's pattern leaves alone.
         """
-        changed = [label for label in self.keep.keys() | keep.keys()
-                   if not _same(self.keep.get(label), keep.get(label))]
+        old, new = self.plan.keep, plan.keep
+        changed = [label for label in old.keys() | new.keys()
+                   if not _same(old.get(label), new.get(label))]
         if changed:
             lo = min(-self.behind[label] for label in changed)
             hi = max(-self.ahead[label] for label in changed)
             for key in [key for key in self.held
                         if (key[1] > lo if key[0] > 0 else key[1] <= hi)]:
                 self._drop(key)
-        self.keep = keep
+        self.plan = plan
 
     def _drop(self, key: tuple[int, int]) -> None:
         self.nbytes -= self.held.pop(key).data.nbytes
 
-    def record(self, key: tuple[int, int], t: Tensor, budget: int,
-               stops: tuple[tuple[int, int], ...]) -> None:
-        """Hold ``t`` at ``key``, then drop boundaries until ``budget`` bytes suffice.
+    def record(self, key: tuple[int, int], t: Tensor) -> None:
+        """Hold ``t`` at ``key``, then drop boundaries until the plan's budget suffices.
 
-        The boundaries at ``stops`` (this call's ``(1, first)`` and ``(-1, last
-        + 1)``) stay. The others go cuts between marks first, and in each
+        The budget is ``ENV_BOUNDARIES`` boundaries of the plan's peak size, in
+        float64 bytes. The plan's own two cuts, ``(1, first)`` and ``(-1,
+        past)``, stay. The others go cuts between marks first, and in each
         group those behind a scan (see ``heading``) first, then the farthest
-        from this call's stop in their direction.
+        from this call's cut in their direction.
         """
         if key in self.held:  # a repeated read: the same bits, counted once
             return
         self.held[key] = t
         self.nbytes += t.data.nbytes
+        plan = self.plan
+        budget = ENV_BOUNDARIES * 8 * plan.peak
         if self.nbytes > budget:
-            here = dict(stops)
+            here = {1: plan.first, -1: plan.past}
 
             def drop_order(k: tuple[int, int]) -> tuple:
                 gap = k[1] - here[k[0]]
-                return k[1] in self.marks, self.heading * gap >= 0, -abs(gap)
+                return k[1] in plan.marks, self.heading * gap >= 0, -abs(gap)
 
-            for drop in sorted((k for k in self.held if k not in stops), key=drop_order):
+            for drop in sorted((k for k in self.held if k[1] != here[k[0]]), key=drop_order):
                 self._drop(drop)
                 if self.nbytes <= budget:
                     break
 
-    def boundary(self, forward: bool, cut: int, layers, closures: dict[str, Tensor],
-                 budget: int, stops: tuple[tuple[int, int], ...], scan: bool) -> Tensor:
-        """The prefix over ``order[:cut]`` (``forward``) or the suffix over ``order[cut:]``.
+    def boundary(self, forward: bool, net: PepsNetwork, scan: bool) -> Tensor:
+        """The prefix over ``order[:first]`` (``forward``) or the suffix over ``order[past:]``.
 
-        It resumes from the held boundary nearest ``cut`` on the near side
-        (or from the scalar 1 at either end of the order) and absorbs the
-        ``layers(sites)`` of the sites in between. It holds every mark it
-        passes and ``cut`` itself, and during a ``scan`` every cut it passes.
+        It resumes from the held boundary nearest the plan's cut on the near
+        side (or from the scalar 1 at either end of the order) and absorbs the
+        plan's layers of the sites in between. It holds every mark it passes
+        and the cut itself, and during a ``scan`` every cut it passes.
         """
-        d = 1 if forward else -1
+        plan, d = self.plan, 1 if forward else -1
+        cut = plan.first if forward else plan.past
         start = max((k for s, k in self.held if s == d and d * k <= d * cut),
-                    key=lambda k: d * k, default=0 if forward else len(self.order))
-        sites = self.order[start:cut] if forward else self.order[cut:start][::-1]
+                    key=lambda k: d * k, default=0 if forward else len(plan.order))
+        sites = plan.order[start:cut] if forward else plan.order[cut:start][::-1]
 
         def seen(i: int, acc: Tensor) -> None:
             k = start + d * (i + 1)
-            if scan or k == cut or k in self.marks:
-                self.record((d, k), acc, budget, stops)
+            if scan or k == cut or k in plan.marks:
+                self.record((d, k), acc)
 
-        return _absorb(self.held.get((d, start), _ONE), layers(sites), closures,
+        return _absorb(self.held.get((d, start), _ONE), [plan.layer(net, v) for v in sites],
                        self.ahead if forward else self.behind, seen)
 
 
@@ -410,14 +433,14 @@ def sweep_order(graph, sweep: str = "cols") -> list[int]:
     return [r * cols + c for r in range(rows) for c in range(cols)]
 
 
-def _cuts(legs: dict[int, list], order: Sequence[int], closures: dict[str, Tensor]):
+def _cuts(legs: dict[int, list], order: Sequence[int]):
     """Entries of the boundary left after absorbing each site of ``order`` in turn."""
     open_legs: dict[str, int] = {}
     for v in order:
         for label, dim in legs[v]:
             if label in open_legs:
                 del open_legs[label]
-            elif label not in closures:
+            else:
                 open_legs[label] = dim
         yield math.prod(open_legs.values())
 
@@ -637,9 +660,9 @@ def _schedule(held: tuple[tuple[str, int], ...], layers: Sequence[Sequence[tuple
     """The steps that absorb layers with legs ``layers`` in turn into a boundary with legs ``held``.
 
     This is the one place a step's layout is derived, from the leg lists
-    alone; the layers' cut bonds must already be closed. The legs a layer
-    shares with the boundary keep the layer's order, and its new legs are
-    sorted by ``rank``. A step is a ``tz._Run`` when the shared legs sit at one
+    alone: the closed legs of :meth:`_Plan.layer` (``plan.legs``). The legs a
+    layer shares with the boundary keep the layer's order, and its new legs
+    are sorted by ``rank``. A step is a ``tz._Run`` when the shared legs sit at one
     contiguous run of the boundary's axes (the new legs are written in their
     place), else a ``tz._Product`` (they are appended at its tail).
     """
@@ -677,26 +700,16 @@ def _replay(steps: list, acc: Tensor, operands: Iterable[np.ndarray],
     return Tensor._trusted(steps[-1].legs, data) if steps else acc
 
 
-def _closed(layer: Tensor, closures: dict[str, Tensor]) -> Tensor:
-    """``layer`` with each of its cut bonds closed by that bond's closure."""
-    for label in layer.labels:
-        if label in closures:
-            layer = tz.contract(layer, closures[label], [(label, label)])
-    return layer
-
-
-def _absorb(acc: Tensor, layers: Sequence[Tensor], closures: dict[str, Tensor],
-            rank: dict[str, int], seen=None) -> Tensor:
+def _absorb(acc: Tensor, layers: list[Tensor], rank: dict[str, int], seen=None) -> Tensor:
     """``acc`` with ``layers`` absorbed in turn, their new legs sorted by ``rank``.
 
-    Each layer's cut bonds are closed first (:func:`_closed`); the steps are
-    then derived from the legs (:func:`_schedule`) and run into fresh arrays
-    (:func:`_replay`, which calls ``seen``).
+    The steps are derived from the layers' legs (:func:`_schedule`) and run
+    into fresh arrays (:func:`_replay`, which calls ``seen``). Each layer is
+    popped from ``layers`` as its step runs, so none outlives its step unless
+    the caller holds it.
     """
-    layers = [_closed(t, closures) for t in layers]
     steps = _schedule(acc.legs, [t.legs for t in layers], rank)
-    return _replay(steps, acc, (step.operand(t.data) for step, t in zip(steps, layers)),
-                   seen=seen)
+    return _replay(steps, acc, (step.operand(layers.pop(0).data) for step in steps), seen=seen)
 
 
 def _pair(a: Tensor, b: Tensor) -> complex:
@@ -711,10 +724,6 @@ def _pair(a: Tensor, b: Tensor) -> complex:
     if perm != sorted(perm) and b.size > tz._BLOCK:
         return tz.contract(a, b, [(l, l) for l in a.labels]).item()
     return np.dot(a.data.ravel(), b.data.transpose(perm).ravel()).item()
-
-
-def _absolute(t: Tensor) -> Tensor:
-    return Tensor._trusted(t.legs, np.abs(t.data))
 
 
 def _real_scalar(value: complex, abs_scale_fn) -> float:
@@ -739,10 +748,14 @@ class _Plan:
     ``prefactor`` is 1/dim per bond with both ends inside, ``closures`` holds
     the :func:`mixed_closure` of each cut bond sliced to ``keep``, the kept
     indices of :func:`_prune`, and ``bases`` the blocks of :func:`_bases`.
-    ``legs`` are each site's layer legs sliced to ``keep``, ``peak`` the
-    largest boundary of ``order`` in entries, ``marks`` its checkpoint cuts
-    (:func:`_marks`) and ``factors`` the observable's, split along it. The
-    prefix runs over ``order[:first]`` and the suffix over ``order[past:]``.
+    ``legs`` are each site's layer legs sliced to ``keep``, its cut bonds
+    closed, ``peak`` the largest boundary of ``order`` in entries, ``marks``
+    its checkpoint cuts (:func:`_marks`) and ``factors`` the observable's,
+    split along it. The prefix runs over ``order[:first]`` and the suffix over
+    ``order[past:]``.
+
+    The plan is the one place a layer is finished (:meth:`layer`,
+    :meth:`stacks`); a pass only schedules and replays the layers it is given.
     """
 
     prefactor: float
@@ -757,22 +770,57 @@ class _Plan:
     first: int
     past: int
 
-    def layer(self, net: PepsNetwork, v: int, factor: Tensor | None = None) -> Tensor:
-        """The double layer of site ``v``, sliced to ``keep`` and put in the Hermitian basis."""
-        real = factor is None or not _operator_bonds(factor)
-        return _in_basis(_sliced(double_layer(net, v, factor), self.keep), v, self.bases, real)
+    def layer(self, net: PepsNetwork, v: int, factor: Tensor | None = None,
+              absolute: bool = False) -> Tensor:
+        """The double layer of site ``v``, finished: its legs are ``legs[v]``.
 
-    def norm(self, value: complex, layers, ahead: dict[str, int]) -> float:
+        It is sliced to ``keep``, put in the Hermitian basis, and each of its
+        cut bonds is closed by that bond's closure, one ``tz.contract`` each.
+        ``absolute`` takes the absolute value of every entry after the basis
+        change and before closing; the closures are nonnegative, so they are
+        their own absolute values.
+        """
+        real = factor is None or not _operator_bonds(factor)
+        t = _in_basis(_sliced(double_layer(net, v, factor), self.keep), v, self.bases, real)
+        if absolute:
+            t = Tensor._trusted(t.legs, np.abs(t.data))
+        for label in t.labels:
+            if label in self.closures:
+                t = tz.contract(t, self.closures[label], [(label, label)])
+        return t
+
+    def stacks(self, nets: Sequence[PepsNetwork]) -> dict[int, Tensor]:
+        """Each site's plain layers of all ``nets`` as one tensor, with a leading sample leg ``""``.
+
+        The plan must have no cut bond (it covers the whole graph). Sample
+        ``s`` is bitwise ``layer(nets[s], v)``: the site matrices are squared
+        by :func:`_squares`, and :func:`_sliced` and :func:`_in_basis` act on
+        the stack as on one layer (no edge id is empty, so the sample leg is
+        neither sliced nor put in a basis).
+        """
+        graph = nets[0].graph
+        out = {}
+        for v in graph.vertices:
+            ts = [n.site(v) for n in nets]
+            edges = graph.incident(v)
+            dims = [e.dim for e in edges]
+            mats = np.stack([t.data.reshape(math.prod(dims), -1) for t in ts])
+            sq = _squares(mats, np.array([t.is_real for t in ts]))
+            legs = (("", len(ts)),) + tuple((e.id, e.dim * e.dim) for e in edges)
+            out[v] = _in_basis(_sliced(Tensor._trusted(legs, _fused(sq, dims)), self.keep), v,
+                               self.bases, True)
+        return out
+
+    def norm(self, value: complex, net: PepsNetwork) -> float:
         """The paired ``value`` times the prefactor, checked by :func:`_real_scalar`.
 
-        Its absolute pass absorbs ``layers(order)`` along ``order`` with the
-        ``ahead`` ranks, closing the absolute value of each layer with the
-        absolute values of the closures.
+        Its scale is the absolute pass: the layers of ``net`` built with
+        ``absolute``, absorbed along ``order`` from the scalar 1.
         """
         def absolute() -> float:
-            plain = [_absolute(t) for t in layers(self.order)]
-            closures = {label: _absolute(t) for label, t in self.closures.items()}
-            return abs(_absorb(_ONE, plain, closures, ahead).item() * self.prefactor)
+            layers = [self.layer(net, v, absolute=True) for v in self.order]
+            rank = _ranks(self.order, self.legs)[0]
+            return abs(_absorb(_ONE, layers, rank).item() * self.prefactor)
 
         return _real_scalar(value * self.prefactor, absolute)
 
@@ -803,7 +851,7 @@ def _plan(net: PepsNetwork, sites: Sequence[int], observable: Observable | None,
         return None
     closures = {label: _sliced(t, keep) for label, t in closures.items()}
     legs = {v: [(e.id, keep[e.id].size if e.id in keep else e.dim * e.dim)
-                for e in graph.incident(v)] for v in inside}
+                for e in graph.incident(v) if e.id not in closures] for v in inside}
     # operator-bond labels longer than every edge id, so that none is a bond
     tag = "~" * max((len(e.id) for e in graph.edges), default=0)
     best, chains = None, {}
@@ -817,8 +865,8 @@ def _plan(net: PepsNetwork, sites: Sequence[int], observable: Observable | None,
         observed = legs | {v: legs[v] + _operator_bonds(f) for v, f in chains[chain].items()}
         # forward through the last support site, backwards through the suffix
         last = max((order.index(v) for v in support), default=len(order) - 1)
-        cuts = list(_cuts(observed, order[:last + 1], closures))
-        peak = max(max(cuts), max(_cuts(legs, order[:last:-1], closures), default=1))
+        cuts = list(_cuts(observed, order[:last + 1]))
+        peak = max(max(cuts), max(_cuts(legs, order[:last:-1]), default=1))
         if best is None or peak < best[0]:
             best = peak, name, order, chains[chain], cuts
     peak, name, order, factors, cuts = best
@@ -871,42 +919,36 @@ def _contract(net: PepsNetwork, sites: Sequence[int], observable: Observable | N
     if plan is None:
         _slot = slot
         return 0.0, (None if observable is None else 0j)
-    order, first, past, closures = plan.order, plan.first, plan.past, plan.closures
+    order, first, past = plan.order, plan.first, plan.past
     env = slot.env
-    if env is None or env.order != order:
-        ends = sorted(plan.marks | {0, len(order)})
-        stride = max(j - i for i, j in zip(ends, ends[1:]))
+    if env is None or env.plan.order != order:
         # a miss drops the old boundaries before any layer is built
-        env = slot.env = _Env(order, plan.marks, stride, *_ranks(order, plan.legs), plan.keep)
+        env = slot.env = _Env(plan)
     else:
-        env.refit(plan.keep)
+        env.refit(plan)
     scan = bool(plan.factors) and env.span is not None and abs(first - env.span[0]) <= env.stride
     env.heading = (first > env.span[0]) - (first < env.span[0]) if scan else 0
     if plan.factors:
         env.span = (first, past)
-    budget, stops = ENV_BOUNDARIES * 8 * plan.peak, ((1, first), (-1, past))
-
-    def layers(sites: Sequence[int]) -> list[Tensor]:
-        return [plan.layer(net, v) for v in sites]
-
     _slot = slot
-    suffix = env.boundary(False, past, layers, closures, budget, stops, scan)
-    prefix = env.boundary(True, first, layers, closures, budget, stops, scan)
+    suffix = env.boundary(False, net, scan)
+    prefix = env.boundary(True, net, scan)
     middle = order[first:past]
-    plain = layers(middle)
-    closed = _absorb(prefix, plain, closures, env.ahead)
+    plain = [plan.layer(net, v) for v in middle]
+    closed = _absorb(prefix, list(plain), env.ahead)
     if scan:
-        env.record((1, past), closed, budget, stops)
+        env.record((1, past), closed)
     norm = _pair(closed, suffix)
     del closed  # before the numerator's boundary is made
     numer = None
     if plan.factors:
         special = [plan.layer(net, v, plan.factors[v]) if v in plan.factors else t
                    for v, t in zip(middle, plain)]
+        del plain  # the numerator's pass lets each layer go
         ahead = env.ahead | _ranks(order, {v: _operator_bonds(f)
                                            for v, f in plan.factors.items()})[0]
-        numer = _pair(_absorb(prefix, special, closures, ahead), suffix) * plan.prefactor
-    return plan.norm(norm, layers, env.ahead), numer
+        numer = _pair(_absorb(prefix, special, ahead), suffix) * plan.prefactor
+    return plan.norm(norm, net), numer
 
 
 def _expectation(norm: float, numer: complex, what: str) -> tuple[float, float]:
@@ -958,7 +1000,7 @@ def peps_norms(nets: Sequence[PepsNetwork], *, guard: int | None = BOUNDARY_GUAR
     ``peps_norm`` would report on the same kept indices. The steps of both
     passes are derived once from the leg lists (:func:`_schedule`). Each
     site's layers of all networks are built as one stack
-    (:func:`_plain_stacks`) and made into the step's right operand as a
+    (:meth:`_Plan.stacks`) and made into the step's right operand as a
     whole; then each network replays the steps (:func:`_replay`), is paired
     and checked on its own, as by :func:`peps_norm`. At most ``guard`` layer
     entries, or one network's, are stacked at once (the networks go in
@@ -989,15 +1031,14 @@ def peps_norms(nets: Sequence[PepsNetwork], *, guard: int | None = BOUNDARY_GUAR
     out = []
     for start in range(0, len(nets), chunk):
         part = nets[start:start + chunk]
-        stacks = _plain_stacks(part, plan.keep, plan.bases)
+        stacks = plan.stacks(part)
         operands = {v: step.operand(stacks.pop(v).data, 1)
                     for sites, steps in passes for v, step in zip(sites, steps)}
         buffers = _buffers([steps for _, steps in passes])
         for s, sample in enumerate(part):
             suffix, prefix = (_replay(steps, _ONE, [operands[v][s] for v in sites], outs)
                               for (sites, steps), outs in zip(passes, buffers))
-            out.append(plan.norm(_pair(prefix, suffix),
-                                 lambda order: [plan.layer(sample, v) for v in order], ahead))
+            out.append(plan.norm(_pair(prefix, suffix), sample))
         del operands, buffers
     return out
 
@@ -1031,29 +1072,6 @@ def _union(nets: Sequence[PepsNetwork]) -> PepsNetwork:
         v: Tensor._trusted(nets[0].site(v).legs,
                            np.logical_or.reduce([n.site(v).data != 0 for n in nets]).astype(float))
         for v in graph.vertices})
-
-
-def _plain_stacks(nets: Sequence[PepsNetwork], keep: dict[str, np.ndarray],
-                  bases: dict) -> dict[int, Tensor]:
-    """Each site's plain layers of all ``nets`` as one tensor, with a leading sample leg ``""``.
-
-    Sample ``s`` is bitwise the layer :func:`_contract` builds for
-    ``nets[s]``: the site matrices are squared by :func:`_squares`, and
-    :func:`_sliced` and :func:`_in_basis` act on the stack as on one layer
-    (no edge id is empty, so the sample leg is neither sliced nor put in a
-    basis).
-    """
-    graph = nets[0].graph
-    out = {}
-    for v in graph.vertices:
-        ts = [n.site(v) for n in nets]
-        edges = graph.incident(v)
-        dims = [e.dim for e in edges]
-        mats = np.stack([t.data.reshape(math.prod(dims), -1) for t in ts])
-        sq = _squares(mats, np.array([t.is_real for t in ts]))
-        legs = (("", len(ts)),) + tuple((e.id, e.dim * e.dim) for e in edges)
-        out[v] = _in_basis(_sliced(Tensor._trusted(legs, _fused(sq, dims)), keep), v, bases, True)
-    return out
 
 
 def nev_report(net: PepsNetwork, obs: Observable, *, guard: int | None = BOUNDARY_GUARD,

@@ -372,7 +372,14 @@ def network_from_json(obj: dict) -> PepsNetwork:
         tensors_obj = obj["tensors"]
     except (KeyError, TypeError):
         raise ValueError("network file must have 'graph' and 'tensors'") from None
-    edges = [Edge(str(e["id"]), int(e["u"]), int(e["v"]), int(e["dim"])) for e in graph_obj["edges"]]
+    if not isinstance(graph_obj, dict) or not isinstance(tensors_obj, dict):
+        raise ValueError("network file's 'graph' and 'tensors' must be JSON objects")
+    edges = []
+    for e in graph_obj["edges"]:
+        try:
+            edges.append(Edge(str(e["id"]), int(e["u"]), int(e["v"]), int(e["dim"])))
+        except (KeyError, TypeError):
+            raise ValueError(f"network edge {e!r} needs 'id', 'u', 'v' and 'dim'") from None
     geometry = graph_obj.get("geometry", "explicit")
     vertices = graph_obj.get("vertices")
     if vertices is None:

@@ -334,11 +334,41 @@ def test_tile_count_above_2_53_exits_1(capsys, tmp_path):
     assert "2**53" in err
 
 
-def test_missing_file_exits_1(capsys):
-    code = main(["norm", "--network", "/no/such/file.json"])
+def _malformed(tmp_path, case):
+    """Argv of a CLI call on a missing or malformed input file, and what its error names."""
+    net = network_to_json(pl.random_network(1, 2, seed=0))
+    listed = dict(net, tensors=list(net["tensors"].values()))
+    net["graph"]["edges"][0] = [0, 1]
+    circuit = pl.circuit_to_json(demo_circuit())
+    circuit["gates"][0] = [1, 2]
+    circuit_file = write_json(tmp_path / "bad_circuit.json", circuit)
+    good_circuit = write_json(tmp_path / "circuit.json", pl.circuit_to_json(demo_circuit()))
+    return {
+        "missing": (["norm", "--network", "/no/such/file.json"], "/no/such/file.json"),
+        "directory": (["norm", "--network", str(tmp_path)], str(tmp_path)),
+        "edge": (["norm", "--network", write_json(tmp_path / "net.json", net)], "[0, 1]"),
+        "tensors": (["norm", "--network", write_json(tmp_path / "listed.json", listed)],
+                    "'tensors'"),
+        "gate-compile": (["compile-circuit", "--circuit", circuit_file, "--delta", "0.5"],
+                         "[1, 2]"),
+        "gate-sim": (["sim", "run", "--circuit", circuit_file, "--eta", "0.1"], "[1, 2]"),
+        "observable": (["sim", "run", "--circuit", good_circuit, "--eta", "0.1", "--observable",
+                        write_json(tmp_path / "obs.json", {"matrix": [1, 2, 3, 4]})],
+                       "[1, 2, 3, 4]"),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "edge", "tensors", "gate-compile",
+                                  "gate-sim", "observable"])
+def test_missing_file_exits_1(capsys, tmp_path, case):
+    # one error line, no traceback, and nothing on stdout
+    argv, named = _malformed(tmp_path, case)
+    code = main(argv)
     out, err = capsys.readouterr()
     assert code == 1
+    assert out == ""
     assert err.startswith("error:")
+    assert named in err
 
 
 def test_bad_random_spec_exits_1(capsys):

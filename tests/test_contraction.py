@@ -249,6 +249,52 @@ def test_peak_memory_stays_near_the_largest_boundary(monkeypatch):
     assert peak(lambda: pl.nev_report(net, obs)) <= 3.5 * boundary
 
 
+def test_a_pass_lets_each_layer_go(monkeypatch):
+    # when step i of a pass runs, the layer that step i - 1 absorbed has no
+    # reference left, so a pass holds one layer at a time; the absolute pass
+    # (forced here) too
+    net = pl.random_network(4, 4, seed=3)
+    centre = net.graph.vertex_at(2, 1)
+    obs = pl.observable_from_matrix((centre,), random_hermitian(net.phys_dim(centre), 4))
+    state = {"pass": None}
+    alive = []
+    replay = contraction._replay
+
+    def recorded_replay(*args, **kwargs):
+        state["pass"] = []
+        try:
+            return replay(*args, **kwargs)
+        finally:
+            state["pass"] = None
+
+    def fed(operand):
+        def recorded(step, b, batch=0):
+            if state["pass"] is not None:
+                state["pass"].append(weakref.ref(b))
+            return operand(step, b, batch)
+        return recorded
+
+    def ran(into):
+        def checked(step, a, b, out):
+            if state["pass"] is not None:
+                alive.append(sum(ref() is not None for ref in state["pass"][:-1]))
+            return into(step, a, b, out)
+        return checked
+
+    monkeypatch.setattr(contraction, "_replay", recorded_replay)
+    for kind in (tz._Run, tz._Product):
+        monkeypatch.setattr(kind, "operand", fed(kind.operand))
+        monkeypatch.setattr(kind, "into", ran(kind.into))
+    contraction._slot = None
+    pl.peps_norm(net)
+    contraction._slot = None
+    pl.nev_report(net, obs)
+    monkeypatch.setattr(contraction, "_real_scalar", lambda value, scale: scale())
+    pl.peps_norm(net)
+    assert len(alive) > 3 * 16
+    assert alive == [0] * len(alive)
+
+
 def _count_steps(monkeypatch) -> collections.Counter:
     """Counts of absorption steps scheduled to write in place (``tz._Run``) and of
     those that fall back to a pairwise product (``tz._Product``), and of the

@@ -1,4 +1,5 @@
-"""Every private module-level helper of the package is used somewhere in it."""
+"""Every private module-level helper of the package is used somewhere in it, and every
+parameter of every function is read in that function's body."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,44 @@ def test_a_helper_left_behind_is_caught(tmp_path):
                                    "x = _Used()\n")
     helpers, used = _helpers_and_uses(sorted(tmp_path.glob("*.py")))
     assert [name for _, name in helpers if name not in used] == ["_left"]
+
+
+def _unread_parameters(paths):
+    """``module:function(parameter)`` for each parameter its function's body never reads.
+
+    A parameter counts as read when its name is loaded anywhere in the body,
+    nested functions included. ``self`` and ``cls`` are left out.
+    """
+    unread = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+                body = node.body if isinstance(node.body, list) else [node.body]
+                read = {n.id for stmt in body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                name = getattr(node, "name", "<lambda>")
+                unread += [f"{path.name}:{name}({p})" for p in params
+                           if p not in read and p not in ("self", "cls")]
+    return unread
+
+
+def test_every_parameter_is_read():
+    unread = _unread_parameters(sorted(SRC.glob("*.py")))
+    assert not unread, f"parameters never read: {unread}"
+
+
+def test_a_parameter_left_behind_is_caught(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def _cuts(legs, order, closures):\n"
+        "    return [legs[v] for v in order]\n\n\n"
+        "class _Env:\n"
+        "    def boundary(self, forward, cut, *, scan=False):\n"
+        "        def seen(i):\n"
+        "            return i + cut\n"
+        "        return seen if forward else (lambda k, unused: k)\n")
+    assert _unread_parameters([tmp_path / "a.py"]) == [
+        "a.py:_cuts(closures)", "a.py:boundary(scan)", "a.py:<lambda>(unused)"]

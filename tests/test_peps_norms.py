@@ -121,13 +121,13 @@ def test_a_small_guard_splits_the_samples_into_chunks(monkeypatch):
     guard = 2 * entries + 1  # two samples' layers fit, three do not
     assert err.value.required <= guard
     chunks = []
-    stacks = contraction._plain_stacks
+    stacks = contraction._Plan.stacks
 
-    def counted(chunk, keep, bases):
+    def counted(plan, chunk):
         chunks.append(len(chunk))
-        return stacks(chunk, keep, bases)
+        return stacks(plan, chunk)
 
-    monkeypatch.setattr(contraction, "_plain_stacks", counted)
+    monkeypatch.setattr(contraction._Plan, "stacks", counted)
     assert pl.peps_norms(nets, guard=guard) == want
     assert chunks == [2, 2, 1]
 
