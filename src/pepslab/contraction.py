@@ -150,7 +150,7 @@ import numpy as np
 from . import backend
 from . import tensor as tz
 from .errors import GuardExceeded
-from .network import PHYS, Observable, PepsNetwork
+from .network import Observable, PepsNetwork
 from .tensor import Tensor
 
 BOUNDARY_GUARD = 1 << 20
@@ -260,10 +260,10 @@ class _Env:
                     key=lambda k: d * k, default=0 if forward else len(plan.order))
         sites = plan.order[start:cut] if forward else plan.order[cut:start][::-1]
 
-        def seen(i: int, acc: Tensor) -> None:
+        def seen(i: int, legs: tuple, data: np.ndarray) -> None:
             k = start + d * (i + 1)
             if scan or k == cut or k in plan.marks:
-                self.record((d, k), acc)
+                self.record((d, k), Tensor._trusted(legs, data))
 
         return _absorb(self.held.get((d, start), _ONE), [plan.layer(net, v) for v in sites],
                        self.ahead if forward else self.behind, seen)
@@ -273,7 +273,7 @@ class _Env:
 class _Slot:
     """What the engine keeps of the last network it contracted, for the next call.
 
-    ``masks`` holds each site's :func:`_live_pairs` and its plain live masks,
+    ``masks`` holds each site's :func:`_live_pairs`: its reach and its plain live masks,
     ``kept`` the kept indices of each bond between two plain layers (see
     :func:`_prune`), ``bases`` each bond's basis blocks (see :func:`_bases`),
     and ``env`` the environment cache of the last order (see :class:`_Env`
@@ -304,14 +304,15 @@ def double_layer(net: PepsNetwork, site: int, factor: Tensor | None = None) -> T
     squared in float64, so its plain layer comes out float64 without a copy.
     """
     t = net.site(site)
-    edge_ids = net.virtual_labels(site)
-    mat = tz.matrix_view(t, edge_ids, [PHYS])
+    edges = net.graph.incident(site)
+    dims = [e.dim for e in edges]
+    # the site's legs are its bonds in this order, then phys (see PepsNetwork)
+    mat = t.data.reshape(math.prod(dims), -1)
     if t.is_real:
         mat = bra = np.ascontiguousarray(mat.real)
     else:
         bra = mat.conj()
-    dims = [t.dim(l) for l in edge_ids]
-    legs = [(l, d * d) for l, d in zip(edge_ids, dims)]
+    legs = [(e.id, e.dim * e.dim) for e in edges]
     if factor is None:
         bonds, sq = [], backend.matmul(bra, mat.T)
     else:
@@ -456,38 +457,31 @@ def _marks(graph, order: Sequence[int], sweep: str) -> frozenset[int]:
     return frozenset(k for k in range(1, n) if line(order[k]) != line(order[k - 1]))
 
 
-def _live_pairs(net: PepsNetwork, v: int) -> dict[str, np.ndarray]:
-    """Per bond leg of site ``v``, which physical indices each bond index reaches.
+def _live_pairs(net: PepsNetwork, v: int) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Per bond leg of site ``v``, which physical indices each bond index
+    reaches, and which fused pairs of its plain layer are live.
 
     ``reach[a, p]`` is True when the site tensor is nonzero at bond index ``a``
     and physical index ``p`` (for some indices of its other bonds). A fused
     pair ``(a, b)`` of a layer that joins physical pairs ``P`` (the identity
     for the plain layer) is live when ``(reach @ P @ reach.T)[a, b]``; every
-    other pair of the layer is exactly zero. A site tensor with no zero entry
-    costs one count and returns ``{}``: every pair of every leg is live.
+    other pair of the layer is exactly zero. The plain masks are these
+    matrices for ``P = I``, raveled. A site tensor with no zero entry costs
+    one count and returns ``({}, {})``: every pair of every leg is live.
     """
     t = net.site(v)
-    if np.count_nonzero(t.data) == t.size:
-        return {}
-    nonzero = t.data != 0
-    labels = t.labels
-    p_axis = labels.index(PHYS)
-    reach = {}
-    for axis, label in enumerate(labels):
-        if axis != p_axis:
-            r = nonzero.any(axis=tuple(j for j in range(len(labels))
-                                       if j != axis and j != p_axis))
-            reach[label] = r.T if axis > p_axis else r
-    return reach
-
-
-def _site_masks(slot: _Slot, net: PepsNetwork, v: int) -> tuple[dict, dict]:
-    """The reach of site ``v`` and its plain layer's live masks, read once per network."""
-    held = slot.masks.get(v)
-    if held is None:
-        reach = _live_pairs(net, v)
-        held = slot.masks[v] = (reach, {l: (r @ r.T).ravel() for l, r in reach.items()})
-    return held
+    dims = t.data.shape[:-1]  # the bond legs; phys is last (see PepsNetwork)
+    if not dims or np.count_nonzero(t.data) == t.size:
+        return {}, {}
+    # one scan: each nonzero entry marks its (bond index, physical index) on
+    # every leg, in one stack of legs padded to the largest bond dim
+    coords = t.data.nonzero()
+    reach = np.zeros((len(dims), max(dims), t.data.shape[-1]), dtype=bool)
+    reach[np.arange(len(dims))[:, None], np.array(coords[:-1]), coords[-1]] = True
+    plain = reach @ reach.transpose(0, 2, 1)
+    legs = list(zip(t.labels, dims))
+    return ({label: reach[i, :d] for i, (label, d) in enumerate(legs)},
+            {label: plain[i, :d, :d].ravel() for i, (label, d) in enumerate(legs)})
 
 
 def _sliced(t: Tensor, keep: dict[str, np.ndarray]) -> Tensor:
@@ -522,7 +516,9 @@ def _prune(net: PepsNetwork, sites: Sequence[int], patterns: dict[int, np.ndarra
         for v in (e.u, e.v):
             if v in inside:
                 if v not in masks:
-                    reach, plain = _site_masks(slot, net, v)
+                    if v not in slot.masks:
+                        slot.masks[v] = _live_pairs(net, v)
+                    reach, plain = slot.masks[v]
                     masks[v] = plain if v not in patterns else {
                         l: _swap_closed(r @ patterns[v] @ r.T) for l, r in reach.items()}
                 out.append(masks[v].get(e.id))
@@ -555,7 +551,8 @@ def _kept(ends: list[np.ndarray | None]) -> np.ndarray | None:
     if not ends:
         return None
     live = ends[0] if len(ends) == 1 else ends[0] & ends[1]
-    return None if np.count_nonzero(live) == live.size else np.flatnonzero(live)
+    kept = live.nonzero()[0]
+    return None if kept.size == live.size else kept
 
 
 def _same(a: np.ndarray | None, b: np.ndarray | None) -> bool:
@@ -624,7 +621,7 @@ def _in_basis(t: Tensor, v: int, bases: dict, real: bool) -> Tensor:
     """
     data = t.data
     if not any(label in bases for label in t.labels):
-        return Tensor._trusted(t.legs, data.real) if real else t
+        return Tensor._trusted(t.legs, data.real) if real and data.dtype.kind == "c" else t
     for label, dim in t.legs:
         rows = data.reshape(dim, -1).T
         if label in bases:
@@ -686,9 +683,10 @@ def _replay(steps: list, acc: Tensor, operands: Iterable[np.ndarray],
     (``step.operand``). Step ``i`` writes a fresh array of its operands'
     common type, or, given ``buffers``, the head of ``buffers[i]`` (see
     :func:`_buffers`); every GEMM and the layout of its operands are the same
-    either way, so a boundary keeps its bits. ``seen(i, boundary)``, if
-    given, is called after each step. A fresh boundary is the caller's alone;
-    a buffer view is valid only until that buffer is written again.
+    either way, so a boundary keeps its bits. ``seen(i, legs, data)``, if
+    given, is called after each step with the boundary's legs and array. A
+    fresh boundary is the caller's alone; a buffer view is valid only until
+    that buffer is written again.
     """
     data = acc.data
     for i, (step, operand) in enumerate(zip(steps, operands)):
@@ -696,7 +694,7 @@ def _replay(steps: list, acc: Tensor, operands: Iterable[np.ndarray],
                else buffers[i][:step.size].reshape(step.shape))
         data = step.into(data, operand, out)
         if seen is not None:
-            seen(i, Tensor._trusted(step.legs, data))
+            seen(i, step.legs, data)
     return Tensor._trusted(steps[-1].legs, data) if steps else acc
 
 

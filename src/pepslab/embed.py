@@ -215,10 +215,10 @@ def readout_observable(compiled: CompiledNetwork, wire: int, matrix) -> Observab
         raise ValueError(f"wire {wire} out of range for a {width}-wire circuit")
     t = compiled.rows - 1
     s, pos = wire_cell(width, t, wire)
-    if pos == 0:
-        o4 = np.kron(m, np.eye(2, dtype=np.complex128))
-    else:
-        o4 = np.kron(np.eye(2, dtype=np.complex128), m)
+    # the entries of kron(m, I) (or kron(I, m)) as [i, k, j, l], one broadcast product
+    eye = np.eye(2, dtype=np.complex128)
+    a, b = (m, eye) if pos == 0 else (eye, m)
+    o4 = (a[:, None, :, None] * b[None, :, None, :]).reshape(CELL_DIM, CELL_DIM)
     o16 = np.zeros((BASIS_SIZE, BASIS_SIZE), dtype=np.complex128)
     o16[:CELL_DIM, :CELL_DIM] = o4
     return observable_from_matrix((compiled.vertex(t, s),), o16)

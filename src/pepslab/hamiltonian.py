@@ -142,7 +142,7 @@ class ParentHamiltonian:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims, dtype=np.int64))
+        return math.prod(self.dims)
 
     def term_norms(self) -> list:
         return [float(np.linalg.norm(m, ord=2)) for m, _, _ in self._prepared]

@@ -12,6 +12,7 @@ normalization, so a network of isometric site tensors has norm exactly one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -133,15 +134,17 @@ class PepsNetwork:
         canon: dict[int, Tensor] = {}
         for v in graph.vertices:
             t = tensors[v]
-            want = [e.id for e in graph.incident(v)] + [PHYS]
-            if sorted(t.labels) != sorted(want):
-                raise ValueError(
-                    f"site {v}: legs {sorted(t.labels)} do not match incident edges {sorted(want)}"
-                )
-            for e in graph.incident(v):
-                if t.dim(e.id) != e.dim:
-                    raise ValueError(f"site {v}: leg {e.id!r} dim {t.dim(e.id)} != bond dim {e.dim}")
-            canon[v] = t if list(t.labels) == want else tz.permute_legs(t, want)
+            edges = graph.incident(v)
+            want = (*(e.id for e in edges), PHYS)
+            if t.labels != want:
+                if sorted(t.labels) != sorted(want):
+                    raise ValueError(f"site {v}: legs {sorted(t.labels)} do not match "
+                                     f"incident edges {sorted(want)}")
+                t = tz.permute_legs(t, want)
+            for e, (label, dim) in zip(edges, t.legs):
+                if dim != e.dim:
+                    raise ValueError(f"site {v}: leg {label!r} dim {dim} != bond dim {e.dim}")
+            canon[v] = t
         self.tensors = MappingProxyType(canon)
 
     def site(self, v: int) -> Tensor:
@@ -151,7 +154,7 @@ class PepsNetwork:
         return self.tensors[v].dim(PHYS)
 
     def virtual_dim(self, v: int) -> int:
-        return int(np.prod([e.dim for e in self.graph.incident(v)], dtype=np.int64))
+        return math.prod([e.dim for e in self.graph.incident(v)])
 
     def virtual_labels(self, v: int) -> list[str]:
         return [e.id for e in self.graph.incident(v)]
@@ -213,8 +216,10 @@ class Observable:
         for i in range(len(self.support)):
             if self.operator.dim(f"in{i}") != self.operator.dim(f"out{i}"):
                 raise ValueError(f"operator in{i}/out{i} dims differ")
+        # an absolute bound on the scale of the entries, with no relative term:
+        # a looser check would let the engine drop an imaginary part unseen
         m = self.matrix()
-        if not np.allclose(m, m.conj().T, atol=self.HERMITICITY_TOL * max(1.0, np.abs(m).max())):
+        if np.abs(m - m.conj().T).max() > self.HERMITICITY_TOL * max(1.0, np.abs(m).max()):
             raise ValueError("observable operator is not Hermitian")
 
     def matrix(self) -> np.ndarray:
@@ -238,7 +243,7 @@ def observable_from_matrix(support, matrix, dims=None) -> Observable:
             raise ValueError(f"matrix dim {total} is not a {n}-fold power")
         dims = (dim,) * n
     dims = tuple(int(d) for d in dims)
-    if int(np.prod(dims, dtype=np.int64)) != total:
+    if math.prod(dims) != total:
         raise ValueError(f"site dims {dims} do not multiply to matrix dim {total}")
     rows = [(f"out{i}", dims[i]) for i in range(n)]
     cols = [(f"in{i}", dims[i]) for i in range(n)]
@@ -312,7 +317,7 @@ def random_network(rows: int, cols: int, bond_dim: int = 2, phys_dim: int | None
     tensors: dict[int, Tensor] = {}
     for v in graph.vertices:
         legs = [(e.id, e.dim) for e in graph.incident(v)]
-        k = int(np.prod([d for _, d in legs], dtype=np.int64))
+        k = math.prod([d for _, d in legs])
         d = k if phys_dim is None else int(phys_dim)
         if delta is None:
             mat = (rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))) / np.sqrt(2 * k)

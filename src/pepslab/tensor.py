@@ -12,6 +12,13 @@ complex128, is frozen in place, with no copy and no scan, and the contraction
 engine checks its final values once. A contraction's result has the common
 type of its operands, so real operands give a real product.
 
+Legs never change, so a tensor's leg lookups are made once, when it is made:
+``labels`` is a tuple stored beside ``legs``, :meth:`Tensor.axis` is that
+tuple's ``index`` (a scan in C over a handful of legs, which costs less than
+a dict built for every tensor, most of them engine intermediates that are
+never looked up), and ``dims`` is the array's shape. :func:`matrix_view`
+makes no copy when the row and column legs are the legs in their order.
+
 Pairwise contraction is a matrix multiply by :func:`pepslab.backend.matmul`.
 In :func:`contract`, an operand whose contracted legs already sit at its head
 or tail is viewed as a matrix without a copy; one that needs a permutation is
@@ -37,7 +44,7 @@ every value keeps its bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -56,6 +63,11 @@ RANK_TOL = 1e-14
 # float64 or 256 KiB of complex128, small enough to stay in cache between its
 # copy and its GEMM.
 _BLOCK = 1 << 14
+
+
+def _split(legs: tuple[tuple[str, int], ...]) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The labels and the dims of ``legs``, as two tuples."""
+    return tuple(zip(*legs)) if legs else ((), ())
 
 
 def _as_legs(legs: Iterable) -> tuple[tuple[str, int], ...]:
@@ -81,15 +93,16 @@ class Tensor:
 
     legs: tuple[tuple[str, int], ...]
     data: np.ndarray
+    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, legs: Iterable, data) -> None:
         legs = _as_legs(legs)
         # np.array keeps 0-d shapes (ascontiguousarray promotes them to 1-d)
         # and the copy means setflags below never freezes a caller's array.
         arr = np.array(data, dtype=np.complex128, order="C", copy=True)
-        dims = tuple(d for _, d in legs)
+        labels, dims = _split(legs)
         if arr.shape != dims:
-            if arr.size == int(np.prod(dims, dtype=np.int64)) and arr.ndim <= 1:
+            if arr.size == math.prod(dims) and arr.ndim <= 1:
                 arr = arr.reshape(dims)
             else:
                 raise ValueError(f"data shape {arr.shape} does not match leg dims {dims}")
@@ -98,6 +111,7 @@ class Tensor:
         arr.setflags(write=False)
         object.__setattr__(self, "legs", legs)
         object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "labels", labels)
 
     @classmethod
     def _trusted(cls, legs: tuple[tuple[str, int], ...], arr: np.ndarray) -> Tensor:
@@ -109,29 +123,29 @@ class Tensor:
         buffers its caller owns (``contraction._replay``) is a view of such a
         buffer, valid only until that buffer is written again.
         """
-        arr = np.ascontiguousarray(arr).reshape([d for _, d in legs])
+        labels, dims = _split(legs)
+        arr = np.ascontiguousarray(arr)
+        if arr.shape != dims:
+            arr = arr.reshape(dims)
         arr.setflags(write=False)
         t = object.__new__(cls)
         object.__setattr__(t, "legs", legs)
         object.__setattr__(t, "data", arr)
+        object.__setattr__(t, "labels", labels)
         return t
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(l for l, _ in self.legs)
-
-    @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.legs)
+        return self.data.shape
 
     def dim(self, label: str) -> int:
-        return self.legs[self.axis(label)][1]
+        return self.data.shape[self.axis(label)]
 
     def axis(self, label: str) -> int:
-        for i, (l, _) in enumerate(self.legs):
-            if l == label:
-                return i
-        raise KeyError(f"no leg labeled {label!r} (have {self.labels})")
+        try:
+            return self.labels.index(label)
+        except ValueError:
+            raise KeyError(f"no leg labeled {label!r} (have {self.labels})") from None
 
     @property
     def size(self) -> int:
@@ -181,7 +195,7 @@ def split_leg(t: Tensor, label: str, sublegs: Iterable) -> Tensor:
     """Split one leg into row-major ``sublegs`` whose dims multiply to its dim."""
     sublegs = _as_legs(sublegs)
     ax = t.axis(label)
-    if int(np.prod([d for _, d in sublegs], dtype=np.int64)) != t.legs[ax][1]:
+    if math.prod([d for _, d in sublegs]) != t.legs[ax][1]:
         raise ValueError(f"cannot split dim {t.legs[ax][1]} into {sublegs}")
     legs = t.legs[:ax] + sublegs + t.legs[ax + 1 :]
     return Tensor(legs, t.data.reshape([d for _, d in legs]))
@@ -427,15 +441,22 @@ def contract(a: Tensor, b: Tensor, pairs: Sequence[tuple[str, str]]) -> Tensor:
 
 
 def matrix_view(t: Tensor, row_legs: Sequence[str], col_legs: Sequence[str]) -> np.ndarray:
-    """Reshape to a matrix with the given row/col leg groups (row-major within each)."""
-    if sorted(list(row_legs) + list(col_legs)) != sorted(t.labels):
+    """Reshape to a matrix with the given row/col leg groups (row-major within each).
+
+    When the groups list the legs in their order the result is a view of the
+    data; otherwise it is a transposed copy.
+    """
+    order = [*row_legs, *col_legs]
+    if len(order) != len(t.labels) or set(order) != set(t.labels):
         raise ValueError(
             f"row {list(row_legs)} + col {list(col_legs)} must partition legs {t.labels}"
         )
-    perm = [t.axis(l) for l in list(row_legs) + list(col_legs)]
-    m = int(np.prod([t.dim(l) for l in row_legs], dtype=np.int64)) if row_legs else 1
-    n = int(np.prod([t.dim(l) for l in col_legs], dtype=np.int64)) if col_legs else 1
-    return np.ascontiguousarray(np.transpose(t.data, perm)).reshape(m, n)
+    perm = [t.labels.index(l) for l in order]
+    shape, split = t.data.shape, len(row_legs)
+    m = math.prod([shape[i] for i in perm[:split]])
+    n = math.prod([shape[i] for i in perm[split:]])
+    data = t.data if perm == sorted(perm) else np.ascontiguousarray(t.data.transpose(perm))
+    return data.reshape(m, n)
 
 
 def from_matrix(m, row_legs: Iterable, col_legs: Iterable) -> Tensor:
@@ -500,7 +521,7 @@ def from_literal(obj: dict) -> Tensor:
     if not isinstance(obj, dict) or "legs" not in obj or "data" not in obj:
         raise ValueError("tensor literal must have 'legs' and 'data'")
     legs = _as_legs((leg["label"], leg["dim"]) for leg in obj["legs"])
-    expected = int(np.prod([d for _, d in legs], dtype=np.int64)) if legs else 1
+    expected = math.prod([d for _, d in legs])
     raw = obj["data"]
     if len(raw) != expected:
         raise ValueError(f"data length {len(raw)} does not match leg dims (expected {expected})")

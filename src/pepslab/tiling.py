@@ -29,6 +29,10 @@ from .network import PHYS, PepsNetwork, periodic_grid
 from .tensor import Tensor
 
 SIDES = ("left", "top", "right", "bottom")
+# The side of a torus bond at a site, by the bond's kind (h or v, see
+# periodic_grid) and whether the site is its u end: a site is the u end of
+# its right (h) and bottom (v) bonds.
+_SIDE = {("h", False): 0, ("v", False): 1, ("h", True): 2, ("v", True): 3}
 
 INTEGER_RESIDUE_TOL = 1e-6
 # float64 holds every integer below 2**53 and no odd one above it
@@ -129,14 +133,10 @@ def _tile_network(graph, base: Tensor) -> PepsNetwork:
     once per distinct leg order and shared, read-only, by the sites with
     that order.
     """
-    rows, cols = graph.rows, graph.cols
     data, tensors = {}, {}
     for v in graph.vertices:
-        r, c = divmod(v, cols)
-        side = {f"h{r}.{(c - 1) % cols}": 0, f"v{(r - 1) % rows}.{c}": 1,
-                f"h{r}.{c}": 2, f"v{r}.{c}": 3}
         edges = graph.incident(v)
-        perm = tuple(side[e.id] for e in edges) + (4,)
+        perm = tuple(_SIDE[e.id[0], e.u == v] for e in edges) + (4,)
         if perm not in data:
             data[perm] = np.ascontiguousarray(base.data.transpose(perm))
         legs = tuple((e.id, e.dim) for e in edges) + (base.legs[4],)

@@ -302,6 +302,20 @@ def test_contraction_guard_exits_2_and_force_lifts_it(capsys):
     assert forced["norm"] > 0
 
 
+def test_a_chain_past_int64_dims_is_refused_by_the_dense_guard(capsys):
+    # 2 * 4**32 * 2 = 2**66 states, which an int64 product wraps to 0
+    ham = pl.parent_hamiltonian(pl.random_network(1, 34))
+    assert ham.dim == 2 ** 66
+    with pytest.raises(pl.GuardExceeded) as err:
+        pl.spectrum_report(ham, k=2)
+    assert err.value.required == 2 ** 66
+    code = main(["parent-ham", "--random", "1x34", "--eigenvalues", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("guard:")
+
+
 def test_tile_guard_exits_2(capsys, tmp_path):
     # every color on every side: each bond keeps all 4 of its (color, color)
     # pairs, so the 5x5 torus still peaks at 4**12 live boundary entries

@@ -74,6 +74,9 @@ def test_network_checks_site_legs():
     bad = tz.from_matrix(np.eye(2), [("phys", 2)], [("wrong", 2)])
     with pytest.raises(ValueError):
         pl.PepsNetwork(g, {0: good, 1: bad})
+    wide = tz.from_matrix(np.eye(3), [("phys", 3)], [("h0.0", 3)])
+    with pytest.raises(ValueError, match="'h0.0' dim 3 != bond dim 2"):
+        pl.PepsNetwork(g, {0: good, 1: wide})
 
 
 def _chain(m0, m1):
@@ -195,6 +198,17 @@ def test_observable_json_roundtrip():
 def test_observable_rejects_non_hermitian():
     with pytest.raises(ValueError):
         pl.observable_from_matrix((0,), np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("skew,hermitian", [(2e-6, False), (1e-13, True)])
+def test_hermiticity_tolerance_is_absolute(skew, hermitian):
+    # HERMITICITY_TOL times the largest entry, with no relative term on top
+    m = np.array([[0.3, 1.0 + skew], [1.0, -0.2]])
+    if hermitian:
+        pl.observable_from_matrix((0,), m)
+    else:
+        with pytest.raises(ValueError, match="not Hermitian"):
+            pl.observable_from_matrix((0,), m)
 
 
 def test_observable_with_unequal_site_dims():

@@ -1,5 +1,6 @@
-"""Every private module-level helper of the package is used somewhere in it, and every
-parameter of every function is read in that function's body."""
+"""Every private module-level helper of the package is used somewhere in it, every
+parameter of every function is read in that function's body, and no product of
+dims is taken in int64."""
 
 import ast
 from pathlib import Path
@@ -80,3 +81,41 @@ def test_a_parameter_left_behind_is_caught(tmp_path):
         "        return seen if forward else (lambda k, unused: k)\n")
     assert _unread_parameters([tmp_path / "a.py"]) == [
         "a.py:_cuts(closures)", "a.py:boundary(scan)", "a.py:<lambda>(unused)"]
+
+
+def _int64_products(paths):
+    """``module:line`` of each ``prod`` call given an int64 ``dtype``.
+
+    ``np.prod(dims, dtype=np.int64)`` wraps past 2**63 without a word (2**66
+    reads 0), so a guard compared against it passes work it should refuse;
+    ``math.prod`` is exact. A float product, such as ``np.prod(diff)``, is
+    left alone.
+    """
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "prod":
+                # np.int64, int64 or "int64"
+                dtypes = [ast.unparse(kw.value).strip("'\"") for kw in node.keywords
+                          if kw.arg == "dtype"]
+                if any(d.split(".")[-1] == "int64" for d in dtypes):
+                    found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_product_of_dims_in_int64():
+    found = _int64_products(sorted(SRC.glob("*.py")))
+    assert not found, f"np.prod(..., dtype=np.int64) wraps past 2**63; use math.prod: {found}"
+
+
+def test_an_int64_product_is_caught(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import numpy as np\n\n\n"
+        "def size(dims):\n"
+        "    return int(np.prod(dims, dtype=np.int64))\n\n\n"
+        "def weight(diff):\n"
+        "    return 1.0 / np.prod(diff)\n\n\n"
+        "def count(dims):\n"
+        "    return np.prod(dims, dtype='int64')\n")
+    assert sorted(_int64_products([tmp_path / "a.py"])) == ["a.py:13", "a.py:5"]

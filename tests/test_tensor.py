@@ -66,6 +66,19 @@ def test_contract_rejects_unknown_label():
         tz.contract(mk("i", rnd((2,), 0)), mk("j", rnd((2,), 1)), [("x", "j")])
 
 
+@pytest.mark.parametrize("lookup,error,match", [
+    (lambda t: tz.matrix_view(t, ["i", "i"], ["k"]), ValueError, "partition"),
+    (lambda t: tz.matrix_view(t, ["i"], ["j", "j", "k"]), ValueError, "partition"),
+    (lambda t: tz.matrix_view(t, ["i"], ["k"]), ValueError, "partition"),
+    (lambda t: tz.matrix_view(t, ["i", "j"], ["x"]), ValueError, "partition"),
+    (lambda t: t.axis("x"), KeyError, "'x'"),
+    (lambda t: t.dim("x"), KeyError, "'x'"),
+], ids=["repeated-row", "repeated-col", "omitted", "unknown", "axis", "dim"])
+def test_leg_lookups_reject_a_repeated_missing_or_unknown_leg(lookup, error, match):
+    with pytest.raises(error, match=match):
+        lookup(mk("ijk", rnd((2, 3, 4), 0)))
+
+
 def test_duplicate_labels_rejected():
     with pytest.raises(ValueError):
         tz.Tensor([("i", 2), ("i", 2)], np.zeros((2, 2)))
@@ -219,7 +232,12 @@ def test_permute_legs_is_a_view_change_only():
 def test_from_matrix_matrix_view_roundtrip():
     m = rnd((6, 4), 9)
     t = tz.from_matrix(m, [("r1", 2), ("r2", 3)], [("c1", 4)])
-    np.testing.assert_allclose(tz.matrix_view(t, ["r1", "r2"], ["c1"]), m, atol=0)
+    view = tz.matrix_view(t, ["r1", "r2"], ["c1"])
+    np.testing.assert_allclose(view, m, atol=0)
+    # the legs in their order: a view of the data; any other order: a copy
+    assert np.shares_memory(view, t.data)
+    assert not np.shares_memory(tz.matrix_view(t, ["c1"], ["r1", "r2"]), t.data)
+    assert (t.axis("c1"), t.dim("r2"), t.labels, t.dims) == (2, 3, ("r1", "r2", "c1"), (2, 3, 4))
 
 
 def test_literal_roundtrip_is_exact():
