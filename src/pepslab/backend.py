@@ -25,8 +25,8 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     The product has the operands' common type: two real operands make a real
     GEMM. They are not copied: a C- or Fortran-ordered view, such as a
     transposed matrix or a slice of rows, goes to BLAS as it is. ``out`` must
-    be a C-ordered array of the product's shape and type, for instance a
-    block of rows of a larger output. This is the single multiply primitive
+    be a C-ordered array of the product's shape and type, for instance a view
+    of a buffer the caller reuses. This is the single multiply primitive
     behind every tensor contraction in the package.
     """
     a = np.asarray(a)

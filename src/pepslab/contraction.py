@@ -75,17 +75,18 @@ old legs it will meet; backwards the passes are mirror images, so the forward
 and backward boundaries meet in the same leg order. As the keys do not depend
 on where a pass starts, a resumed boundary is bitwise a fresh one.
 
-Every absorption step is derived from leg lists alone (:func:`_schedule`),
-starting from any boundary's legs, and run by one loop (:func:`_replay`)
-with numpy calls only. When the legs a layer shares with the boundary form
-one contiguous run of its axes, the step (a ``tz._Run``) writes the layer's
-new legs in place of the run by one batched GEMM, and the boundary is not
-copied. On open grids and patches this holds for every step of both sweeps.
-Otherwise, as on a torus or in parts of a compiled circuit, the step (a
-``tz._Product``) appends the new legs at the tail and walks a permuted
-boundary block by block. The loop writes each boundary into a fresh array,
-or into buffers its caller owns; every GEMM is the same either way, so the
-bits are too.
+Every absorption step is a ``tz._Run``, derived from leg lists alone
+(:func:`_schedule`), starting from any boundary's legs, and run by one loop
+(:func:`_replay`) with numpy calls only. When the legs a layer shares with
+the boundary form one contiguous run of its axes, the step writes the
+layer's new legs in place of the run by one batched GEMM, and the boundary is
+not copied. On open grids and patches this holds for every step of both
+sweeps. Otherwise, as on a torus or in parts of a compiled circuit, the step
+is permuted (its ``lead``): it copies the boundary once with the shared legs
+moved to its tail, and the GEMM appends the new legs there. The loop writes
+each boundary into a fresh array (a permuted step briefly holds its input,
+the copy and its output), or into buffers its caller owns; every GEMM is the
+same either way, so the bits are too.
 
 The environment is split at an observable's support: the sites before the
 first support site are contracted once, forwards, and the sites after the
@@ -125,7 +126,9 @@ schedules the steps of both passes once, and each network replays that
 schedule. Each site's matrices are squared as one
 stack, which is sliced, put in the Hermitian basis and permuted into its
 step's operand as a whole. The boundaries are written into buffers the call
-owns: two of the largest boundary's size, in turn, and one for the suffix.
+owns: two of the largest boundary's size, in turn, and one for the suffix; a
+permuted step copies its boundary into the other of the two and writes its
+output back into the one it read, so a step allocates nothing.
 Every GEMM keeps its shape and the layout of its operands, so each value has
 :func:`peps_norm`'s bits when the networks share their zero entries. The
 call holds these buffers and at most ``guard`` stacked layer entries; past
@@ -659,17 +662,17 @@ def _schedule(held: tuple[tuple[str, int], ...], layers: Sequence[Sequence[tuple
     This is the one place a step's layout is derived, from the leg lists
     alone: the closed legs of :meth:`_Plan.layer` (``plan.legs``). The legs a
     layer shares with the boundary keep the layer's order, and its new legs
-    are sorted by ``rank``. A step is a ``tz._Run`` when the shared legs sit at one
-    contiguous run of the boundary's axes (the new legs are written in their
-    place), else a ``tz._Product`` (they are appended at its tail).
+    are sorted by ``rank``. Every step is a ``tz._Run``: when the shared legs sit
+    at one contiguous run of the boundary's axes the new legs are written in
+    their place, else the step is permuted (``lead``) and they are appended
+    at its tail in the layer's order.
     """
     steps = []
     for layer in layers:
         labels = {l for l, _ in held}
-        shared = [l for l, _ in layer if l in labels]
+        shared = [(l, l) for l, _ in layer if l in labels]
         free = sorted((l for l, _ in layer if l not in labels), key=rank.__getitem__)
-        step = (tz._run(held, layer, shared, free)
-                or tz._product(held, layer, [(l, l) for l in shared]))
+        step = tz._run(held, layer, shared, free)
         steps.append(step)
         held = step.legs
     return steps
@@ -681,7 +684,8 @@ def _replay(steps: list, acc: Tensor, operands: Iterable[np.ndarray],
 
     ``operands`` are the layers as the steps' right operands
     (``step.operand``). Step ``i`` writes a fresh array of its operands'
-    common type, or, given ``buffers``, the head of ``buffers[i]`` (see
+    common type, or, given ``buffers``, the head of the first of the pair
+    ``buffers[i]``, with a permuted boundary copied into the second (see
     :func:`_buffers`); every GEMM and the layout of its operands are the same
     either way, so a boundary keeps its bits. ``seen(i, legs, data)``, if
     given, is called after each step with the boundary's legs and array. A
@@ -690,9 +694,12 @@ def _replay(steps: list, acc: Tensor, operands: Iterable[np.ndarray],
     """
     data = acc.data
     for i, (step, operand) in enumerate(zip(steps, operands)):
-        out = (np.empty(step.shape, np.result_type(data, operand)) if buffers is None
-               else buffers[i][:step.size].reshape(step.shape))
-        data = step.into(data, operand, out)
+        if buffers is None:
+            out, scratch = np.empty(step.shape, np.result_type(data, operand)), None
+        else:
+            out, scratch = buffers[i]
+            out = out[:step.size].reshape(step.shape)
+        data = step.into(data, operand, out, scratch)
         if seen is not None:
             seen(i, step.legs, data)
     return Tensor._trusted(steps[-1].legs, data) if steps else acc
@@ -714,13 +721,10 @@ def _pair(a: Tensor, b: Tensor) -> complex:
     """The final pairing of a norm or numerator: ``a`` and ``b`` contracted over all their legs.
 
     On open grids the two meet in the same leg order and are read as flat
-    vectors. Elsewhere (on a torus) ``b`` is permuted to ``a``'s order by one
-    copy when it fits one block of :func:`tz.contract`'s walk, which would copy
-    it so too, and is walked block by block when it does not.
+    vectors. Elsewhere (on a torus) ``b`` is first permuted to ``a``'s order
+    by one copy.
     """
     perm = [b.labels.index(l) for l in a.labels]
-    if perm != sorted(perm) and b.size > tz._BLOCK:
-        return tz.contract(a, b, [(l, l) for l in a.labels]).item()
     return np.dot(a.data.ravel(), b.data.transpose(perm).ravel()).item()
 
 
@@ -1003,7 +1007,8 @@ def peps_norms(nets: Sequence[PepsNetwork], *, guard: int | None = BOUNDARY_GUAR
     and checked on its own, as by :func:`peps_norm`. At most ``guard`` layer
     entries, or one network's, are stacked at once (the networks go in
     chunks), plus the call's own boundary buffers: two of the largest
-    boundary's size and one of the suffix's. The engine's slot is neither
+    boundary's size, which a permuted step's copy uses too, and one of the
+    suffix's. The engine's slot is neither
     read nor cleared.
     """
     nets = list(nets)
@@ -1041,20 +1046,30 @@ def peps_norms(nets: Sequence[PepsNetwork], *, guard: int | None = BOUNDARY_GUAR
     return out
 
 
-def _buffers(passes: list[list]) -> list[list[np.ndarray]]:
-    """The output buffer of each step of the suffix's and the prefix's steps.
+def _buffers(passes: list[list]) -> list[list[tuple]]:
+    """The ``(out, scratch)`` buffers of each of the suffix's and the prefix's steps.
 
-    Two buffers of the largest step's size take turns, so no step writes the
-    boundary it reads; the suffix's last step writes a third one of its own
-    size, which the prefix's steps leave alone. All are float64, as every
-    plain layer is.
+    Two buffers of the largest step's size take turns. A step writes the one
+    its boundary is not in, with no scratch; a permuted step (``lead``)
+    copies its boundary into that one and writes its output back into the
+    one it read. So no step writes its boundary before reading it. The
+    suffix's last step writes a third buffer of its own size, which the
+    prefix's steps leave alone. All are float64, as every plain layer is.
     """
     suffix, prefix = passes
     size = max(step.size for steps in passes for step in steps)
     ping = (np.empty(size), np.empty(size))
-    own = [np.empty(suffix[-1].size)] if suffix else []
-    return [[ping[i % 2] for i in range(len(suffix) - 1)] + own,
-            [ping[i % 2] for i in range(len(prefix))]]
+    out = []
+    for steps in passes:
+        at, pairs = 1, []  # the buffer the boundary is in; the scalar 1 is in neither
+        for step in steps:
+            if step.lead is None:
+                at = 1 - at
+            pairs.append((ping[at], None if step.lead is None else ping[1 - at]))
+        out.append(pairs)
+    if suffix:
+        out[0][-1] = (np.empty(suffix[-1].size), out[0][-1][1])
+    return out
 
 
 def _union(nets: Sequence[PepsNetwork]) -> PepsNetwork:

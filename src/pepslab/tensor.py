@@ -19,26 +19,21 @@ a dict built for every tensor, most of them engine intermediates that are
 never looked up), and ``dims`` is the array's shape. :func:`matrix_view`
 makes no copy when the row and column legs are the legs in their order.
 
-Pairwise contraction is a matrix multiply by :func:`pepslab.backend.matmul`.
-In :func:`contract`, an operand whose contracted legs already sit at its head
-or tail is viewed as a matrix without a copy; one that needs a permutation is
-copied one block of at most ``_BLOCK`` entries at a time, each block
-multiplied straight into its rows of the output, so a step allocates its
-output and one block.
+Pairwise contraction is a matrix multiply by :func:`pepslab.backend.matmul`,
+derived in one way. :func:`_run` reads, from the operands' legs alone, where
+the contracted legs of ``a`` sit. When they form one contiguous run of its
+axes, wherever it sits, ``a`` is viewed as ``(head, K, tail)`` and one batched
+GEMM writes b's free legs where the run was; nothing but ``b`` is permuted.
+When they do not, the derived :class:`_Run` records a permutation of ``a``
+that moves them to its tail, in a's order, and ``a`` is copied once before
+the same GEMM. :func:`contract` is this with the run always at a's tail, so
+its result has a's free legs, then b's.
 
-The contraction engine's absorption steps also take the private
-:func:`_run` when the boundary's contracted legs form one contiguous run of
-axes, wherever it sits: the boundary is viewed as ``(head, K, tail)``, one
-batched GEMM writes the layer's new legs where the run was, and nothing but
-the small layer is permuted.
-
-Each product is first derived, from the operands' legs alone, as a
-:class:`_Product` (:func:`_product`) or a :class:`_Run` (:func:`_run`): the
-result's legs, the GEMM's shape, and how each operand becomes its matrix.
-The derived object then executes with numpy calls only, into an output array
-it is given. A caller that multiplies many operands with the same legs
-derives once and writes into buffers it owns; every GEMM is the same, so
-every value keeps its bits.
+The derived :class:`_Run` then executes with numpy calls only, into an output
+array it is given (and a scratch buffer for a permuted copy, if given). A
+caller that multiplies many operands with the same legs derives once and
+writes into buffers it owns; every GEMM is the same, so every value keeps its
+bits.
 """
 
 from __future__ import annotations
@@ -58,11 +53,6 @@ class NonInjectiveError(ValueError):
 
 
 RANK_TOL = 1e-14
-
-# Entries of one permuted block in :func:`contract`: 2**14 entries, 128 KiB of
-# float64 or 256 KiB of complex128, small enough to stay in cache between its
-# copy and its GEMM.
-_BLOCK = 1 << 14
 
 
 def _split(legs: tuple[tuple[str, int], ...]) -> tuple[tuple[str, ...], tuple[int, ...]]:
@@ -201,92 +191,18 @@ def split_leg(t: Tensor, label: str, sublegs: Iterable) -> Tensor:
     return Tensor(legs, t.data.reshape([d for _, d in legs]))
 
 
-# How an operand becomes its matrix in a product: viewed as it lies, viewed
-# transposed (BLAS reads either as is), copied whole, or walked block by block.
-_VIEW, _FLIP, _COPY, _WALK = range(4)
-
-
-def _how(lead: list[int], tail: list[int]) -> int:
-    """``_VIEW`` when the axes ``lead`` (the rows) then ``tail`` (the columns) already
-    lie in that order, ``_FLIP`` when they lie in the reverse one, else ``_COPY``."""
-    whole = list(range(len(lead) + len(tail)))
-    return _VIEW if lead + tail == whole else _FLIP if tail + lead == whole else _COPY
-
-
-def _matrix(x: np.ndarray, axes: Sequence[int], how: int, rows: int, cols: int,
-            batch: int = 0) -> np.ndarray:
-    """``transpose(x, axes)`` as a ``(rows, cols)`` matrix, made as ``how`` says.
-
-    The ``batch`` leading axes of ``x`` are not in ``axes`` and stay in front:
-    item ``i`` of the result is then bitwise, and laid out as, the matrix of
-    ``x[i]``.
-    """
-    lead = x.shape[:batch]
-    if how == _VIEW:
-        return x.reshape(*lead, rows, cols)
-    if how == _FLIP:
-        return x.reshape(*lead, cols, rows).swapaxes(-1, -2)
-    if batch:
-        axes = [*range(batch), *(batch + i for i in axes)]
-    return np.ascontiguousarray(x.transpose(axes)).reshape(*lead, rows, cols)
-
-
-def _axes(legs: tuple[tuple[str, int], ...], labels: Sequence[str]) -> list[int]:
-    """Positions of ``labels`` among ``legs``."""
-    index = {l: i for i, (l, _) in enumerate(legs)}
-    try:
-        return [index[l] for l in labels]
-    except KeyError as missing:
-        raise KeyError(f"no leg labeled {missing.args[0]!r} (have {tuple(index)})") from None
-
-
-def _blocked_matmul(x: np.ndarray, axes: list[int], other: np.ndarray, out: np.ndarray) -> None:
-    """``out = transpose(x, axes)``, viewed as ``(rows, k)``, times ``other`` ``(k, n)``.
-
-    The permuted operand is never copied whole. Its leading axes are walked in
-    blocks of at most ``_BLOCK`` entries; each block is copied into one
-    scratch block, made once per walk, and multiplied straight into its rows
-    of ``out``. When one row alone exceeds a block (a pairing to a scalar),
-    the walk goes on into the contracted axes and each row sums its partial
-    products.
-    """
-    p = x.transpose(axes)
-    k = other.shape[0]
-    # the axes from `split` on fit in one block; chunks of the axis before it fill one
-    split, inner = p.ndim, 1
-    while split > 0 and inner * p.shape[split - 1] <= _BLOCK:
-        split -= 1
-        inner *= p.shape[split]
-    walk = max(split - 1, 0)
-    step = _BLOCK // math.prod(p.shape[walk + 1:])
-    scratch = np.empty(min(_BLOCK, p.size), dtype=p.dtype)
-    pos = 0
-    for idx in np.ndindex(*p.shape[:walk]):
-        for start in range(0, p.shape[walk], step):
-            part = p[idx + (slice(start, start + step),)]
-            block = scratch[:part.size]
-            np.copyto(block.reshape(part.shape), part)
-            row, col = divmod(pos, k)
-            if block.size % k == 0:
-                backend.matmul(block.reshape(-1, k), other, out=out[row:row + block.size // k])
-            elif col == 0:
-                out[row] = backend.matmul(block[None], other[:block.size])[0]
-            else:
-                out[row] += backend.matmul(block[None], other[col:col + block.size])[0]
-            pos += block.size
-
-
 @dataclass(eq=False, slots=True)
 class _Run:
     """How ``a`` and ``b`` multiply when b's free legs replace a contiguous run of
     a's axes, derived from the legs alone (see :func:`_run`).
 
-    ``a`` is viewed as ``(head, k, tail)``, with ``k`` the run, and the
-    product, with legs ``legs`` (``shape`` their dims, ``size`` entries), as
-    ``(head, n, tail)``. ``perm`` orders b's axes into its ``(k, n)`` matrix,
-    its rows in the run's order. One batched product ``b.T @ a`` (one GEMM on
-    2-D views when ``tail`` is 1) writes the result; ``a`` is multiplied as a
-    view, never permuted.
+    ``lead``, when it is not None, permutes a's axes first: its free axes,
+    then the contracted ones in a's order, so that the run sits at its tail.
+    ``a`` (so permuted) is viewed as ``(head, k, tail)``, with ``k`` the run,
+    and the product, with legs ``legs`` (``shape`` their dims, ``size``
+    entries), as ``(head, n, tail)``. ``perm`` orders b's axes into its ``(k,
+    n)`` matrix, its rows in the run's order. One batched product ``b.T @ a``
+    (one GEMM on 2-D views when ``tail`` is 1) writes the result.
     """
 
     legs: tuple[tuple[str, int], ...]
@@ -297,14 +213,31 @@ class _Run:
     n: int
     tail: int
     perm: list[int]
+    lead: list[int] | None
 
     def operand(self, b: np.ndarray, batch: int = 0) -> np.ndarray:
-        """``b`` as the product's right operand, a C-ordered ``(k, n)`` matrix
-        (``batch`` leading axes stay in front, see :func:`_matrix`)."""
-        return _matrix(b, self.perm, _COPY, self.k, self.n, batch)
+        """``b`` as the product's right operand, a C-ordered ``(k, n)`` matrix.
 
-    def into(self, a: np.ndarray, mat: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out``, a C-ordered array of ``shape``, set to ``a`` times ``mat = operand(b)``."""
+        The ``batch`` leading axes of ``b`` stay in front: item ``i`` of the
+        result is then bitwise, and laid out as, the matrix of ``b[i]``.
+        """
+        axes = [*range(batch), *(batch + i for i in self.perm)]
+        return np.ascontiguousarray(b.transpose(axes)).reshape(*b.shape[:batch], self.k, self.n)
+
+    def into(self, a: np.ndarray, mat: np.ndarray, out: np.ndarray,
+             scratch: np.ndarray | None = None) -> np.ndarray:
+        """``out``, a C-ordered array of ``shape``, set to ``a`` times ``mat = operand(b)``.
+
+        A permuted ``a`` is copied once, into the head of ``scratch`` when it
+        is given (a flat buffer of a's type), else into a new array.
+        """
+        if self.lead is not None:
+            moved = a.transpose(self.lead)
+            if scratch is None:
+                a = np.ascontiguousarray(moved)
+            else:
+                a = scratch[:a.size].reshape(moved.shape)
+                a[...] = moved
         if self.tail == 1:
             backend.matmul(a.reshape(self.head, self.k), mat, out=out.reshape(self.head, self.n))
         else:
@@ -314,130 +247,67 @@ class _Run:
 
 
 def _run(a_legs: tuple[tuple[str, int], ...], b_legs: tuple[tuple[str, int], ...],
-         labels: Sequence[str], free: Sequence[str]) -> _Run | None:
-    """The :class:`_Run` that contracts ``a`` with ``b`` over ``labels``, with b's
-    ``free`` legs in their place and order, for operands with these legs; None
-    when ``labels`` do not sit at one contiguous run of a's axes. No labels
-    make an empty run at a's tail."""
+         pairs: Sequence[tuple[str, str]], free: Sequence[str], at_tail: bool = False) -> _Run:
+    """The :class:`_Run` that contracts ``a`` with ``b`` over ``pairs``
+    ``(leg of a, leg of b)``, with b's ``free`` legs in their place and order,
+    for operands with these legs.
+
+    When a's contracted legs do not sit at one contiguous run of its axes, or
+    ``at_tail`` asks for the run at a's tail and it is not there, ``lead`` moves
+    them to the tail in a's order, and b's free legs follow a's in b's own
+    order (an absorption step's layer keeps its legs' order, which leaves more
+    of a compiled circuit's later steps in place than ``free``'s). b's
+    contracted legs are matched to a's by their pairs, never by label. No
+    pairs make an empty run at a's tail.
+    """
     a_axis = {l: i for i, (l, _) in enumerate(a_legs)}
-    axes = sorted([a_axis[l] for l in labels])
+    b_axis = {l: i for i, (l, _) in enumerate(b_legs)}
+    con = sorted([(a_axis[x], b_axis[y]) for x, y in pairs])
+    axes = [i for i, _ in con]
     start = axes[0] if axes else len(a_legs)
     stop = start + len(axes)
-    if axes and axes[-1] != stop - 1:
-        return None
+    lead = None
+    if axes and (axes[-1] != stop - 1 or at_tail and stop != len(a_legs)):
+        lead = [i for i in range(len(a_legs)) if i not in axes] + axes
+        a_legs = tuple([a_legs[i] for i in lead])
+        start, stop = len(a_legs) - len(axes), len(a_legs)
+        free = sorted(free, key=b_axis.__getitem__)
     run = a_legs[start:stop]
-    b_axis = {l: i for i, (l, _) in enumerate(b_legs)}
-    perm = [b_axis[l] for l, _ in run] + [b_axis[l] for l in free]
-    if tuple([b_legs[i] for i in perm[:len(run)]]) != run:
-        raise ValueError(f"dim mismatch contracting {run} with {b_legs}")
+    if [b_legs[j][1] for _, j in con] != [d for _, d in run]:
+        raise ValueError(f"dim mismatch contracting {run} with {[b_legs[j] for _, j in con]}")
+    perm = [j for _, j in con] + [b_axis[l] for l in free]
     new = tuple([b_legs[i] for i in perm[len(run):]])
     legs = a_legs[:start] + new + a_legs[stop:]
     dims = [d for _, d in a_legs]
     head, n, tail = math.prod(dims[:start]), math.prod([d for _, d in new]), math.prod(dims[stop:])
     return _Run(legs, tuple([d for _, d in legs]), head * n * tail, head,
-                math.prod(dims[start:stop]), n, tail, perm)
-
-
-@dataclass(eq=False, slots=True)
-class _Product:
-    """How :func:`contract` multiplies operands with given legs, derived from the legs alone.
-
-    The product is the ``(m, k) @ (k, n)`` GEMM, with legs ``legs`` (``shape``
-    their dims, ``size`` entries). ``a_how`` and ``b_how`` say how each
-    operand becomes its matrix, or that it is walked (see
-    :func:`_blocked_matmul`); ``a_axes`` lists a's axes in the matrix's order
-    (free, then contracted), and ``b_axes`` b's (contracted, then free; free
-    first when b is walked).
-    """
-
-    legs: tuple[tuple[str, int], ...]
-    shape: tuple[int, ...]
-    size: int
-    m: int
-    k: int
-    n: int
-    a_axes: list[int]
-    a_how: int
-    b_axes: list[int]
-    b_how: int
-
-    def operand(self, b: np.ndarray, batch: int = 0) -> np.ndarray:
-        """``b`` as the product's right operand: its ``(k, n)`` matrix, or ``b``
-        itself when it is walked (``batch`` leading axes stay in front, see
-        :func:`_matrix`)."""
-        if self.b_how == _WALK:
-            return b
-        return _matrix(b, self.b_axes, self.b_how, self.k, self.n, batch)
-
-    def into(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out``, a C-ordered array of ``shape``, set to ``a`` times ``b = operand(b)``."""
-        mat = out.reshape(self.m, self.n)
-        if self.a_how == _WALK:
-            _blocked_matmul(a, self.a_axes, b, mat)
-        else:
-            a = _matrix(a, self.a_axes, self.a_how, self.m, self.k)
-            if self.b_how == _WALK:
-                # out.T = b^T a^T: the walk over b writes blocks of columns of out
-                _blocked_matmul(b, self.b_axes, a.T, mat.T)
-            else:
-                backend.matmul(a, b, out=mat)
-        return out
-
-
-def _product(a_legs: tuple[tuple[str, int], ...], b_legs: tuple[tuple[str, int], ...],
-             pairs: Sequence[tuple[str, str]]) -> _Product:
-    """The :class:`_Product` of :func:`contract` on operands with these legs."""
-    a_con = [p[0] for p in pairs]
-    b_con = [p[1] for p in pairs]
-    if len(set(a_con)) != len(a_con) or len(set(b_con)) != len(b_con):
-        raise ValueError(f"repeated legs in contraction pairs {pairs}")
-    a_ax, b_ax = _axes(a_legs, a_con), _axes(b_legs, b_con)
-    a_dims = [d for _, d in a_legs]
-    b_dims = [d for _, d in b_legs]
-    k = 1
-    for i, j in zip(a_ax, b_ax):
-        if a_dims[i] != b_dims[j]:
-            raise ValueError(f"dim mismatch contracting {a_legs[i][0]!r} ({a_dims[i]}) "
-                             f"with {b_legs[j][0]!r} ({b_dims[j]})")
-        k *= a_dims[i]
-    a_free = [i for i in range(len(a_legs)) if i not in a_ax]
-    b_free = [i for i in range(len(b_legs)) if i not in b_ax]
-    legs = tuple([a_legs[i] for i in a_free] + [b_legs[i] for i in b_free])
-    overlap = {a_legs[i][0] for i in a_free} & {b_legs[i][0] for i in b_free}
-    if overlap:
-        raise ValueError(f"result would carry duplicate labels {sorted(overlap)}")
-
-    m, n = math.prod([a_dims[i] for i in a_free]), math.prod([b_dims[i] for i in b_free])
-    # the contracted legs take their order in the larger operand (m k against k n entries)
-    a_big = m >= n
-    perm = sorted(range(len(pairs)), key=(a_ax if a_big else b_ax).__getitem__)
-    a_ax = [a_ax[i] for i in perm]
-    b_ax = [b_ax[i] for i in perm]
-    a_how, b_how = _how(a_free, a_ax), _how(b_ax, b_free)
-    # an operand that is no view is walked; when both are not, the larger is
-    if a_how == _COPY and (b_how != _COPY or a_big):
-        a_how = _WALK
-    elif b_how == _COPY:
-        b_how = _WALK
-    return _Product(legs, tuple([d for _, d in legs]), m * n, m, k, n, a_free + a_ax, a_how,
-                    b_free + b_ax if b_how == _WALK else b_ax + b_free, b_how)
+                math.prod(dims[start:stop]), n, tail, perm, lead)
 
 
 def contract(a: Tensor, b: Tensor, pairs: Sequence[tuple[str, str]]) -> Tensor:
     """Contract ``a`` with ``b`` over label pairs ``(leg_of_a, leg_of_b)``.
 
     One matrix product by the backend GEMM; result legs are a's free legs
-    followed by b's. The contracted legs take their order in the larger
-    operand, so that it is multiplied as a view when they sit at its head or
-    tail. An operand that needs a permutation is walked block by block; when
-    both do, the smaller one is copied whole. The result is a new read-only
-    array of the operands' common type (``np.result_type``) that shares no
-    buffer with ``a`` or ``b``. The layout is derived from the legs by
-    :func:`_product`, then executed by :meth:`_Product.into`.
+    followed by b's. The contracted legs take their order in ``a``; ``a`` is
+    multiplied as a view when they sit at its tail, and copied once, with
+    them moved there, when they do not. The result is a new read-only array
+    of the operands' common type (``np.result_type``) that shares no buffer
+    with ``a`` or ``b``. The layout is derived from the legs by :func:`_run`,
+    then executed by :meth:`_Run.into`.
     """
-    p = _product(a.legs, b.legs, pairs)
-    out = np.empty(p.shape, dtype=np.result_type(a.data, b.data))
-    return Tensor._trusted(p.legs, p.into(a.data, p.operand(b.data), out))
+    a_con, b_con = [x for x, _ in pairs], [y for _, y in pairs]
+    if len(set(a_con)) != len(a_con) or len(set(b_con)) != len(b_con):
+        raise ValueError(f"repeated legs in contraction pairs {pairs}")
+    for t, labels in ((a, a_con), (b, b_con)):
+        for label in labels:
+            t.axis(label)  # a KeyError naming an unknown leg
+    free = [l for l in b.labels if l not in b_con]
+    overlap = set(a.labels).difference(a_con).intersection(free)
+    if overlap:
+        raise ValueError(f"result would carry duplicate labels {sorted(overlap)}")
+    r = _run(a.legs, b.legs, pairs, free, at_tail=True)
+    out = np.empty(r.shape, dtype=np.result_type(a.data, b.data))
+    return Tensor._trusted(r.legs, r.into(a.data, r.operand(b.data), out))
 
 
 def matrix_view(t: Tensor, row_legs: Sequence[str], col_legs: Sequence[str]) -> np.ndarray:

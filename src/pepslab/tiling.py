@@ -240,7 +240,11 @@ def extrapolate_norm_to_zero(
     their norms come from one :func:`peps_norms` call: the contraction is
     planned once, each site's layers are squared as one stack, and each
     sample's norm is bitwise the one :func:`peps_norm` gives its network.
+    A side below 2, which no periodic grid has, is refused first.
     """
+    if rows < 2 or cols < 2:
+        raise ValueError(
+            f"a torus extrapolation needs rows, cols >= 2, got rows={rows}, cols={cols}")
     n = rows * cols
     degree = 2 * n
     if num_nodes is None:

@@ -357,6 +357,7 @@ def _malformed(tmp_path, case):
     circuit["gates"][0] = [1, 2]
     circuit_file = write_json(tmp_path / "bad_circuit.json", circuit)
     good_circuit = write_json(tmp_path / "circuit.json", pl.circuit_to_json(demo_circuit()))
+    tiles = write_json(tmp_path / "tiles.json", tileset_to_json(WangTileSet(1, ((0, 0, 0, 0),))))
     return {
         "missing": (["norm", "--network", "/no/such/file.json"], "/no/such/file.json"),
         "directory": (["norm", "--network", str(tmp_path)], str(tmp_path)),
@@ -369,11 +370,13 @@ def _malformed(tmp_path, case):
         "observable": (["sim", "run", "--circuit", good_circuit, "--eta", "0.1", "--observable",
                         write_json(tmp_path / "obs.json", {"matrix": [1, 2, 3, 4]})],
                        "[1, 2, 3, 4]"),
+        "extrapolate": (["tile", "count", "--tiles", tiles, "--rows", "-2", "--cols", "3",
+                         "--extrapolate"], "rows=-2"),
     }[case]
 
 
 @pytest.mark.parametrize("case", ["missing", "directory", "edge", "tensors", "gate-compile",
-                                  "gate-sim", "observable"])
+                                  "gate-sim", "observable", "extrapolate"])
 def test_missing_file_exits_1(capsys, tmp_path, case):
     # one error line, no traceback, and nothing on stdout
     argv, named = _malformed(tmp_path, case)

@@ -275,16 +275,17 @@ def test_a_pass_lets_each_layer_go(monkeypatch):
         return recorded
 
     def ran(into):
-        def checked(step, a, b, out):
+        def checked(step, a, b, out, scratch=None):
             if state["pass"] is not None:
                 alive.append(sum(ref() is not None for ref in state["pass"][:-1]))
-            return into(step, a, b, out)
+                permuted.append(step.lead is not None)
+            return into(step, a, b, out, scratch)
         return checked
 
+    permuted = []
     monkeypatch.setattr(contraction, "_replay", recorded_replay)
-    for kind in (tz._Run, tz._Product):
-        monkeypatch.setattr(kind, "operand", fed(kind.operand))
-        monkeypatch.setattr(kind, "into", ran(kind.into))
+    monkeypatch.setattr(tz._Run, "operand", fed(tz._Run.operand))
+    monkeypatch.setattr(tz._Run, "into", ran(tz._Run.into))
     contraction._slot = None
     pl.peps_norm(net)
     contraction._slot = None
@@ -293,25 +294,20 @@ def test_a_pass_lets_each_layer_go(monkeypatch):
     pl.peps_norm(net)
     assert len(alive) > 3 * 16
     assert alive == [0] * len(alive)
+    assert not any(permuted)  # an open grid: every step writes in place
 
 
 def _count_steps(monkeypatch) -> collections.Counter:
-    """Counts of absorption steps scheduled to write in place (``tz._Run``) and of
-    those that fall back to a pairwise product (``tz._Product``), and of the
-    permuted operands walked block by block."""
+    """Counts of absorption steps scheduled to write in place and of those that
+    copy a permuted boundary first (``step.lead is not None``)."""
     counts = collections.Counter()
-    blocked, schedule = tz._blocked_matmul, contraction._schedule
-
-    def counted_blocked(*args):
-        counts["blocked"] += 1
-        return blocked(*args)
+    schedule = contraction._schedule
 
     def counted_schedule(*args):
         steps = schedule(*args)
-        counts.update("in place" if isinstance(step, tz._Run) else "fallback" for step in steps)
+        counts.update("in place" if step.lead is None else "permuted" for step in steps)
         return steps
 
-    monkeypatch.setattr(tz, "_blocked_matmul", counted_blocked)
     monkeypatch.setattr(contraction, "_schedule", counted_schedule)
     return counts
 
@@ -337,8 +333,7 @@ def test_grid_steps_never_copy_the_boundary(monkeypatch, rows, cols, bond_dim, s
         contraction._slot = None
         call()
     assert counts["in place"] > 3 * rows * cols
-    assert counts["fallback"] == 0
-    assert counts["blocked"] == 0
+    assert counts["permuted"] == 0
 
 
 def _oracle_case(kind):
@@ -371,12 +366,12 @@ def _oracle_case(kind):
                                   "circuit"])
 def test_both_step_paths_match_the_oracles(monkeypatch, kind):
     # open grids and patches run every step in place; periodic grids and
-    # compiled circuits mix in-place steps with steps that fall back
+    # compiled circuits mix in-place steps with steps that permute the boundary
     counts = _count_steps(monkeypatch)
     got, want = _oracle_case(kind)
     assert got == pytest.approx(want, abs=1e-12)
     assert counts["in place"] > 0
-    assert (counts["fallback"] > 0) == (kind in ("periodic", "circuit"))
+    assert (counts["permuted"] > 0) == (kind in ("periodic", "circuit"))
 
 
 def test_environment_cache_stays_within_its_budget_until_another_network():
@@ -456,8 +451,8 @@ def test_scan_of_every_site_costs_at_most_four_norms(monkeypatch):
                                             ("periodic-grid", (4, 4))])
 def test_norm_pairs_at_the_middle_cut_to_round_off(geometry, shape):
     # the norm's passes meet at a column cut, in one leg order on the open
-    # grid and in two on the tori (a cut of 4096 entries is permuted in one
-    # copy, one of 65536 walked block by block); a one-site identity pairs
+    # grid and in two on the tori (a cut of 4096 or 65536 entries, permuted
+    # by one copy); a one-site identity pairs
     # its passes elsewhere, and the forward pass alone ends at the last site
     net = pl.random_network(*shape, phys_dim=2, seed=12, geometry=geometry)
     order = sweep_order(net.graph)

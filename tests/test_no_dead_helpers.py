@@ -1,6 +1,7 @@
 """Every private module-level helper of the package is used somewhere in it, every
-parameter of every function is read in that function's body, and no product of
-dims is taken in int64."""
+private module-level constant is read somewhere in it, every parameter of every
+function is read in that function's body, and no product of dims is taken in
+int64."""
 
 import ast
 from pathlib import Path
@@ -40,6 +41,45 @@ def test_a_helper_left_behind_is_caught(tmp_path):
                                    "x = _Used()\n")
     helpers, used = _helpers_and_uses(sorted(tmp_path.glob("*.py")))
     assert [name for _, name in helpers if name not in used] == ["_left"]
+
+
+def _unread_constants(paths):
+    """``module:NAME`` of each module-level private constant (``_NAME = ...``) the package never reads.
+
+    A read is a load of the name, or of an attribute so named (``tz._NAME``);
+    the assignment itself, and any later store, is no read.
+    """
+    constants, read = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                for name in ast.walk(target):
+                    if (isinstance(name, ast.Name) and name.id.startswith("_")
+                            and not name.id.startswith("__")):
+                        constants.append((path.name, name.id))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.update(n for n in (node.name, node.asname) if n)
+    return [f"{module}:{name}" for module, name in constants if name not in read]
+
+
+def test_every_private_constant_is_read():
+    unread = _unread_constants(sorted(SRC.glob("*.py")))
+    assert not unread, f"private constants never read: {unread}"
+
+
+def test_a_constant_left_behind_is_caught(tmp_path):
+    (tmp_path / "a.py").write_text("_KEPT = 1\n_LEFT = 2\n_A, _B = range(2)\n_C: int = 3\n\n\n"
+                                   "def f():\n    global _LEFT\n    _LEFT = _KEPT + _B\n")
+    (tmp_path / "b.py").write_text("from . import a\n\nx = a._C\n")
+    assert _unread_constants(sorted(tmp_path.glob("*.py"))) == ["a.py:_LEFT", "a.py:_A"]
 
 
 def _unread_parameters(paths):

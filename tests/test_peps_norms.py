@@ -194,9 +194,9 @@ def test_steps_are_derived_once_per_chunk_not_per_sample(monkeypatch):
     assert len(derived) == len(nets[0].graph.vertices) == 9
 
 
-@pytest.mark.parametrize("case,count,walks", [
+@pytest.mark.parametrize("case,count,permutes", [
     ("open-4x4", 16, False), ("torus-3x3", 9, True), ("circuit", 8, True)])
-def test_peps_norm_derives_the_steps_that_peps_norms_replays(monkeypatch, case, count, walks):
+def test_peps_norm_derives_the_steps_that_peps_norms_replays(monkeypatch, case, count, permutes):
     # one absorption path: each boundary is scheduled from its legs and
     # replayed, so a norm alone and a batch of one run the same steps
     net = {"open-4x4": lambda: pl.random_network(4, 4, seed=0),
@@ -207,7 +207,7 @@ def test_peps_norm_derives_the_steps_that_peps_norms_replays(monkeypatch, case, 
 
     def recorded(*args):
         steps = schedule(*args)
-        derived.extend((type(step), step.legs, step.shape) for step in steps)
+        derived.extend((step.lead, step.legs, step.shape) for step in steps)
         return steps
 
     monkeypatch.setattr(contraction, "_schedule", recorded)
@@ -217,7 +217,7 @@ def test_peps_norm_derives_the_steps_that_peps_norms_replays(monkeypatch, case, 
     assert pl.peps_norms([net]) == [alone]
     assert derived == single
     assert len(single) == count
-    assert any(kind is tz._Product for kind, _, _ in single) == walks
+    assert any(lead is not None for lead, _, _ in single) == permutes
 
 
 def test_absolute_pass_of_each_sample_is_that_of_peps_norm(monkeypatch):
@@ -233,7 +233,8 @@ def test_replay_holds_no_more_memory_than_absorbing_each_sample():
     # 3x3 torus, bonds of 4 kept indices: the largest boundary holds 4**8
     # float64 entries (512 KiB). Absorbing each sample with boundaries
     # allocated per step peaks at 1.80 MB (numpy 2.4); the replay holds two of
-    # the largest, the suffix, one walk's block and the layer stacks.
+    # the largest, which also take a permuted step's copy, the suffix and the
+    # layer stacks.
     nets = _readme_extrapolation_samples()
     pl.peps_norms(nets)
     tracemalloc.start()

@@ -5,7 +5,6 @@ import pytest
 
 import pepslab as pl
 from pepslab import contraction
-from pepslab import tensor as tz
 from pepslab.errors import GuardExceeded
 
 from oracles import dense_nev, random_hermitian
@@ -74,8 +73,8 @@ def test_a_refusal_raises_from_the_plan_before_any_layer(monkeypatch, entry):
 
 
 # Periodic grids at phys dim 2, where the numerator's boundaries meet: in the
-# same leg order (2x2), in another order below ``tz._BLOCK`` entries (2x4) and
-# in another order above it (3x3).
+# same leg order (2x2), and in another order with a small (2x4) and a large
+# (3x3) boundary, which is permuted by one copy either way.
 MEETINGS = [(2, 2, (0,), "same"), (2, 2, (0, 2), "same"), (2, 4, (0,), "small"),
             (2, 4, (1, 2), "small"), (3, 3, (4,), "big"), (3, 3, (3, 4), "big")]
 
@@ -91,12 +90,13 @@ def test_the_numerator_pairs_its_boundaries_in_any_leg_order(monkeypatch, rows, 
 
     def spy(a, b):
         perm = [b.labels.index(label) for label in a.labels]
-        seen.append("same" if perm == sorted(perm) else "small" if b.size <= tz._BLOCK else "big")
+        seen.append("same" if perm == sorted(perm) else "permuted")
         return pair(a, b)
 
     monkeypatch.setattr(contraction, "_pair", spy)
     contraction._slot = None
     report = pl.nev_report(net, obs)
-    assert seen == [meeting, meeting]  # the norm's pairing, then the numerator's
+    route = "same" if meeting == "same" else "permuted"
+    assert seen == [route, route]  # the norm's pairing, then the numerator's
     want = dense_nev(net, support, obs.matrix())
     assert report["value"] == pytest.approx(want, rel=1e-12, abs=1e-12)

@@ -26,6 +26,8 @@ def mk(labels, data):
         ((2, 3, 2), "ijk", (3, 2, 2), "jkl", [("j", "j"), ("k", "k")]),
         ((2, 2), "ij", (2, 2), "ij", [("i", "i"), ("j", "j")]),
         ((4,), "i", (4, 3), "im", [("i", "i")]),
+        # differently named pairs, and a free leg of b named like a's contracted one
+        ((2, 3), "xz", (2, 4), "yx", [("x", "y")]),
     ],
 )
 def test_contract_matches_loop_oracle(sa, la, sb, lb, pairs):
@@ -111,10 +113,12 @@ def test_constructor_rejects_non_finite_data():
 
 
 # Each case names a's legs, b's legs and the contracted labels (same label on
-# both sides). The contracted legs of the larger operand a sit at its head, its
-# tail, in its middle, or split; "scalar" pairs two tensors over every leg in
-# different orders; "b larger" walks b; "few rows" keeps two small free legs
-# of a while its contracted part alone exceeds a block.
+# both sides). The contracted legs of a sit at its head, its tail, in its
+# middle, or split; "scalar" pairs two tensors over every leg in different
+# orders; "b larger" has the larger operand on the right; "few rows" keeps two
+# small free legs of a. a is multiplied as it lies when its contracted legs
+# already sit at its tail (VIEWED), and copied once with them moved there
+# otherwise.
 CONTRACT_CASES = {
     "head": ("vwxyz", "vwp", "vw"),
     "tail": ("xyzvw", "wvp", "vw"),
@@ -125,18 +129,18 @@ CONTRACT_CASES = {
     "b larger": ("pw", "xywvz", "w"),
     "few rows": ("vpwxqyz", "zyxwv", "vwxyz"),
 }
+VIEWED = {"tail", "scalar", "outer", "b larger"}
 SMALL_LEGS = {"p": 3, "q": 2}
 
 
 @pytest.mark.parametrize("case", CONTRACT_CASES)
+# operands of at most and of more than 2**14 entries
 @pytest.mark.parametrize("dim", [3, 8], ids=["below-block", "above-block"])
 def test_contract_matches_einsum(case, dim, monkeypatch):
     la, lb, con = CONTRACT_CASES[case]
     dims = {l: SMALL_LEGS.get(l, dim) for l in la + lb}
     a = rnd([dims[l] for l in la], 1)
     b = rnd([dims[l] for l in lb], 2)
-    big = max(a.size, b.size)
-    assert (big > tz._BLOCK) == (dim == 8)
     flops = []
     matmul = tz.backend.matmul
 
@@ -146,54 +150,27 @@ def test_contract_matches_einsum(case, dim, monkeypatch):
 
     monkeypatch.setattr(tz.backend, "matmul", counted)
     ta, tb = mk(la, a), mk(lb, b)
-    got = tz.contract(ta, tb, [(l, l) for l in con])
+    pairs = [(l, l) for l in con]
+    got = tz.contract(ta, tb, pairs)
     free = "".join(l for l in la + lb if l not in con)
     assert "".join(got.labels) == free
     want = np.einsum(f"{la},{lb}->{free}", a, b)
     np.testing.assert_allclose(arr(got), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-    # the blocks together do exactly the work of one GEMM
+    # one GEMM does the work, after at most one copy of a
     m = np.prod([dims[l] for l in la if l not in con])
     k = np.prod([dims[l] for l in con])
     n = np.prod([dims[l] for l in lb if l not in con])
-    assert sum(flops) == 8 * m * k * n
+    assert flops == [8 * m * k * n]
+    step = tz._run(ta.legs, tb.legs, pairs, [l for l in lb if l not in con], at_tail=True)
+    assert (step.lead is None) == (case in VIEWED)
     assert not got.data.flags.writeable
     assert not np.shares_memory(got.data, ta.data)
     assert not np.shares_memory(got.data, tb.data)
 
 
-def test_contract_walks_blocks_of_every_size(monkeypatch):
-    # a tiny block makes every walk cross several axes and split rows
-    monkeypatch.setattr(tz, "_BLOCK", 5)
-    for la, lb, con in CONTRACT_CASES.values():
-        dims = {l: SMALL_LEGS.get(l, 3) for l in la + lb}
-        a = rnd([dims[l] for l in la], 3)
-        b = rnd([dims[l] for l in lb], 4)
-        got = tz.contract(mk(la, a), mk(lb, b), [(l, l) for l in con])
-        free = "".join(l for l in la + lb if l not in con)
-        np.testing.assert_allclose(arr(got), np.einsum(f"{la},{lb}->{free}", a, b),
-                                   rtol=1e-12, atol=1e-12)
-
-
 @pytest.mark.parametrize("kinds", [("real", "real"), ("real", "complex"), ("complex", "real")])
-def test_contract_result_has_the_operands_common_type(kinds, monkeypatch):
-    # engine tensors may be float64: the product is real only when both are.
-    # With a tiny block the cases walk a (middle, split) and b (b larger), and
-    # "few rows" and "scalar" split rows longer than a block, whose partial
-    # products are the only GEMMs made without an output array
-    monkeypatch.setattr(tz, "_BLOCK", 5)
-    walked, split_rows = set(), []
-    blocked, matmul = tz._blocked_matmul, tz.backend.matmul
-
-    def recorded_walk(x, axes, other, out):
-        walked.add("a" if x is ta.data else "b")
-        return blocked(x, axes, other, out)
-
-    def recorded_matmul(x, y, out=None):
-        split_rows.append(out is None)
-        return matmul(x, y, out=out)
-
-    monkeypatch.setattr(tz, "_blocked_matmul", recorded_walk)
-    monkeypatch.setattr(tz.backend, "matmul", recorded_matmul)
+def test_contract_result_has_the_operands_common_type(kinds):
+    # engine tensors may be float64: the product is real only when both are
     for la, lb, con in CONTRACT_CASES.values():
         dims = {l: SMALL_LEGS.get(l, 3) for l in la + lb}
         a, b = (rnd([dims[l] for l in labels], seed) for labels, seed in ((la, 5), (lb, 6)))
@@ -205,12 +182,10 @@ def test_contract_result_has_the_operands_common_type(kinds, monkeypatch):
         free = "".join(l for l in la + lb if l not in con)
         np.testing.assert_allclose(got.data, np.einsum(f"{la},{lb}->{free}", a, b),
                                    rtol=1e-12, atol=1e-12)
-    assert walked == {"a", "b"}
-    assert any(split_rows)
 
 
 def test_complex_values_written_into_a_real_array_fail_the_suite():
-    # pyproject.toml makes numpy's ComplexWarning an error, so a complex block
+    # pyproject.toml makes numpy's ComplexWarning an error, so a complex product
     # written into a float64 output cannot drop its imaginary part silently
     out = np.empty(2)
     with pytest.raises(np.exceptions.ComplexWarning):

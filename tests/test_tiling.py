@@ -290,10 +290,12 @@ def test_tiling_network_sites_are_bitwise_the_relabeled_ones(shape, delta):
             assert np.array_equal(new.site(v).data, old.site(v).data)
 
 
-@pytest.mark.parametrize("shape", [(0, 2), (2, 0), (-1, 2)])
+@pytest.mark.parametrize("shape", [(0, 2), (2, 0), (-1, 2), (-2, 3), (3, -2)])
 def test_exhaustive_count_refuses_empty_boards(shape):
-    with pytest.raises(ValueError, match=f"rows={shape[0]}, cols={shape[1]}"):
-        count_tilings_exhaustive(README4, *shape)
+    # the extrapolation refuses them too, before it counts any node
+    for count in (count_tilings_exhaustive, extrapolate_norm_to_zero):
+        with pytest.raises(ValueError, match=f"rows={shape[0]}, cols={shape[1]}"):
+            count(README4, *shape)
 
 
 @pytest.mark.parametrize("ts,shape", [(README4, (2, 2)), (README4, (2, 3)), (UNIFORM2, (2, 2))])
