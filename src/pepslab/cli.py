@@ -206,15 +206,14 @@ def cmd_tile_count(args) -> dict:
             ts, args.rows, args.cols, guard=_guard(args)
         )
         out["count"] = out["extrapolation"]["count"]
-        return out
-    report = tiling_count_via_norm(ts, args.rows, args.cols, guard=_guard(args))
-    out.update(report)
+    else:
+        out.update(tiling_count_via_norm(ts, args.rows, args.cols, guard=_guard(args)))
     if args.check:
         exhaustive = count_tilings_exhaustive(ts, args.rows, args.cols)
         out["exhaustive"] = exhaustive
-        if exhaustive != report["count"]:
+        if exhaustive != out["count"]:
             raise ValueError(
-                f"norm count {report['count']} disagrees with transfer-matrix count {exhaustive}"
+                f"count {out['count']} disagrees with transfer-matrix count {exhaustive}"
             )
     return out
 

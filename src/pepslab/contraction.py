@@ -1121,18 +1121,17 @@ def decide_nev(net: PepsNetwork, obs: Observable, *, guard: int | None = BOUNDAR
 
 @dataclass(frozen=True)
 class PatchSpec:
-    """A Chebyshev annulus around an observable's support box.
+    """The sites around an observable's support box, in the Chebyshev distance.
 
-    ``interior`` holds the sites at distance < radius (clipped to the lattice),
-    ``ring`` the sites at distance exactly radius. ``covers_lattice`` marks the
-    degenerate case where the whole lattice lies inside the ring, in which case
-    the patch is exact.
+    ``interior`` holds the sites at distance < radius, clipped at the lattice
+    edge; every bond from the interior to a site outside it is cut.
+    ``covers_lattice`` marks the case where the interior is every site, in
+    which case the patch is exact.
     """
 
     support: tuple[int, ...]
     radius: int
     interior: tuple[int, ...]
-    ring: tuple[int, ...]
     covers_lattice: bool
 
 
@@ -1148,31 +1147,21 @@ def make_patch(net: PepsNetwork, support: Sequence[int], radius: int) -> PatchSp
     r1 = max(r for r, _ in coords)
     c0 = min(c for _, c in coords)
     c1 = max(c for _, c in coords)
-
-    def dist(r: int, c: int) -> int:
-        dr = max(r0 - r, r - r1, 0)
-        dc = max(c0 - c, c - c1, 0)
-        return max(dr, dc)
-
-    interior = [r * cols + c for r in range(rows) for c in range(cols) if dist(r, c) < radius]
-    ring = [r * cols + c for r in range(rows) for c in range(cols) if dist(r, c) == radius]
-    full_ring = (r1 - r0 + 2 * radius + 1) * 2 + (c1 - c0 + 2 * radius - 1) * 2
-    if ring and len(ring) != full_ring:
-        raise ValueError(
-            f"ring at radius {radius} exits the lattice; shrink the radius or move the support"
-        )
+    interior = tuple(r * cols + c for r in range(rows) for c in range(cols)
+                     if max(r0 - r, r - r1, c0 - c, c - c1) < radius)
     return PatchSpec(support=tuple(int(v) for v in support), radius=radius,
-                     interior=tuple(interior), ring=tuple(ring),
-                     covers_lattice=not ring)
+                     interior=interior, covers_lattice=len(interior) == rows * cols)
 
 
 def patch_nev(net: PepsNetwork, obs: Observable, radius: int, *,
               guard: int | None = BOUNDARY_GUARD) -> float:
     """Local estimate of an expectation value from a patch around the support.
 
-    Sites outside the ring are discarded; each bond cut between the interior
-    and the ring is closed with the maximally mixed pair 1/dim. When the patch
-    covers the whole lattice this is exactly :func:`peps_nev`.
+    Only the patch's interior (:func:`make_patch`) is contracted: each bond
+    cut between it and a site outside is closed with the maximally mixed pair
+    1/dim, and the sites outside are discarded. A patch that meets the lattice
+    edge is clipped there and simply cuts fewer bonds. When the patch covers
+    the whole lattice this is exactly :func:`peps_nev`.
     """
     _check_support(net, obs)
     patch = make_patch(net, obs.support, radius)

@@ -9,14 +9,19 @@ board contracts at bond dim D, not D^2.  The 6x6 torus of the tile set
 (0,0,0,1), (0,1,1,0), (1,0,0,0), (1,1,0,1) peaks at 2^14 boundary entries,
 not 2^28.  A delta-interpolated variant connects the (generally
 non-injective) tile tensor at delta=0 to a perfectly injective tensor at
-delta=1; its norm is a polynomial of degree 2 * rows * cols in delta, so the
-count at delta=0 is recoverable from samples at delta > 1/2 by
-polynomial extrapolation.
+delta=1; its norm is a polynomial of degree 2n in delta, n = rows * cols, so
+the count at delta=0 is fixed by 2n + 1 samples at delta > 1/2, where every
+sample is injective (the interpolation technique of Valiant, Theoret. Comput.
+Sci. 8, 189, 1979).  In float64 the extrapolation amplifies the samples'
+round-off fast with n: it answers the 2x2 and 2x3 tori of two colors, and it
+refuses a board whose estimated round-off on the count reaches 1/2 rather
+than print an integer that round-off chose.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,84 +203,63 @@ def _check_exact(z: float) -> None:
             f"contracted count {z!r} is at or above 2**53, beyond float64's exact integers")
 
 
-def _barycentric_weights(nodes: np.ndarray) -> np.ndarray:
-    w = np.ones_like(nodes)
-    for i, x in enumerate(nodes):
-        diff = x - np.delete(nodes, i)
-        w[i] = 1.0 / np.prod(diff)
-    return w / np.max(np.abs(w))
-
-
-def _barycentric_eval(nodes, weights, values, x: float):
-    """Second-form barycentric evaluation plus the error amplification factor."""
-    diff = x - nodes
-    hit = np.nonzero(np.abs(diff) == 0.0)[0]
-    if hit.size:
-        return float(values[hit[0]]), 1.0
-    terms = weights / diff
-    denom = np.sum(terms)
-    value = float(np.sum(terms * values) / denom)
-    amplification = float(np.sum(np.abs(terms)) / abs(denom))
-    return value, amplification
-
-
 def extrapolate_norm_to_zero(
     ts: WangTileSet,
     rows: int,
     cols: int,
     *,
-    num_nodes: int = None,
     guard: int = BOUNDARY_GUARD,
 ) -> dict:
-    """Recover the tiling count from norms of well-conditioned networks only.
+    """Recover the tiling count from norms of injective networks only.
 
-    The norm of the interpolated network is a polynomial of degree
-    2 * rows * cols in delta, pinned by samples at 2n + 1 nodes inside
-    (0.5, 1), the region where the interpolated tensor is guaranteed
-    injective.  Three extra samples are held out to measure the interpolation
-    residual before extrapolating to delta = 0.  A count at or above 2**53 is
-    refused, as in :func:`tiling_count_via_norm`.
+    The norm of the interpolated network is a polynomial p of degree 2n in
+    delta, n = rows * cols, so 2n + 1 samples fix it. They sit at the
+    equispaced nodes delta = x / q, q = 4n + 4, for the integers
+    x = 2n + 3 ... 4n + 3, all inside (1/2, 1), where every site is
+    injective. p(0) is read in the barycentric second form, whose weights on
+    equispaced nodes are (-1)**i * C(2n, i) (Berrut & Trefethen, SIAM Rev.
+    46, 501, 2004), and scaled by colors**(2n) into the count z.
 
-    All 2n + 4 samples share one periodic grid and the same zero entries, so
-    their norms come from one :func:`peps_norms` call: the contraction is
-    planned once, each site's layers are squared as one stack, and each
-    sample's norm is bitwise the one :func:`peps_norm` gives its network.
-    A side below 2, which no periodic grid has, is refused first.
+    ``amplification`` is the sum of the |terms| over |their sum|, the factor
+    by which the evaluation can grow a relative error in the samples.
+    ``roundoff`` is amplification * n * 2**-53 * max|p(x_i)| *
+    colors**(2n): the error that one unit of round-off per absorbed site, in
+    each sample, can put on z. It is an estimate, not a certificate. A count
+    at or above 2**53 is refused first, as in :func:`tiling_count_via_norm`,
+    then one whose ``roundoff`` reaches 1/2, as round-off may then decide the
+    integer. With two colors the 2x2 and 2x3 tori answer; 2x4 and 3x3 are
+    refused.
+
+    All samples share one periodic grid and the same zero entries, so their
+    norms come from one :func:`peps_norms` call: the contraction is planned
+    once, each site's layers are squared as one stack, and each sample's norm
+    is bitwise the one :func:`peps_norm` gives its network. A side below 2,
+    which no periodic grid has, is refused first.
     """
     if rows < 2 or cols < 2:
         raise ValueError(
             f"a torus extrapolation needs rows, cols >= 2, got rows={rows}, cols={cols}")
     n = rows * cols
     degree = 2 * n
-    if num_nodes is None:
-        num_nodes = degree + 1
-    if num_nodes < degree + 1:
-        raise ValueError(f"need at least {degree + 1} nodes for a degree-{degree} polynomial")
-    total = num_nodes + 3
-    xs = 0.5 + 0.5 * (np.arange(1, total + 1) / (total + 1.0))
-    held_idx = sorted({total // 4, total // 2, (3 * total) // 4})
-    node_idx = [i for i in range(total) if i not in held_idx]
-    while len(node_idx) > num_nodes:
-        node_idx.pop()
-
+    q = 4 * n + 4
+    nodes = np.arange(2 * n + 3, 4 * n + 4) / q
     graph = periodic_grid(rows, cols, bond_dim=ts.colors)
-    sampled = node_idx + held_idx
-    nets = [_tile_network(graph, interpolated_tensor(ts, float(xs[i]))) for i in sampled]
-    values = dict(zip(sampled, peps_norms(nets, guard=guard)))
+    values = np.array(peps_norms(
+        [_tile_network(graph, interpolated_tensor(ts, float(x))) for x in nodes], guard=guard))
 
-    nodes = xs[node_idx]
-    fvals = np.array([values[i] for i in node_idx])
-    weights = _barycentric_weights(nodes)
-
-    residual = 0.0
-    for i in held_idx:
-        pred, _ = _barycentric_eval(nodes, weights, fvals, float(xs[i]))
-        residual = max(residual, abs(pred - values[i]) / max(1.0, abs(values[i])))
-
-    norm0, amplification = _barycentric_eval(nodes, weights, fvals, 0.0)
-    scale = float(ts.colors) ** (2 * n)
+    weights = np.array([(-1) ** i * math.comb(degree, i) for i in range(degree + 1)], dtype=float)
+    terms = weights / -nodes
+    denom = np.sum(terms)
+    norm0 = float(np.sum(terms * values) / denom)
+    amplification = float(np.sum(np.abs(terms)) / abs(denom))
+    scale = float(ts.colors) ** degree
     z = norm0 * scale
     _check_exact(z)
+    roundoff = amplification * n * 2.0 ** -53 * float(np.max(np.abs(values))) * scale
+    if roundoff >= 0.5:
+        raise ValueError(
+            f"extrapolated count {z!r} is not pinned: roundoff {roundoff:.3g} reaches 1/2 "
+            f"(amplification {amplification:.3g})")
     count = round(z)
     return {
         "z": z,
@@ -283,8 +267,7 @@ def extrapolate_norm_to_zero(
         "integer_residue": abs(z - count),
         "norm_at_zero": norm0,
         "amplification": amplification,
-        "held_out_residual": residual,
+        "roundoff": roundoff,
         "nodes": [float(x) for x in nodes],
-        "held_out": [float(xs[i]) for i in held_idx],
         "degree": degree,
     }

@@ -219,6 +219,18 @@ def random_tileset(seed, count=4, colors=2):
     return WangTileSet(colors, tuple(sorted(tiles)))
 
 
+def barycentric_weights(nodes):
+    """Barycentric weights by the product formula 1 / prod_{j != i} (x_i - x_j).
+
+    Scaled so the largest has magnitude 1; any node layout, O(n**2) work.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    w = np.ones_like(nodes)
+    for i, x in enumerate(nodes):
+        w[i] = 1.0 / np.prod(x - np.delete(nodes, i))
+    return w / np.max(np.abs(w))
+
+
 def full_space_operator(op, wires, n):
     """Matrix of ``op`` acting on ``wires`` of an n-wire register, built with np.kron.
 

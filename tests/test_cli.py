@@ -288,7 +288,35 @@ def test_tile_count_extrapolated(capsys, tmp_path):
         "--extrapolate",
     )
     assert extr["count"] == plain["count"]
-    assert extr["extrapolation"]["held_out_residual"] < 1e-6
+    assert extr["extrapolation"]["roundoff"] < 0.5
+
+
+def test_tile_count_extrapolated_runs_its_check(capsys, tmp_path, monkeypatch):
+    ts = random_tileset(3)
+    tilef = write_json(tmp_path / "tiles.json", tileset_to_json(ts))
+    argv = ["tile", "count", "--tiles", tilef, "--rows", "2", "--cols", "2",
+            "--extrapolate", "--check"]
+    out = run_json(capsys, *argv)
+    assert out["exhaustive"] == out["count"] == count_tilings_exhaustive(ts, 2, 2)
+    monkeypatch.setattr("pepslab.cli.count_tilings_exhaustive", lambda ts, rows, cols: -1)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert "disagrees with transfer-matrix count -1" in err
+
+
+@pytest.mark.parametrize("rows,cols", [(2, 4), (3, 3)])
+def test_tile_count_extrapolation_that_roundoff_decides_exits_1(capsys, tmp_path, rows, cols):
+    # README4: these boards printed -4 and 911 (exact 0 and 6) with exit 0
+    readme4 = WangTileSet(2, ((0, 0, 0, 1), (0, 1, 1, 0), (1, 0, 0, 0), (1, 1, 0, 1)))
+    tilef = write_json(tmp_path / "tiles.json", tileset_to_json(readme4))
+    code = main(["tile", "count", "--tiles", tilef, "--rows", str(rows), "--cols", str(cols),
+                 "--extrapolate", "--check"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "roundoff" in err
 
 
 def test_contraction_guard_exits_2_and_force_lifts_it(capsys):

@@ -789,14 +789,26 @@ def test_patch_spec_is_a_chebyshev_annulus():
         return max(abs(r - 2), abs(c - 2))
 
     assert set(spec.interior) == {v for v in net.graph.vertices if cheb(v) <= 1}
-    assert set(spec.ring) == {v for v in net.graph.vertices if cheb(v) == 2}
     assert not spec.covers_lattice
 
 
-def test_patch_ring_must_stay_inside():
-    net = pl.random_network(2, 2, seed=17)
-    with pytest.raises(ValueError):
-        pl.make_patch(net, (0,), 1)
+@pytest.mark.parametrize("rows,cols,seed", [(2, 2, 17), (5, 5, 21)])
+def test_patch_is_clipped_at_the_lattice_edge(rows, cols, seed):
+    # a patch at a corner keeps the sites of its box inside the lattice and
+    # cuts only the bonds to them; it is the same estimator with fewer cuts
+    net = pl.random_network(rows, cols, seed=seed)
+    for corner in (0, cols - 1, (rows - 1) * cols, rows * cols - 1):
+        r0, c0 = divmod(corner, cols)
+        for radius in (1, 2):
+            spec = pl.make_patch(net, (corner,), radius)
+            assert set(spec.interior) == {
+                v for v in net.graph.vertices
+                if max(abs(v // cols - r0), abs(v % cols - c0)) < radius}
+            assert spec.covers_lattice == (len(spec.interior) == rows * cols)
+            m = random_hermitian(net.phys_dim(corner), corner + radius)
+            obs = pl.observable_from_matrix((corner,), m)
+            want = dense_patch_nev(net, spec.interior, (corner,), m)
+            assert pl.patch_nev(net, obs, radius) == pytest.approx(want, abs=1e-12)
 
 
 def test_patch_covering_the_lattice_reproduces_exact_value():

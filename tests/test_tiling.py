@@ -1,6 +1,7 @@
 """Wang tile sets, torus counting routes, interpolation."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import pepslab as pl
 from pepslab import contraction
 from pepslab import tensor as tz
+from pepslab import tiling
 from pepslab.errors import GuardExceeded
 from pepslab.tiling import (
     WangTileSet,
@@ -22,7 +24,12 @@ from pepslab.tiling import (
     tiling_network,
 )
 
-from oracles import count_tilings_python, count_tilings_transfer_python, random_tileset
+from oracles import (
+    barycentric_weights,
+    count_tilings_python,
+    count_tilings_transfer_python,
+    random_tileset,
+)
 
 UNIFORM2 = WangTileSet(2, ((0, 0, 0, 0), (1, 1, 1, 1)))
 # the benchmark's 4-tile set
@@ -171,7 +178,7 @@ def test_extrapolation_recovers_the_exact_count():
     assert res["count"] == 2
     assert res["z"] == pytest.approx(2.0, rel=1e-6)
     assert res["integer_residue"] < 1e-6
-    assert res["held_out_residual"] < 1e-9
+    assert res["roundoff"] < 1e-5
     assert res["degree"] == 8
     assert len(res["nodes"]) == 9
     assert all(0.5 < x < 1.0 for x in res["nodes"])
@@ -183,12 +190,95 @@ def test_extrapolation_on_a_random_set():
     want = count_tilings_exhaustive(ts, 2, 2)
     res = extrapolate_norm_to_zero(ts, 2, 2)
     assert res["count"] == want
-    assert res["held_out_residual"] < 1e-9
+    assert res["roundoff"] < 1e-5
 
 
-def test_extrapolation_rejects_underfitting_node_counts():
-    with pytest.raises(ValueError):
-        extrapolate_norm_to_zero(UNIFORM2, 2, 2, num_nodes=8)
+EXTRAPOLATED_SETS = [README4, random_tileset(2, count=3), random_tileset(7, count=3)]
+
+
+@pytest.mark.parametrize("ts", EXTRAPOLATED_SETS, ids=["readme4", "rand2", "rand7"])
+def test_extrapolation_answers_through_2x3_and_refuses_what_roundoff_decides(ts):
+    # one unit of round-off per site puts 1e-6 on a 2x2 count and 0.09 on a
+    # 2x3 one, but 7e3 on 2x4 and 1.5e6 on 3x3, whose extrapolations printed
+    # -4 and 911 for README4 (exact 0 and 6)
+    for shape in ((2, 2), (2, 3)):
+        res = extrapolate_norm_to_zero(ts, *shape)
+        assert res["count"] == count_tilings_exhaustive(ts, *shape)
+        assert res["roundoff"] < 0.5
+    for shape in ((2, 4), (3, 3), (3, 4)):
+        with pytest.raises(ValueError, match="roundoff"):
+            extrapolate_norm_to_zero(ts, *shape)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2)])
+def test_extrapolation_samples_2n_plus_1_equispaced_nodes_once(monkeypatch, shape):
+    # one peps_norms call of exactly 2n + 1 networks, at delta = x / (4n + 4)
+    # for the integers x = 2n + 3 ... 4n + 3, strictly inside (1/2, 1)
+    calls, deltas = [], []
+    norms = tiling.peps_norms
+    interpolated = tiling.interpolated_tensor
+
+    def counted_norms(nets, guard):
+        calls.append(len(nets))
+        return norms(nets, guard=guard)
+
+    def recorded(ts, delta):
+        deltas.append(delta)
+        return interpolated(ts, delta)
+
+    monkeypatch.setattr(tiling, "peps_norms", counted_norms)
+    monkeypatch.setattr(tiling, "interpolated_tensor", recorded)
+    res = extrapolate_norm_to_zero(README4, *shape)
+    n = shape[0] * shape[1]
+    q = 4 * n + 4
+    assert calls == [2 * n + 1]
+    assert deltas == res["nodes"]
+    np.testing.assert_allclose(np.array(deltas) * q, np.arange(2 * n + 3, 4 * n + 4),
+                               rtol=0, atol=1e-12)
+    assert all(0.5 < x < 1.0 for x in deltas)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3)])
+def test_roundoff_is_the_amplified_unit_per_site(monkeypatch, shape):
+    values = []
+    norms = tiling.peps_norms
+
+    def kept(nets, guard):
+        values.extend(norms(nets, guard=guard))
+        return values
+
+    monkeypatch.setattr(tiling, "peps_norms", kept)
+    res = extrapolate_norm_to_zero(README4, *shape)
+    n = shape[0] * shape[1]
+    scale = README4.colors ** (2 * n)
+    assert res["roundoff"] == pytest.approx(
+        res["amplification"] * n * 2.0 ** -53 * max(map(abs, values)) * scale, rel=1e-12)
+    # the product-formula weights read the same samples to within the estimate
+    nodes = np.array(res["nodes"])
+    terms = barycentric_weights(nodes) / -nodes
+    z = float(terms @ np.array(values) / terms.sum()) * scale
+    assert abs(z - res["z"]) <= res["roundoff"]
+
+
+def test_closed_form_weights_are_the_product_formula_up_to_one_scale(monkeypatch):
+    for degree in range(2, 25):
+        nodes = np.arange(degree + 3, 2 * degree + 4) / (2 * degree + 4)
+        closed = np.array([(-1) ** i * math.comb(degree, i) for i in range(degree + 1)])
+        ratio = barycentric_weights(nodes) / closed
+        np.testing.assert_allclose(ratio, ratio[0], rtol=1e-10)
+    # the weights the extrapolation uses, read back one sample at a time:
+    # with a single nonzero sample f_i, p(0) is (w_i / -x_i) / sum_j (w_j / -x_j)
+    for shape in ((2, 2), (2, 3), (2, 4), (3, 3)):
+        n = shape[0] * shape[1]
+        weights = []
+        for i in range(2 * n + 1):
+            tiny = [0.0] * (2 * n + 1)
+            tiny[i] = 2.0 ** -600
+            monkeypatch.setattr(tiling, "peps_norms", lambda nets, guard, f=tiny: f)
+            res = extrapolate_norm_to_zero(UNIFORM2, *shape)
+            weights.append(-res["nodes"][i] * res["norm_at_zero"] / tiny[i])
+        ratio = barycentric_weights(res["nodes"]) / np.array(weights)
+        np.testing.assert_allclose(ratio, ratio[0], rtol=1e-10)
 
 
 def test_tileset_json_roundtrip(tmp_path):
