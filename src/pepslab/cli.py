@@ -122,10 +122,8 @@ def cmd_nev(args) -> dict:
 
 def cmd_inject(args) -> dict:
     net = _network_from_args(args)
-    return {
-        "injectivity": peps_injectivity(net),
-        "sites": {str(v): site_injectivity(net, v) for v in net.graph.vertices},
-    }
+    sites = {str(v): site_injectivity(net, v) for v in net.graph.vertices}
+    return {"injectivity": min(sites.values()), "sites": sites}
 
 
 def cmd_patch_nev(args) -> dict:

@@ -2,8 +2,11 @@
 
 Every edge of an injective network contributes one positive semidefinite
 two-site term built from the pseudo-inverses of the endpoint tensors and the
-projector that kills the shared link state.  The resulting Hamiltonian is
-frustration free: the network state is an exact zero-energy eigenstate.
+projector that kills the shared link state.  The link state only identifies
+the bond's two indices, so the projector is applied as one broadcast product
+on the pseudo-inverses' arrays, with no tensor for it.  The resulting
+Hamiltonian is frustration free: the network state is an exact zero-energy
+eigenstate.
 
 ``spectrum_report`` reads the low spectrum with numpy alone: ``eigh`` of the
 dense matrix up to DENSE_EIG_CUTOFF, and above it a thick-restart Lanczos that
@@ -21,7 +24,7 @@ import numpy as np
 
 from . import tensor as tz
 from .errors import GuardExceeded
-from .network import PHYS, Observable, PepsNetwork, assemble_state_vector, observable_from_matrix
+from .network import PHYS, Edge, Observable, PepsNetwork, assemble_state_vector, observable_from_matrix
 from .tensor import NonInjectiveError, Tensor
 
 PINV_RTOL = 1e-12
@@ -55,65 +58,37 @@ def pseudo_inverse(t: Tensor, out_legs, in_legs) -> Tensor:
     return tz.from_matrix(inv, rows, cols)
 
 
-def _site_inverse_map(net: PepsNetwork, vertex: int, tag: str):
-    """Tensor for T_v^{-1} with virtual legs suffixed by ``tag``.
-
-    Returned legs: (virtual legs renamed to ``{edge_id}{tag}``..., phys).
-    Entry [v..., p] is the pseudo-inverse matrix element <v...|T^{-1}|p>.
-    """
+def _edge_first_inverse(net: PepsNetwork, vertex: int, edge: Edge) -> np.ndarray:
+    """T_v^+ as an array ``[a, r, p]``: the edge's index, v's other bond legs, its physical index."""
     t = net.site(vertex)
-    virt = [lbl for lbl in t.labels if lbl != PHYS]
-    inv = pseudo_inverse(t, [PHYS], virt)
-    mapping = {lbl: lbl + tag for lbl in virt}
-    mapping[PHYS] = PHYS + tag
-    return inv.relabeled(mapping), [mapping[lbl] for lbl in virt]
-
-
-def _link_projector(edge_dim: int) -> Tensor:
-    """1 - |phi><phi| on a link pair, phi the maximally entangled link state."""
-    d = edge_dim
-    eye2 = np.eye(d * d, dtype=np.complex128)
-    phi = np.eye(d, dtype=np.complex128).reshape(-1) / np.sqrt(d)
-    p = eye2 - np.outer(phi, phi.conj())
-    return tz.from_matrix(
-        p,
-        [("xo", d), ("yo", d)],
-        [("xi", d), ("yi", d)],
-    )
+    inv = pseudo_inverse(t, [PHYS], t.labels[:-1]).data
+    return np.moveaxis(inv, t.axis(edge.id), 0).reshape(edge.dim, -1, inv.shape[-1])
 
 
 def parent_term(net: PepsNetwork, edge_id: str) -> Observable:
     """Two-site parent Hamiltonian term for one edge, as a physical observable.
 
-    h = A^dag (1 - |phi_e><phi_e|) A with A = T_x^{-1} (x) T_y^{-1}, acting as
-    the identity on every virtual leg other than the pair carried by the edge.
-    Built as B^dag B, so the result is exactly Hermitian PSD up to round-off.
+    h = B^dag B with B = (1 - |phi_e><phi_e|)(T_x^+ (x) T_y^+), phi_e the
+    bond's pair state sum_a |aa> / sqrt(D), acting as the identity on every
+    other bond leg of x and y.  With X and Y the pseudo-inverses viewed as
+    ``[a, r, p]`` (the edge's index, the site's other bond legs, its physical
+    index), B[a, b, r, s, p, q] = X[a, r, p] Y[b, s, q] - delta_ab
+    sum_c X[c, r, p] Y[c, s, q] / D, one broadcast product.  h is symmetrized,
+    so it is exactly Hermitian and PSD up to round-off.
     """
-    edge = next((e for e in net.graph.edges if e.id == edge_id), None)
-    if edge is None:
-        raise ValueError(f"unknown edge id {edge_id!r}")
-    x, y = edge.u, edge.v
-
-    inv_x, virt_x = _site_inverse_map(net, x, "@hx")
-    inv_y, virt_y = _site_inverse_map(net, y, "@hy")
-    proj = _link_projector(edge.dim)
-
-    pair = tz.contract(inv_x, inv_y, [])
-    pair = tz.contract(
-        proj,
-        pair,
-        [("xi", edge.id + "@hx"), ("yi", edge.id + "@hy")],
-    )
-    # B legs: xo, yo, remaining virtual legs of x and y, phys@hx, phys@hy.
-    row_legs = ["xo", "yo"]
-    row_legs += [lbl for lbl in virt_x if lbl != edge.id + "@hx"]
-    row_legs += [lbl for lbl in virt_y if lbl != edge.id + "@hy"]
-    b = tz.matrix_view(pair, row_legs, [PHYS + "@hx", PHYS + "@hy"])
+    try:
+        edge = net.graph.edge(edge_id)
+    except KeyError:
+        raise ValueError(f"unknown edge id {edge_id!r}") from None
+    x, y = (_edge_first_inverse(net, v, edge) for v in (edge.u, edge.v))
+    b = x[:, None, :, None, :, None] * y[None, :, None, :, None, :]
+    diag = np.arange(edge.dim)
+    b[diag, diag] -= b[diag, diag].sum(axis=0) / edge.dim
+    dx, dy = x.shape[-1], y.shape[-1]
+    b = b.reshape(-1, dx * dy)
     h = b.conj().T @ b
     h = 0.5 * (h + h.conj().T)
-    dx = net.site(x).dim(PHYS)
-    dy = net.site(y).dim(PHYS)
-    return observable_from_matrix((x, y), h, dims=(dx, dy))
+    return observable_from_matrix((edge.u, edge.v), h, dims=(dx, dy))
 
 
 @dataclass(frozen=True)

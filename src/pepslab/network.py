@@ -165,12 +165,6 @@ class PepsNetwork:
         return PepsNetwork(self.graph, tensors)
 
 
-def link_state(edge: Edge) -> Tensor:
-    """Normalized entangled pair on a bond, legs ``<id>@u`` / ``<id>@v``."""
-    data = np.eye(edge.dim, dtype=np.complex128) / np.sqrt(edge.dim)
-    return Tensor(((f"{edge.id}@u", edge.dim), (f"{edge.id}@v", edge.dim)), data)
-
-
 def site_injectivity(net: PepsNetwork, v: int) -> float:
     """sigma_min / sigma_1 of the virtual -> physical map at one site; 0 if non-injective."""
     t = net.site(v)
@@ -252,31 +246,29 @@ def observable_from_matrix(support, matrix, dims=None) -> Observable:
 
 
 def assemble_state_vector(net: PepsNetwork) -> Tensor:
-    """Brute-force physical state: contract every bond pair state into the site maps.
+    """Brute-force physical state: identify each bond's two indices across the site maps.
 
-    Returns a tensor with one leg ``phys<v>`` per vertex, ascending. Guarded by
-    total physical dimension <= 2**20; this is the oracle route, not the engine.
+    Each bond's pair state sum_a |aa> / sqrt(dim) just identifies the bond's
+    two indices, so the state starts from the scalar prod_e dim_e^(-1/2) and
+    takes in the sites in ascending order, each summed with the sites before
+    it over the bonds they share.  Returns a tensor with one leg ``phys<v>``
+    per vertex, ascending. Guarded by total physical dimension <= 2**20; this
+    is the oracle route, not the engine.
     """
     total = 1
     for v in net.graph.vertices:
         total *= net.phys_dim(v)
         if total > STATE_DIM_GUARD:
             raise GuardExceeded("total physical dimension exceeds the state guard", total, STATE_DIM_GUARD)
-    acc = tz.scalar(1.0)
-    added: set[str] = set()
+    acc = np.array(math.prod(e.dim for e in net.graph.edges) ** -0.5, dtype=np.complex128)
+    legs: list = []  # acc's axes: bonds open to a later site, and phys vertices
     for v in net.graph.vertices:
-        for e in net.graph.incident(v):
-            if e.id not in added:
-                acc = tz.contract(acc, link_state(e), [])
-                added.add(e.id)
-        site = net.site(v).relabeled(
-            {e.id: f"{e.id}@{'u' if e.u == v else 'v'}" for e in net.graph.incident(v)}
-        )
-        site = site.relabeled({PHYS: f"{PHYS}{v}"})
-        pairs = [(f"{e.id}@{'u' if e.u == v else 'v'}",) * 2 for e in net.graph.incident(v)]
-        acc = tz.contract(acc, site, pairs)
-    order = [f"{PHYS}{v}" for v in net.graph.vertices]
-    return tz.permute_legs(acc, order)
+        site = net.site(v)
+        shared = [lbl for lbl in site.labels if lbl in legs]
+        axes = [legs.index(lbl) for lbl in shared], [site.axis(lbl) for lbl in shared]
+        acc = np.tensordot(acc, site.data, axes)
+        legs = [lbl for lbl in legs + list(site.labels[:-1]) if lbl not in shared] + [v]
+    return Tensor([(f"{PHYS}{v}", net.phys_dim(v)) for v in net.graph.vertices], acc)
 
 
 # ---------------------------------------------------------------------------

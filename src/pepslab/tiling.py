@@ -7,15 +7,19 @@ indicator's double layer is zero unless bra and ket carry the same color on
 every bond: the contraction engine drops the other (bra, ket) pairs, and a
 board contracts at bond dim D, not D^2.  The 6x6 torus of the tile set
 (0,0,0,1), (0,1,1,0), (1,0,0,0), (1,1,0,1) peaks at 2^14 boundary entries,
-not 2^28.  A delta-interpolated variant connects the (generally
-non-injective) tile tensor at delta=0 to a perfectly injective tensor at
-delta=1; its norm is a polynomial of degree 2n in delta, n = rows * cols, so
-the count at delta=0 is fixed by 2n + 1 samples at delta > 1/2, where every
-sample is injective (the interpolation technique of Valiant, Theoret. Comput.
-Sci. 8, 189, 1979).  In float64 the extrapolation amplifies the samples'
-round-off fast with n: it answers the 2x2 and 2x3 tori of two colors, and it
-refuses a board whose estimated round-off on the count reaches 1/2 rather
-than print an integer that round-off chose.
+not 2^28.  The count is the norm times D^(2n), n = rows * cols; it carries
+``roundoff``, 0 when D is a power of two and else the scaling's round-off,
+and a count that round-off could decide is refused.  A delta-interpolated
+variant connects the (generally non-injective) tile tensor at delta=0 to a
+perfectly injective tensor at delta=1; its norm is a polynomial of degree 2n
+in delta, so the count at delta=0 is fixed by 2n + 1 samples at
+delta > 1/2, where every sample is injective (the interpolation technique of
+Valiant, Theoret. Comput. Sci. 8, 189, 1979).  In float64 the extrapolation
+amplifies the samples' round-off fast with n: it answers the 2x2 and 2x3
+tori of two colors, and it refuses a board whose estimated round-off on the
+count reaches 1/2 rather than print an integer that round-off chose; a lower
+bound on that estimate, known before any sample, refuses the larger boards
+without contracting.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ SIDES = ("left", "top", "right", "bottom")
 # its right (h) and bottom (v) bonds.
 _SIDE = {("h", False): 0, ("v", False): 1, ("h", True): 2, ("v", True): 3}
 
-INTEGER_RESIDUE_TOL = 1e-6
 # float64 holds every integer below 2**53 and no odd one above it
 EXACT_COUNT_LIMIT = 1 << 53
 TRANSFER_GUARD = 1 << 10
@@ -180,20 +183,35 @@ def tiling_count_via_norm(ts: WangTileSet, rows: int, cols: int, *, guard: int =
     each bond's (bra, ket) color pair, so the engine contracts the board at
     bond dim D (at most; fewer where a color never meets itself across a
     bond), and a bond whose two sides share no color counts 0 without
-    contracting.  The result must sit on an integer to within
-    INTEGER_RESIDUE_TOL, and below 2**53, where float64 stops telling
-    neighbouring integers apart.
+    contracting.
+
+    A count at or above 2**53, where float64 stops telling neighbouring
+    integers apart, is refused.  Below it the 0/1 layers contract exactly
+    while every partial sum is an integer below 2**53, which is assumed
+    (ROADMAP item 1's bound would certify it), so the only round-off is the
+    scaling's.  ``roundoff`` bounds it: 0 when D is a power of two, as
+    halving and doubling round nothing, and else (2n + 3) * 2**-53 * |z|,
+    n = rows * cols, for the 2n per-bond prefactor divisions by D, the
+    product with the norm, the scale's power and the product with the scale.
+    A count whose ``roundoff`` reaches 1/2 is refused, and so is one whose
+    distance to the nearest integer exceeds ``roundoff``.  The full 3-color
+    set on the 4x4 torus (count 3**32) and the full 6-color set on 2x5
+    (6**20) are refused this way; both read as a wrong integer otherwise.
     """
     net = tiling_network(ts, rows, cols)
     norm = peps_norm(net, guard=guard)
-    scale = float(ts.colors) ** (2 * rows * cols)
-    z = norm * scale
+    n = rows * cols
+    z = norm * float(ts.colors) ** (2 * n)
     _check_exact(z)
+    roundoff = 0.0 if ts.colors & (ts.colors - 1) == 0 else (2 * n + 3) * 2.0 ** -53 * abs(z)
+    if roundoff >= 0.5:
+        raise ValueError(f"contracted count {z!r} is not pinned: roundoff {roundoff:.3g} reaches 1/2")
     count = round(z)
     residue = abs(z - count)
-    if residue > INTEGER_RESIDUE_TOL * max(1.0, abs(z)):
-        raise ValueError(f"contracted count {z!r} is not integral (residue {residue:.3e})")
-    return {"count": int(count), "z": z, "norm": norm, "residue": residue}
+    if residue > roundoff:
+        raise ValueError(f"contracted count {z!r} is not integral "
+                         f"(residue {residue:.3e} exceeds roundoff {roundoff:.3g})")
+    return {"count": int(count), "z": z, "norm": norm, "residue": residue, "roundoff": roundoff}
 
 
 def _check_exact(z: float) -> None:
@@ -224,11 +242,18 @@ def extrapolate_norm_to_zero(
     by which the evaluation can grow a relative error in the samples.
     ``roundoff`` is amplification * n * 2**-53 * max|p(x_i)| *
     colors**(2n): the error that one unit of round-off per absorbed site, in
-    each sample, can put on z. It is an estimate, not a certificate. A count
-    at or above 2**53 is refused first, as in :func:`tiling_count_via_norm`,
-    then one whose ``roundoff`` reaches 1/2, as round-off may then decide the
-    integer. With two colors the 2x2 and 2x3 tori answer; 2x4 and 3x3 are
-    refused.
+    each sample, can put on z. It is an estimate, not a certificate. Every
+    entry of an interpolated tensor is nonnegative and at least delta times
+    the identity tensor's, whose network has norm 1, so each sample's norm is
+    at least delta**(2n), and with x_max = (4n + 3) / (4n + 4) the largest
+    node, amplification * n * 2**-53 * colors**(2n) * x_max**(2n) bounds
+    ``roundoff`` from below. When that floor reaches 1/2 the board is refused
+    before any sample is taken. Otherwise a count at or above 2**53 is
+    refused, as in :func:`tiling_count_via_norm`, then one whose ``roundoff``
+    reaches 1/2, as round-off may then decide the integer; each refusal is a
+    ValueError naming ``roundoff`` or 2**53. With two colors the 2x2 and 2x3
+    tori answer (floor 1.1e-6 and 0.09); 2x4 (6.9e3), 3x3 (1.5e6) and larger
+    boards are refused with no sample.
 
     All samples share one periodic grid and the same zero entries, so their
     norms come from one :func:`peps_norms` call: the contraction is planned
@@ -243,16 +268,22 @@ def extrapolate_norm_to_zero(
     degree = 2 * n
     q = 4 * n + 4
     nodes = np.arange(2 * n + 3, 4 * n + 4) / q
-    graph = periodic_grid(rows, cols, bond_dim=ts.colors)
-    values = np.array(peps_norms(
-        [_tile_network(graph, interpolated_tensor(ts, float(x))) for x in nodes], guard=guard))
-
     weights = np.array([(-1) ** i * math.comb(degree, i) for i in range(degree + 1)], dtype=float)
     terms = weights / -nodes
     denom = np.sum(terms)
-    norm0 = float(np.sum(terms * values) / denom)
     amplification = float(np.sum(np.abs(terms)) / abs(denom))
     scale = float(ts.colors) ** degree
+    # each sample's norm is at least its delta**(2n), so the largest node's
+    # delta**(2n) bounds max|p(x_i)|, and roundoff, below before any sample
+    floor = amplification * n * 2.0 ** -53 * scale * nodes[-1] ** degree
+    if floor >= 0.5:
+        raise ValueError(
+            f"extrapolation cannot pin the count: roundoff is at least {floor:.3g}, past 1/2 "
+            f"(amplification {amplification:.3g})")
+    graph = periodic_grid(rows, cols, bond_dim=ts.colors)
+    values = np.array(peps_norms(
+        [_tile_network(graph, interpolated_tensor(ts, float(x))) for x in nodes], guard=guard))
+    norm0 = float(np.sum(terms * values) / denom)
     z = norm0 * scale
     _check_exact(z)
     roundoff = amplification * n * 2.0 ** -53 * float(np.max(np.abs(values))) * scale

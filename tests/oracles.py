@@ -3,7 +3,12 @@
 Everything in here is deliberately dumb: explicit python loops (or, for
 the dense state, one einsum over every bond index), dense vectors, and no
 shared code paths with the library beyond the public tensor container.
-Slow is fine, these only ever run on tiny instances.
+Slow is fine, these only ever run on tiny instances.  Two references are
+the exception: they keep the tensor constructions the library replaced by
+identifying each bond's two indices, the parent term through a link
+projector (``parent_term_by_projector``) and the dense state through one
+tensor per bond pair state (``state_by_link_states``), and they build them
+with ``tz.contract`` and ``pseudo_inverse``.
 """
 
 import itertools
@@ -11,6 +16,7 @@ import itertools
 import numpy as np
 
 from pepslab import tensor as tz
+from pepslab.hamiltonian import pseudo_inverse
 
 
 def arr(t):
@@ -75,6 +81,55 @@ def dense_state(net):
     for e in edges:
         scale /= np.sqrt(e.dim)
     return out * scale
+
+
+def state_by_link_states(net):
+    """The dense state by contracting one tensor per bond pair state into the sites.
+
+    Each bond's ``eye(dim) / sqrt(dim)`` becomes a tensor with legs
+    ``<id>@u`` / ``<id>@v``, and each site, its legs relabeled to match, is
+    contracted into the product with ``tz.contract``.  Returns the
+    ``phys<v>``-legged tensor :func:`pepslab.assemble_state_vector` gives.
+    """
+    acc = tz.scalar(1.0)
+    added = set()
+    for v in net.graph.vertices:
+        for e in net.graph.incident(v):
+            if e.id not in added:
+                legs = ((f"{e.id}@u", e.dim), (f"{e.id}@v", e.dim))
+                link = tz.Tensor(legs, np.eye(e.dim) / np.sqrt(e.dim))
+                acc = tz.contract(acc, link, [])
+                added.add(e.id)
+        ends = {e.id: f"{e.id}@{'u' if e.u == v else 'v'}" for e in net.graph.incident(v)}
+        site = net.site(v).relabeled({**ends, "phys": f"phys{v}"})
+        acc = tz.contract(acc, site, [(end, end) for end in ends.values()])
+    return tz.permute_legs(acc, [f"phys{v}" for v in net.graph.vertices])
+
+
+def parent_term_by_projector(net, edge_id):
+    """Parent term matrix ``A^dag (1 - |phi><phi|) A``, ``A = T_x^+ (x) T_y^+``, built as tensors.
+
+    The endpoints' pseudo-inverses get their legs tagged ``@hx`` / ``@hy``,
+    their product is contracted with ``1 - |phi><phi|`` on the edge's pair of
+    legs, and the result is read as the matrix ``B`` of ``h = B^dag B``.
+    """
+    edge = net.graph.edge(edge_id)
+    invs, virts = [], []
+    for v, tag in ((edge.u, "@hx"), (edge.v, "@hy")):
+        t = net.site(v)
+        virt = [lbl for lbl in t.labels if lbl != "phys"]
+        inv = pseudo_inverse(t, ["phys"], virt).relabeled({lbl: lbl + tag for lbl in t.labels})
+        invs.append(inv)
+        virts += [lbl + tag for lbl in virt if lbl != edge.id]
+    d = edge.dim
+    phi = np.eye(d).reshape(-1) / np.sqrt(d)
+    proj = tz.from_matrix(np.eye(d * d) - np.outer(phi, phi), [("xo", d), ("yo", d)],
+                          [("xi", d), ("yi", d)])
+    pair = tz.contract(proj, tz.contract(invs[0], invs[1], []),
+                       [("xi", edge.id + "@hx"), ("yi", edge.id + "@hy")])
+    b = tz.matrix_view(pair, ["xo", "yo"] + virts, ["phys@hx", "phys@hy"])
+    h = b.conj().T @ b
+    return 0.5 * (h + h.conj().T)
 
 
 def dense_norm(net):

@@ -1,5 +1,6 @@
 """Command line behavior, exercised in process through cli.main."""
 
+import itertools
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import pepslab as pl
 from pepslab import contraction, hamiltonian
+from pepslab import tensor as tz
 from pepslab.circuits import Circuit, Gate, save_circuit
 from pepslab.cli import main
 from pepslab.network import network_to_json, observable_to_json
@@ -59,6 +61,23 @@ def test_inject_reports_generated_injectivity(capsys):
     assert out["injectivity"] == pytest.approx(0.6, abs=1e-12)
     assert set(out["sites"]) == {"0", "1", "2", "3"}
     assert min(out["sites"].values()) == pytest.approx(out["injectivity"])
+
+
+def test_inject_takes_one_svd_per_site(capsys, monkeypatch):
+    net = pl.random_network(2, 3, delta=0.6, seed=1)
+    want = {"injectivity": pl.peps_injectivity(net),
+            "sites": {str(v): pl.site_injectivity(net, v) for v in net.graph.vertices}}
+    calls = []
+    svd = tz.singular_values
+
+    def counted(t, rows, cols):
+        calls.append(t)
+        return svd(t, rows, cols)
+
+    monkeypatch.setattr(tz, "singular_values", counted)
+    out = run_json(capsys, "inject", "--random", "2x3", "--delta", "0.6", "--seed", "1")
+    assert len(calls) == len(net.graph.vertices)
+    assert out == want
 
 
 def test_normalize_sigma1_flag(capsys):
@@ -313,6 +332,17 @@ def test_tile_count_extrapolation_that_roundoff_decides_exits_1(capsys, tmp_path
     tilef = write_json(tmp_path / "tiles.json", tileset_to_json(readme4))
     code = main(["tile", "count", "--tiles", tilef, "--rows", str(rows), "--cols", str(cols),
                  "--extrapolate", "--check"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "roundoff" in err
+
+
+def test_tile_count_that_roundoff_decides_exits_1(capsys, tmp_path):
+    # the full 3-color set on the 4x4 torus printed 1853020188851842 (exact 3**32)
+    full3 = WangTileSet(3, tuple(itertools.product(range(3), repeat=4)))
+    tilef = write_json(tmp_path / "tiles.json", tileset_to_json(full3))
+    code = main(["tile", "count", "--tiles", tilef, "--rows", "4", "--cols", "4"])
     out, err = capsys.readouterr()
     assert code == 1
     assert out == ""

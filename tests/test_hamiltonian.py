@@ -15,6 +15,8 @@ from pepslab import tensor as tz
 from pepslab.errors import GuardExceeded
 from pepslab.tensor import NonInjectiveError
 
+from oracles import parent_term_by_projector
+
 
 def rnd(shape, seed):
     rng = np.random.default_rng(seed)
@@ -66,6 +68,31 @@ def test_parent_terms_are_psd_and_annihilate_the_state():
         assert evals.min() > -1e-10
         # the network state is a zero mode of every term
         assert abs(pl.peps_nev(net, term)) < 1e-10
+
+
+# open grids at D = 2 and 3, and a torus, whose sites carry four bonds
+PARENT_TERM_NETWORKS = [
+    dict(rows=2, cols=2), dict(rows=1, cols=5), dict(rows=2, cols=3),
+    dict(rows=2, cols=2, bond_dim=3), dict(rows=3, cols=3, geometry="periodic-grid"),
+]
+
+
+@pytest.mark.parametrize("kw", PARENT_TERM_NETWORKS,
+                         ids=["2x2", "1x5", "2x3", "2x2-D3", "3x3-torus"])
+def test_parent_terms_equal_the_link_projector_reference(kw):
+    for seed in range(3):
+        net = pl.random_network(delta=0.6, seed=seed, **kw)
+        for e in net.graph.edges:
+            term = pl.parent_term(net, e.id)
+            assert term.support == (e.u, e.v)
+            np.testing.assert_allclose(term.matrix(), parent_term_by_projector(net, e.id),
+                                       rtol=0, atol=1e-13)
+
+
+def test_parent_term_refuses_an_unknown_edge_id():
+    net = identity_chain()
+    with pytest.raises(ValueError, match="unknown edge id 'h9.9'"):
+        pl.parent_term(net, "h9.9")
 
 
 def test_parent_term_requires_injective_sites():

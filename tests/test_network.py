@@ -8,6 +8,7 @@ import pytest
 import pepslab as pl
 from pepslab import network
 from pepslab import tensor as tz
+from pepslab.circuits import random_circuit
 from pepslab.errors import GuardExceeded
 from pepslab.network import (
     Edge,
@@ -16,7 +17,7 @@ from pepslab.network import (
     observable_to_json,
 )
 
-from oracles import arr, dense_state, random_hermitian
+from oracles import arr, dense_state, random_hermitian, state_by_link_states
 
 
 def test_open_grid_layout():
@@ -139,6 +140,24 @@ def test_assemble_state_vector_matches_brute_force(rows, cols, seed):
     assert set(av.labels) == set(labs)
     got = tz.matrix_view(av, labs, []).reshape([net.phys_dim(v) for v in net.graph.vertices])
     np.testing.assert_allclose(got, dense_state(net), atol=1e-12)
+
+
+STATE_NETWORKS = {
+    "2x3": lambda: pl.random_network(2, 3, seed=0),
+    "3x1": lambda: pl.random_network(3, 1, delta=0.5, seed=1),
+    "3x3-torus": lambda: pl.random_network(3, 3, phys_dim=2, seed=2, geometry="periodic-grid"),
+    "2x2-D3": lambda: pl.random_network(2, 2, bond_dim=3, seed=3),
+    "2x3-phys3": lambda: pl.random_network(2, 3, phys_dim=3, seed=4),
+    "circuit": lambda: pl.compile_circuit(random_circuit(4, 1, seed=5), 0.4).network,
+}
+
+
+@pytest.mark.parametrize("name", list(STATE_NETWORKS))
+def test_assemble_state_vector_equals_the_link_state_reference(name):
+    net = STATE_NETWORKS[name]()
+    got, want = pl.assemble_state_vector(net), state_by_link_states(net)
+    assert got.legs == want.legs
+    np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-13)
 
 
 def test_assemble_state_vector_guard_is_a_resource_refusal(monkeypatch):

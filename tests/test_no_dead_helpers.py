@@ -1,12 +1,15 @@
 """Every private module-level helper of the package is used somewhere in it, every
-private module-level constant is read somewhere in it, every parameter of every
-function is read in that function's body, and no product of dims is taken in
-int64."""
+public module-level function and class is named somewhere in the package, its
+tests or its benchmark, every private module-level constant is read somewhere
+in it, every parameter of every function is read in that function's body, and
+no product of dims is taken in int64."""
 
 import ast
+import collections
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "pepslab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "pepslab"
 
 
 def _helpers_and_uses(paths):
@@ -41,6 +44,53 @@ def test_a_helper_left_behind_is_caught(tmp_path):
                                    "x = _Used()\n")
     helpers, used = _helpers_and_uses(sorted(tmp_path.glob("*.py")))
     assert [name for _, name in helpers if name not in used] == ["_left"]
+
+
+def _names(node):
+    """How often each name is read, imported or taken as an attribute under ``node``."""
+    count = collections.Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            count[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            count[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            count.update(n.split(".")[-1] for n in (sub.name, sub.asname) if n)
+    return count
+
+
+def _unnamed_public_defs(package, roots):
+    """``module:name`` of each public module-level function or class of ``package``
+    that no file under ``roots`` names outside its own definition."""
+    named, defs = collections.Counter(), []
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            named.update(_names(tree))
+            if path.parent == package:
+                defs += [(path.name, node.name, _names(node)[node.name]) for node in tree.body
+                         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                         and not node.name.startswith("_")]
+    return [f"{module}:{name}" for module, name, own in defs if named[name] == own]
+
+
+def test_every_public_def_is_named():
+    defs = _unnamed_public_defs(SRC, [ROOT / "src", ROOT / "tests", ROOT / "pepsbench"])
+    assert not defs, f"public functions or classes nothing names: {defs}"
+
+
+def test_a_public_def_left_behind_is_caught(tmp_path):
+    pkg, tests = tmp_path / "src" / "pkg", tmp_path / "tests"
+    pkg.mkdir(parents=True)
+    tests.mkdir()
+    (pkg / "a.py").write_text("def kept():\n    return 1\n\n\n"
+                              "def left(n):\n    return left(n - 1) if n else 0\n\n\n"
+                              "class Used:\n    pass\n")
+    (pkg / "b.py").write_text("from .a import Used\n")
+    (tests / "test_a.py").write_text("import pkg.a\n\n\ndef test_kept():\n"
+                                     "    assert pkg.a.kept() == 1\n")
+    # a recursive call is no use from outside
+    assert _unnamed_public_defs(pkg, [tmp_path / "src", tests]) == ["a.py:left"]
 
 
 def _unread_constants(paths):

@@ -1,5 +1,6 @@
 """Wang tile sets, torus counting routes, interpolation."""
 
+import itertools
 import json
 import math
 
@@ -267,8 +268,9 @@ def test_closed_form_weights_are_the_product_formula_up_to_one_scale(monkeypatch
         ratio = barycentric_weights(nodes) / closed
         np.testing.assert_allclose(ratio, ratio[0], rtol=1e-10)
     # the weights the extrapolation uses, read back one sample at a time:
-    # with a single nonzero sample f_i, p(0) is (w_i / -x_i) / sum_j (w_j / -x_j)
-    for shape in ((2, 2), (2, 3), (2, 4), (3, 3)):
+    # with a single nonzero sample f_i, p(0) is (w_i / -x_i) / sum_j (w_j / -x_j);
+    # past 2x3 the extrapolation refuses before it takes a sample
+    for shape in ((2, 2), (2, 3), (3, 2)):
         n = shape[0] * shape[1]
         weights = []
         for i in range(2 * n + 1):
@@ -354,6 +356,69 @@ def test_extrapolated_counts_at_or_above_2_53_are_refused(monkeypatch):
     monkeypatch.setattr("pepslab.tiling.peps_norms", lambda nets, guard: [2.0 ** 53] * len(nets))
     with pytest.raises(ValueError, match="2\\*\\*53"):
         extrapolate_norm_to_zero(README4, 2, 2)
+
+
+def full_tileset(colors):
+    """All colors**4 tiles: every assignment of colors to the bonds tiles, count colors**(2n)."""
+    return WangTileSet(colors, tuple(itertools.product(range(colors), repeat=4)))
+
+
+TORI_TO_4X4 = [(r, c) for r in range(2, 5) for c in range(2, 5)]
+
+
+@pytest.mark.parametrize("colors,shapes,refused", [
+    (2, TORI_TO_4X4, []), (3, TORI_TO_4X4, [(4, 4)]), (6, [(2, 2), (2, 5)], [(2, 5)]),
+], ids=["2-colors", "3-colors", "6-colors"])
+def test_full_tile_sets_count_colors_to_the_2n_or_refuse(colors, shapes, refused):
+    # the 1/colors bond prefactor rounds when colors is no power of two: the
+    # 3-color 4x4 and 6-color 2x5 counts read 1853020188851842 and
+    # 3656158440062978 (exact 3**32 and 6**20), residue 0.5, under a relative
+    # integer tolerance; their roundoff is 7.2 and 9.3
+    ts = full_tileset(colors)
+    for rows, cols in shapes:
+        n = rows * cols
+        if (rows, cols) in refused:
+            with pytest.raises(ValueError, match="roundoff"):
+                tiling_count_via_norm(ts, rows, cols)
+            continue
+        report = tiling_count_via_norm(ts, rows, cols)
+        assert report["count"] == colors ** (2 * n)
+        assert report["residue"] <= report["roundoff"] < 0.5
+        if colors == 2:
+            assert report["roundoff"] == report["residue"] == 0.0
+        else:
+            assert report["roundoff"] == (2 * n + 3) * 2.0 ** -53 * abs(report["z"])
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (3, 3), (3, 4), (4, 4)])
+def test_extrapolation_refuses_before_sampling(monkeypatch, shape):
+    # amplification and the largest node bound roundoff below before any norm
+    def refuse(nets, guard):
+        raise AssertionError("sampled a board the floor refuses")
+
+    monkeypatch.setattr(tiling, "peps_norms", refuse)
+    with pytest.raises(ValueError, match="roundoff"):
+        extrapolate_norm_to_zero(README4, *shape)
+
+
+@pytest.mark.parametrize("ts", [
+    README4, UNIFORM2, random_tileset(2, count=3), random_tileset(7, count=3),
+    random_tileset(4, count=6, colors=3),
+], ids=["readme4", "uniform2", "rand2", "rand7", "rand3-colors"])
+def test_roundoff_floor_stays_below_roundoff(ts):
+    # each sample's norm is at least its delta**(2n), so the floor computed
+    # before sampling never exceeds the roundoff read after
+    for rows, cols in ((2, 2), (2, 3), (3, 2)):
+        try:
+            res = extrapolate_norm_to_zero(ts, rows, cols)
+        except ValueError as err:
+            assert "roundoff" in str(err)
+            continue
+        n = rows * cols
+        floor = (res["amplification"] * n * 2.0 ** -53 * ts.colors ** (2 * n)
+                 * res["nodes"][-1] ** (2 * n))
+        assert 0 < floor <= res["roundoff"] < 0.5
+        assert res["count"] == count_tilings_exhaustive(ts, rows, cols)
 
 
 def _old_tiling_network(ts, rows, cols, delta=None):
