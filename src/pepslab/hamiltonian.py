@@ -6,13 +6,15 @@ projector that kills the shared link state.  The link state only identifies
 the bond's two indices, so the projector is applied as one broadcast product
 on the pseudo-inverses' arrays, with no tensor for it.  The resulting
 Hamiltonian is frustration free: the network state is an exact zero-energy
-eigenstate.
+eigenstate.  ``ParentHamiltonian`` applies its terms in a few site orders
+(frames), in each of which every term is one GEMM or a short stack of them.
 
 ``spectrum_report`` reads the low spectrum with numpy alone: ``eigh`` of the
 dense matrix up to DENSE_EIG_CUTOFF, and above it a thick-restart Lanczos that
-calls ``matvec`` one vector at a time, followed by a randomized probe for
-ground-state copies a single Krylov space cannot see.  A solve that does not
-converge within LANCZOS_MATVEC_BUDGET products raises GuardExceeded.
+calls ``matvec`` one vector at a time, into output and scratch vectors the
+solver owns, followed by a randomized probe for ground-state copies a single
+Krylov space cannot see.  A solve that does not converge within
+LANCZOS_MATVEC_BUDGET products raises GuardExceeded.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from .tensor import NonInjectiveError, Tensor
 
 PINV_RTOL = 1e-12
 DENSE_DIM_LIMIT = 1 << 14
+_DENSE_MATRIX_LIMIT = 1 << 11
+_DENSE_BLOCK = 256
 DENSE_EIG_CUTOFF = 256
 DEGENERACY_TOL = 1e-8
 LANCZOS_BASIS = 30
@@ -43,10 +47,13 @@ def pseudo_inverse(t: Tensor, out_legs, in_legs) -> Tensor:
 
     The result keeps the same legs; read it as the reverse map
     ``out_legs -> in_legs``.  All singular values must exceed
-    ``PINV_RTOL * sigma_max`` (the map must be injective), otherwise
-    NonInjectiveError is raised.
+    ``PINV_RTOL * sigma_max`` and the input dim may not exceed the output
+    dim (the map must be injective), otherwise NonInjectiveError is raised.
     """
     m = tz.matrix_view(t, out_legs, in_legs)
+    if m.shape[1] > m.shape[0]:
+        # svd returns only min(rows, cols) singular values, none of them zero
+        raise NonInjectiveError(f"map from dim {m.shape[1]} into dim {m.shape[0]} cannot be injective")
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     if s[0] == 0.0 or s[-1] <= PINV_RTOL * s[0]:
         raise NonInjectiveError(
@@ -91,59 +98,178 @@ def parent_term(net: PepsNetwork, edge_id: str) -> Observable:
     return observable_from_matrix((edge.u, edge.v), h, dims=(dx, dy))
 
 
+def _position(order: tuple, pair: tuple) -> int | None:
+    """First of the two adjacent positions ``pair`` takes in ``order``, or None."""
+    i, j = order.index(pair[0]), order.index(pair[1])
+    return min(i, j) if abs(i - j) == 1 else None
+
+
+def _path_order(n: int, left: list, pairs: list) -> tuple:
+    """A site order that walks the graph of ``pairs``, along the pairs of ``left`` where it can.
+
+    Each walk starts at an unvisited site of least degree in ``left`` (a
+    path's end) and steps to its lowest unvisited neighbour across a pair of
+    ``left``, else across any pair; sites it never reaches come last.  The
+    first walk's first step always places a pair of ``left`` side by side.
+    """
+    want, nbrs = [set() for _ in range(n)], [set() for _ in range(n)]
+    for group, ps in ((want, left), (nbrs, pairs)):
+        for i, j in ps:
+            group[i].add(j)
+            group[j].add(i)
+    order: list = []
+    for v in sorted((v for v in range(n) if want[v]), key=lambda v: (len(want[v]), v)):
+        while v is not None and v not in order:
+            order.append(v)
+            v = min(want[v].difference(order) or nbrs[v].difference(order), default=None)
+    return tuple(order + [v for v in range(n) if v not in order])
+
+
+def _frames(dims: tuple, pairs: list, matrices: list) -> tuple:
+    """Group the terms into frames: site orders in which each term acts on two adjacent sites.
+
+    The orders are the vertex order; for the pairs not adjacent in it, a
+    path order along them and its reverse (repeated until every pair is
+    adjacent somewhere); and the reverse of the vertex order.  A term at
+    positions p, p + 1 of an order is a stack of ``lead = prod(dims before
+    p)`` GEMMs, or one GEMM with the term on the right when no site follows
+    it.  It goes to the order with the shortest stack, the earlier order on a
+    tie.  Returns ``(order, inverse, frame dims, terms)`` per non-empty frame,
+    the vertex order first with ``order = None``; ``order`` and its inverse
+    keep a column axis ``n`` last.  A term is ``(index, matrix, lead, k,
+    trail)``, its matrix in the frame's site order.
+    """
+    n = len(dims)
+    orders = [tuple(range(n))]
+    left = [p for p in pairs if _position(orders[0], p) is None]
+    while left:
+        path = _path_order(n, left, pairs)
+        orders += [path, path[::-1]]
+        left = [p for p in left if _position(path, p) is None]
+    orders.append(orders[0][::-1])
+    placed: list = [[] for _ in orders]
+    for t, (pair, m) in enumerate(zip(pairs, matrices)):
+        best = None
+        for f, order in enumerate(orders):
+            p = _position(order, pair)
+            if p is None:
+                continue
+            fdims = [dims[a] for a in order]
+            lead, trail = math.prod(fdims[:p]), math.prod(fdims[p + 2:])
+            cost = 1 if trail == 1 else lead
+            if best is None or cost < best[0]:
+                best = (cost, f, p, lead, trail)
+        _, f, p, lead, trail = best
+        da, db = dims[pair[0]], dims[pair[1]]
+        if orders[f][p] != pair[0]:  # the frame holds the pair's second site first
+            m = m.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(da * db, da * db)
+        placed[f].append((t, m, lead, da * db, trail))
+    return tuple((None, None, dims, tuple(terms)) if f == 0 else
+                 (order + (n,), tuple(np.argsort(order).tolist()) + (n,),
+                  tuple(dims[a] for a in order), tuple(terms))
+                 for f, (order, terms) in enumerate(zip(orders, placed)) if terms)
+
+
 @dataclass(frozen=True)
 class ParentHamiltonian:
-    """Sum of per-edge parent terms over a fixed vertex ordering.
+    """Sum of per-edge two-site parent terms over a fixed vertex ordering.
 
-    Construction prepares every term once: its matrix, the axis permutation
-    that brings its support to the front of the state tensor, and the inverse
-    of that permutation.  ``matvec``, ``to_dense`` and ``term_norms`` all read
-    these prepared terms.
+    Construction prepares the terms once as a few frames (``_frames``): site
+    orders in which each term acts on two adjacent sites with few sites
+    before them.  A product copies the vector into each frame's order once,
+    applies the frame's terms to it, each one GEMM or a short stack of them
+    written with ``out=``, and copies the frame's sum back once; the vertex
+    order's frame reads the vector and writes the output in place.
+    ``matvec``, ``to_dense`` and ``term_norms`` all read these frames.
     """
 
     vertices: tuple
     dims: tuple
     terms: tuple  # of Observable
-    _prepared: tuple = field(init=False, repr=False, compare=False)
+    _frames: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = len(self.dims)
-        prepared = []
-        for obs in self.terms:
-            ax = [self.vertices.index(v) for v in obs.support]
-            perm = ax + [i for i in range(n) if i not in ax]
-            prepared.append((obs.matrix(), tuple(perm), tuple(np.argsort(perm).tolist())))
-        object.__setattr__(self, "_prepared", tuple(prepared))
+        if any(len(obs.support) != 2 for obs in self.terms):
+            raise ValueError("every parent Hamiltonian term acts on two sites")
+        pairs = [tuple(self.vertices.index(v) for v in obs.support) for obs in self.terms]
+        frames = _frames(tuple(self.dims), pairs, [obs.matrix() for obs in self.terms])
+        object.__setattr__(self, "_frames", frames)
 
     @property
     def dim(self) -> int:
         return math.prod(self.dims)
 
     def term_norms(self) -> list:
-        return [float(np.linalg.norm(m, ord=2)) for m, _, _ in self._prepared]
+        norms = {t: float(np.linalg.norm(m, ord=2)) for *_, terms in self._frames for t, m, *_ in terms}
+        return [norms[t] for t in range(len(self.terms))]
 
-    def matvec(self, vec: np.ndarray) -> np.ndarray:
-        psi = np.asarray(vec, dtype=np.complex128).reshape(self.dims)
-        out = np.zeros_like(psi)
-        for m, perm, inv in self._prepared:
-            front = psi.transpose(perm).reshape(m.shape[0], -1)
-            contrib = (m @ front).reshape([self.dims[a] for a in perm])
-            out += contrib.transpose(inv)
-        return out.reshape(-1)
+    def matvec(self, vec: np.ndarray, out: np.ndarray = None, scratch: np.ndarray = None) -> np.ndarray:
+        """H @ vec, written into ``out`` (a contiguous complex vector of size dim) and returned.
+
+        ``scratch`` is a contiguous complex array ``(3, dim)`` of work space.
+        Either is allocated when not given; neither may overlap ``vec``.
+        """
+        dim = self.dim
+        out = np.empty(dim, dtype=np.complex128) if out is None else out
+        scratch = np.empty((3, dim), dtype=np.complex128) if scratch is None else scratch
+        for buf, shape in ((out, (dim,)), (scratch, (3, dim))):
+            if buf.shape != shape or buf.dtype != np.complex128 or not buf.flags.c_contiguous:
+                raise ValueError(f"matvec buffers must be contiguous complex arrays of shape {shape}")
+        return self._apply(np.asarray(vec, dtype=np.complex128), out, scratch, 1)
+
+    def _apply(self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray, cols: int) -> np.ndarray:
+        """H applied to the ``cols`` columns of ``x`` (``dim * cols`` entries, row-major), into ``out``.
+
+        A frame other than the vertex order's is copied into ``scratch[0]``,
+        summed in ``scratch[1]`` (``scratch[2]`` takes each later term's
+        product) and copied back through ``scratch[0]``, then added to ``out``:
+        two contiguous passes are cheaper than one add through a transpose.
+        """
+        shape = tuple(self.dims) + (cols,)
+        written = False
+        for order, inverse, fdims, terms in self._frames:
+            if order is None:
+                src, acc = x, out
+            else:
+                src, acc = scratch[0], scratch[1]
+                np.copyto(src.reshape(fdims + (cols,)), x.reshape(shape).transpose(order))
+            for i, (_, m, lead, k, trail) in enumerate(terms):
+                dst = scratch[2] if i else acc
+                if trail * cols == 1:
+                    np.matmul(src.reshape(lead, k), m.T, out=dst.reshape(lead, k))
+                else:
+                    stack = (lead, k, trail * cols)
+                    np.matmul(m, src.reshape(stack), out=dst.reshape(stack))
+                if i:
+                    acc += dst
+            if order is not None:
+                back = out if not written else scratch[0]
+                np.copyto(back.reshape(shape), acc.reshape(fdims + (cols,)).transpose(inverse))
+                if written:
+                    out += back
+            written = True
+        if not written:
+            out[...] = 0.0
+        return out
 
     def to_dense(self) -> np.ndarray:
+        """The dense matrix, applied to the identity in blocks of columns.
+
+        Refused with GuardExceeded above dim 2**11, whose complex matrix
+        takes 64 MiB; the work buffers stay below a quarter of that.
+        """
         dim = self.dim
-        if dim > DENSE_DIM_LIMIT:
-            raise GuardExceeded("Hamiltonian dimension exceeds the dense guard", dim, DENSE_DIM_LIMIT)
-        n = len(self.dims)
-        h = np.zeros((dim, dim), dtype=np.complex128)
-        for m, perm, inv in self._prepared:
-            # kron with the identity on the other sites in the permuted order,
-            # then undo the permutation on the row and the column axes.
-            big = np.kron(m, np.eye(dim // m.shape[0], dtype=np.complex128))
-            shape = [self.dims[a] for a in perm]
-            big = big.reshape(shape + shape).transpose(list(inv) + [n + i for i in inv])
-            h += big.reshape(dim, dim)
+        if dim > _DENSE_MATRIX_LIMIT:
+            raise GuardExceeded("Hamiltonian dimension exceeds the dense-matrix guard", dim, _DENSE_MATRIX_LIMIT)
+        h = np.empty((dim, dim), dtype=np.complex128)
+        step = min(dim, _DENSE_BLOCK)
+        scratch = np.empty((3, dim * step), dtype=np.complex128)
+        for j in range(0, dim, step):
+            cols = min(step, dim - j)
+            eye = np.zeros((dim, cols), dtype=np.complex128)
+            eye[j:j + cols] = np.eye(cols)
+            block = np.empty(dim * cols, dtype=np.complex128)
+            h[:, j:j + cols] = self._apply(eye, block, scratch[:, : dim * cols], cols).reshape(dim, cols)
         return h
 
 
@@ -188,6 +314,9 @@ def _overlaps(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
 class _Operator:
     """``ham.matvec`` on one vector at a time, counted against the matvec budget.
 
+    It owns the product's output and scratch vectors, so a solve allocates
+    no vector per product.
+
     With ``locked`` set (orthonormal rows), ``project`` removes their span.
     A Lanczos run on the complement projects every new basis vector after its
     recurrence: the locked vectors span a zero eigenspace of the projected
@@ -199,6 +328,8 @@ class _Operator:
         self.ham = ham
         self.matvecs = 0
         self.locked = None
+        self.out = np.empty(ham.dim, dtype=np.complex128)
+        self.scratch = np.empty((3, ham.dim), dtype=np.complex128)
 
     def reserve(self, count: int) -> None:
         if self.matvecs + count > LANCZOS_MATVEC_BUDGET:
@@ -214,9 +345,10 @@ class _Operator:
         return w - _overlaps(self.locked, w) @ self.locked
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
+        """``ham @ v`` in the operator's own output buffer, which the next call overwrites."""
         self.reserve(1)
         self.matvecs += 1
-        return self.ham.matvec(v)
+        return self.ham.matvec(v, self.out, self.scratch)
 
 
 def _random_start(rng, op: _Operator) -> np.ndarray:
@@ -244,6 +376,8 @@ def _thick_restart_lanczos(op: _Operator, start: np.ndarray, k: int, scale: floa
     size = min(LANCZOS_BASIS, dim)
     keep = max(k, size // 2)
     basis = np.empty((size, dim), dtype=np.complex128)
+    # real coefficients act on the basis viewed as float64: half the flops
+    real = basis.view(np.float64)
     t = np.zeros((size, size))
     basis[0] = start
     kept, j = 0, 0
@@ -254,7 +388,7 @@ def _thick_restart_lanczos(op: _Operator, start: np.ndarray, k: int, scale: floa
         scale = max(scale, abs(alpha))
         w -= alpha * basis[j]
         if j == kept and kept > 0:
-            w -= t[:kept, j] @ basis[:kept]
+            w -= (t[:kept, j] @ real[:kept]).view(np.complex128)
         elif j > 0:
             w -= t[j - 1, j] * basis[j - 1]
         w -= _overlaps(basis[: j + 1], w) @ basis[: j + 1]
@@ -274,14 +408,14 @@ def _thick_restart_lanczos(op: _Operator, start: np.ndarray, k: int, scale: floa
         scale = max(scale, float(np.max(np.abs(theta))))
         res = beta * np.abs(s[j])
         if j + 1 >= k and np.all(res[:k] <= LANCZOS_TOL * scale):
-            return theta[:k], s[:, :k].T @ basis[: j + 1], res[:k], scale
+            return theta[:k], (s[:, :k].T @ real[: j + 1]).view(np.complex128), res[:k], scale
         nxt = w / beta if beta > 0 else None
         if j + 1 < size:
             # breakdown with room left: extend the basis
             j += 1
         else:
             kept = keep
-            basis[:kept] = s[:, :kept].T @ basis
+            real[:kept] = s[:, :kept].T @ real
             t[:] = 0.0
             t[np.arange(kept), np.arange(kept)] = theta[:kept]
             t[kept, :kept] = t[:kept, kept] = beta * s[j, :kept]

@@ -8,7 +8,9 @@ the exception: they keep the tensor constructions the library replaced by
 identifying each bond's two indices, the parent term through a link
 projector (``parent_term_by_projector``) and the dense state through one
 tensor per bond pair state (``state_by_link_states``), and they build them
-with ``tz.contract`` and ``pseudo_inverse``.
+with ``tz.contract`` and ``pseudo_inverse``.  ``matvec_by_permutations``
+keeps the parent Hamiltonian's product the library replaced by frames: one
+transpose of the whole vector per term.
 """
 
 import itertools
@@ -130,6 +132,21 @@ def parent_term_by_projector(net, edge_id):
     b = tz.matrix_view(pair, ["xo", "yo"] + virts, ["phys@hx", "phys@hy"])
     h = b.conj().T @ b
     return 0.5 * (h + h.conj().T)
+
+
+def matvec_by_permutations(ham, vec):
+    """``H @ vec`` term by term: bring the term's sites to the front, multiply, transpose back."""
+    n = len(ham.dims)
+    psi = np.asarray(vec, dtype=np.complex128).reshape(ham.dims)
+    out = np.zeros_like(psi)
+    for obs in ham.terms:
+        m = obs.matrix()
+        ax = [ham.vertices.index(v) for v in obs.support]
+        perm = ax + [i for i in range(n) if i not in ax]
+        front = psi.transpose(perm).reshape(m.shape[0], -1)
+        contrib = (m @ front).reshape([ham.dims[a] for a in perm])
+        out += contrib.transpose(np.argsort(perm))
+    return out.reshape(-1)
 
 
 def dense_norm(net):

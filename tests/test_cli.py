@@ -190,6 +190,15 @@ def test_parent_ham_refuses_fewer_than_one_eigenvalue(capsys, k):
     assert f"k = {k}" in err
 
 
+def test_parent_ham_refuses_sites_that_are_not_injective(capsys):
+    # physical dim 2 below the bond product 4: pepslab inject reads 0 there
+    code = main(["parent-ham", "--random", "2x2", "--phys-dim", "2"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "injective" in err and err.count("\n") == 1
+
+
 def test_parent_ham_past_the_matvec_budget_exits_with_the_guard_code(capsys, monkeypatch):
     monkeypatch.setattr(hamiltonian, "LANCZOS_MATVEC_BUDGET", 20)
     code = main(["parent-ham", "--random", "1x6", "--delta", "0.6", "--eigenvalues", "4"])

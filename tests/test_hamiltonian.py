@@ -15,7 +15,7 @@ from pepslab import tensor as tz
 from pepslab.errors import GuardExceeded
 from pepslab.tensor import NonInjectiveError
 
-from oracles import parent_term_by_projector
+from oracles import matvec_by_permutations, parent_term_by_projector
 
 
 def rnd(shape, seed):
@@ -27,7 +27,7 @@ def test_pseudo_inverse_is_a_left_inverse():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))  # injective
     t = tz.from_matrix(m, [("phys", 5)], [("a", 2), ("b", 2)])
-    pinv = pl.pseudo_inverse(t, ["a", "b"], ["phys"])
+    pinv = pl.pseudo_inverse(t, ["phys"], ["a", "b"])
     comp = tz.contract(
         pinv.relabeled({"a": "a2", "b": "b2"}), t, [("phys", "phys")]
     )
@@ -40,6 +40,18 @@ def test_pseudo_inverse_rejects_rank_deficient_maps():
     t = tz.from_matrix(m, [("phys", 4)], [("v", 3)])
     with pytest.raises(NonInjectiveError):
         pl.pseudo_inverse(t, ["v"], ["phys"])
+
+
+def test_pseudo_inverse_refuses_a_map_into_a_smaller_space():
+    # svd sees only min(rows, cols) singular values, all nonzero here
+    rng = np.random.default_rng(0)
+    m = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    t = tz.from_matrix(m, [("phys", 2)], [("a", 2), ("b", 2)])
+    with pytest.raises(NonInjectiveError, match="dim 4 into dim 2"):
+        pl.pseudo_inverse(t, ["phys"], ["a", "b"])
+    # a parent Hamiltonian on sites whose physical dim is below their bond product
+    with pytest.raises(NonInjectiveError):
+        pl.parent_hamiltonian(pl.random_network(2, 2, phys_dim=2, seed=0))
 
 
 def identity_chain():
@@ -115,6 +127,57 @@ def test_hamiltonian_matvec_matches_dense(rows, cols):
     np.testing.assert_allclose(h, h.conj().T, atol=1e-12)
     v = rnd((256,), 3)
     np.testing.assert_allclose(ham.matvec(v), h @ v, atol=1e-10)
+
+
+# a chain; an open grid, whose vertical bonds are adjacent in no vertex
+# order; a torus, with two bonds between the same sites and wrap bonds listed
+# from the higher vertex; and a 2x4 grid, whose terms spread over four frames
+FRAME_NETWORKS = [dict(rows=1, cols=7), dict(rows=2, cols=3),
+                  dict(rows=2, cols=2, geometry="periodic-grid"), dict(rows=2, cols=4)]
+
+
+@pytest.mark.parametrize("kw", FRAME_NETWORKS, ids=["1x7", "2x3", "2x2-torus", "2x4"])
+def test_matvec_by_frames_matches_the_permutation_reference(kw):
+    ham = pl.parent_hamiltonian(pl.random_network(delta=0.5, seed=3, **kw))
+    placed = sorted(t for *_, terms in ham._frames for t, *_ in terms)
+    assert placed == list(range(len(ham.terms)))
+    v = rnd((ham.dim,), 4)
+    want = matvec_by_permutations(ham, v)
+    np.testing.assert_allclose(ham.matvec(v), want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("rows,cols", [(2, 2), (1, 6)], ids=["2x2", "1x6"])
+def test_to_dense_matches_the_permutation_reference(rows, cols):
+    # dim 256 in one block of columns, dim 1024 in four
+    ham = pl.parent_hamiltonian(pl.random_network(rows, cols, delta=0.5, seed=2))
+    v = rnd((ham.dim,), 5)
+    want = matvec_by_permutations(ham, v)
+    np.testing.assert_allclose(ham.to_dense() @ v, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def test_matvec_buffers_and_the_traced_call_count(monkeypatch):
+    # pepsbench counts products by wrapping ParentHamiltonian.matvec on the class
+    calls = []
+    original = hamiltonian.ParentHamiltonian.matvec
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(hamiltonian.ParentHamiltonian, "matvec", counted)
+    net = pl.random_network(1, 6, delta=0.5, seed=6)
+    ham = pl.parent_hamiltonian(net)
+    rep = pl.spectrum_report(ham, net, k=4)
+    assert rep.solver == "lanczos" and len(calls) == rep.matvecs > 0
+    v = rnd((ham.dim,), 7)
+    first, second = ham.matvec(v), ham.matvec(v)
+    assert first is not second and not np.shares_memory(first, second)
+    out = np.full(ham.dim, np.nan, dtype=np.complex128)
+    scratch = np.full((3, ham.dim), np.nan, dtype=np.complex128)
+    assert ham.matvec(v, out, scratch) is out
+    np.testing.assert_allclose(out, first, rtol=0, atol=1e-13 * np.abs(first).max())
+    with pytest.raises(ValueError, match="contiguous complex"):
+        ham.matvec(v, np.empty(ham.dim))
 
 
 def test_spectrum_report_dense_path():
@@ -329,9 +392,18 @@ def test_spectrum_report_without_state_overlap():
 def test_to_dense_respects_size_guard(monkeypatch):
     net = pl.random_network(2, 2, delta=0.5, seed=7)
     ham = pl.parent_hamiltonian(net)
-    monkeypatch.setattr(hamiltonian, "DENSE_DIM_LIMIT", 8)
+    monkeypatch.setattr(hamiltonian, "_DENSE_MATRIX_LIMIT", 8)
     with pytest.raises(GuardExceeded):
         ham.to_dense()
+
+
+def test_to_dense_refuses_a_matrix_past_its_own_guard():
+    # dim 16384 passes the state guard; its matrix would take 4 GiB
+    ham = pl.parent_hamiltonian(pl.random_network(2, 3, delta=0.5, seed=1))
+    assert ham.dim == 1 << 14 <= hamiltonian.DENSE_DIM_LIMIT
+    with pytest.raises(GuardExceeded) as info:
+        ham.to_dense()
+    assert info.value.required == 1 << 14 and info.value.limit == 1 << 11
 
 
 def test_report_serializes():
