@@ -13,8 +13,15 @@ eigenstate.  ``ParentHamiltonian`` applies its terms in a few site orders
 dense matrix up to DENSE_EIG_CUTOFF, and above it a thick-restart Lanczos that
 calls ``matvec`` one vector at a time, into output and scratch vectors the
 solver owns, followed by a randomized probe for ground-state copies a single
-Krylov space cannot see.  A solve that does not converge within
-LANCZOS_MATVEC_BUDGET products raises GuardExceeded.
+Krylov space cannot see.  The Lanczos basis is kept orthogonal by partial
+reorthogonalization (Simon, Math. Comp. 42, 115, 1984): a recurrence on the
+tridiagonal (after a restart, arrowhead) matrix estimates each new vector's
+overlaps with the basis, and a Gram-Schmidt pass against the whole basis runs
+where an estimate reaches LANCZOS_TOL and after each start or restart, not on
+every step.  Overlaps below the solver's own tolerance move the Ritz values by
+no more than the residual it accepts.  A
+solve that does not converge within LANCZOS_MATVEC_BUDGET products raises
+GuardExceeded.
 """
 
 from __future__ import annotations
@@ -255,8 +262,10 @@ class ParentHamiltonian:
     def to_dense(self) -> np.ndarray:
         """The dense matrix, applied to the identity in blocks of columns.
 
-        Refused with GuardExceeded above dim 2**11, whose complex matrix
-        takes 64 MiB; the work buffers stay below a quarter of that.
+        Up to dim _DENSE_BLOCK one block covers the matrix, and the product
+        of the identity is written straight into it.  Refused with
+        GuardExceeded above dim 2**11, whose complex matrix takes 64 MiB; the
+        work buffers stay below a quarter of that.
         """
         dim = self.dim
         if dim > _DENSE_MATRIX_LIMIT:
@@ -264,6 +273,9 @@ class ParentHamiltonian:
         h = np.empty((dim, dim), dtype=np.complex128)
         step = min(dim, _DENSE_BLOCK)
         scratch = np.empty((3, dim * step), dtype=np.complex128)
+        if step == dim:
+            self._apply(np.eye(dim, dtype=np.complex128), h.reshape(-1), scratch, dim)
+            return h
         for j in range(0, dim, step):
             cols = min(step, dim - j)
             eye = np.zeros((dim, cols), dtype=np.complex128)
@@ -362,12 +374,34 @@ def _thick_restart_lanczos(op: _Operator, start: np.ndarray, k: int, scale: floa
 
     The basis holds at most LANCZOS_BASIS vectors.  Each step runs the
     three-term recurrence (after a restart, the kept Ritz vectors take the
-    place of the previous vector) and then one classical Gram-Schmidt pass
-    against the whole basis.  A full basis restarts from its lowest Ritz
-    vectors, about half of it.  The run stops when each of the ``k`` lowest
-    Ritz pairs has residual ``beta * |s_last| <= LANCZOS_TOL * scale``, scale
-    being the largest |Ritz value| seen: an absolute test in the operator's own
-    scale, so an exact zero eigenvalue costs no extra sweeps.
+    place of the previous vector).  A full basis restarts from its lowest
+    Ritz vectors, about half of it.  The run stops when each of the ``k``
+    lowest Ritz pairs has residual ``beta * |s_last| <= LANCZOS_TOL * scale``,
+    scale being the largest |Ritz value| seen: an absolute test in the
+    operator's own scale, so an exact zero eigenvalue costs no extra sweeps.
+
+    Orthogonality is kept by partial reorthogonalization (Simon, Math. Comp.
+    42, 115, 1984).  ``omega[i, l]`` estimates the overlap of basis vectors i
+    and l.  The relation ``H Q = Q T + beta q e^T`` holds to round-off
+    whatever the overlaps, so the new vector's overlaps follow from the
+    matrix the loop holds, tridiagonal or, after a restart, arrowhead:
+    ``beta * omega[j + 1, :j] = (T omega[:, j] - omega T[:, j])[:j]`` plus a
+    round-off term ``eps * sqrt(dim) * scale`` with the sign of the rest, and
+    ``omega[j + 1, j] = eps * sqrt(dim) * scale / beta``.  A classical
+    Gram-Schmidt pass against the whole basis runs only
+
+    - on a step whose estimate reaches LANCZOS_TOL, and on the step after it,
+      as the previous vector has lost as much and feeds the next one;
+    - on the first two steps after the start and after each restart, whose
+      estimates are reset to round-off;
+    - on every fresh random vector.
+
+    A pass leaves overlaps of round-off size.  The threshold is the solver's
+    tolerance because a basis whose overlaps stay below it is orthonormal to
+    that order: ``T`` then differs from the Rayleigh quotient of ``H`` on the
+    basis by about ``LANCZOS_TOL * scale``, the residual the stopping test
+    accepts anyway, so the Ritz values and residuals keep the accuracy of a
+    pass on every step.
 
     Returns the Ritz values, the Ritz vectors as rows, their residual norms
     and the updated scale.
@@ -379,25 +413,41 @@ def _thick_restart_lanczos(op: _Operator, start: np.ndarray, k: int, scale: floa
     # real coefficients act on the basis viewed as float64: half the flops
     real = basis.view(np.float64)
     t = np.zeros((size, size))
+    # row ``size`` holds the vector a full basis restarts from
+    omega = np.eye(size + 1)
+    roundoff = np.finfo(float).eps * math.sqrt(dim)
+    tmp = np.empty(dim, dtype=np.complex128)
     basis[0] = start
-    kept, j = 0, 0
+    kept, j, forced = 0, 0, 2
     while True:
         w = op(basis[j])
         alpha = float(np.vdot(basis[j], w).real)
         t[j, j] = alpha
         scale = max(scale, abs(alpha))
-        w -= alpha * basis[j]
+        w -= np.multiply(basis[j], alpha, out=tmp)
         if j == kept and kept > 0:
-            w -= (t[:kept, j] @ real[:kept]).view(np.complex128)
+            w -= np.matmul(t[:kept, j], real[:kept], out=tmp.view(np.float64)).view(np.complex128)
         elif j > 0:
-            w -= t[j - 1, j] * basis[j - 1]
-        w -= _overlaps(basis[: j + 1], w) @ basis[: j + 1]
+            w -= np.multiply(basis[j - 1], t[j - 1, j], out=tmp)
         w = op.project(w)
-        beta = float(np.linalg.norm(w))
+        beta = float(np.linalg.norm(w.view(np.float64)))
+        tj = t[: j + 1, : j + 1]
+        drift = tj[:j] @ omega[: j + 1, j] - omega[:j, : j + 1] @ tj[:, j]
+        drift += np.copysign(roundoff * scale, drift)
+        if forced == 0 and np.max(np.abs(drift), initial=roundoff * scale) >= LANCZOS_TOL * beta:
+            forced = 2
+        if forced:
+            forced -= 1
+            w -= np.matmul(_overlaps(basis[: j + 1], w), basis[: j + 1], out=tmp)
+            beta = float(np.linalg.norm(w.view(np.float64)))
+            omega[j + 1, : j + 1] = omega[: j + 1, j + 1] = roundoff
+        else:
+            omega[j + 1, :j] = omega[:j, j + 1] = drift / beta
+            omega[j + 1, j] = omega[j, j + 1] = roundoff * scale / beta
         breakdown = beta <= LANCZOS_TOL * scale
         if j + 1 < size and not breakdown:
             t[j, j + 1] = t[j + 1, j] = beta
-            basis[j + 1] = w / beta
+            np.divide(w.view(np.float64), beta, out=real[j + 1])
             j += 1
             continue
         if breakdown:
@@ -409,21 +459,32 @@ def _thick_restart_lanczos(op: _Operator, start: np.ndarray, k: int, scale: floa
         res = beta * np.abs(s[j])
         if j + 1 >= k and np.all(res[:k] <= LANCZOS_TOL * scale):
             return theta[:k], (s[:, :k].T @ real[: j + 1]).view(np.complex128), res[:k], scale
-        nxt = w / beta if beta > 0 else None
+        nxt = np.divide(w, beta, out=w) if beta > 0 else None
         if j + 1 < size:
             # breakdown with room left: extend the basis
             j += 1
         else:
             kept = keep
-            real[:kept] = s[:, :kept].T @ real
+            # the kept Ritz vectors overwrite the basis they are made of, a
+            # block of columns at a time through ``tmp``
+            width = 2 * dim // kept
+            for c in range(0, 2 * dim, width):
+                block = real[:, c:c + width]
+                out = tmp.view(np.float64)[: kept * block.shape[1]].reshape(kept, -1)
+                real[:kept, c:c + width] = np.matmul(s[:, :kept].T, block, out=out)
             t[:] = 0.0
             t[np.arange(kept), np.arange(kept)] = theta[:kept]
             t[kept, :kept] = t[:kept, kept] = beta * s[j, :kept]
             j = kept
+            omega[:] = roundoff
+            np.fill_diagonal(omega, 1.0)
+            forced = 2
         if nxt is None:
             nxt = _random_start(rng, op)
             nxt -= _overlaps(basis[:j], nxt) @ basis[:j]
             nxt /= np.linalg.norm(nxt)
+            omega[j, :j] = omega[:j, j] = roundoff
+            forced = 2
         basis[j] = nxt
 
 

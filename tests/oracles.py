@@ -10,7 +10,11 @@ projector (``parent_term_by_projector``) and the dense state through one
 tensor per bond pair state (``state_by_link_states``), and they build them
 with ``tz.contract`` and ``pseudo_inverse``.  ``matvec_by_permutations``
 keeps the parent Hamiltonian's product the library replaced by frames: one
-transpose of the whole vector per term.
+transpose of the whole vector per term.  ``lanczos_with_full_reorthogonalization``
+keeps the thick-restart Lanczos the library replaced by partial
+reorthogonalization: one classical Gram-Schmidt pass on every step.  It drives
+the library's counted operator and draws its fresh vectors through
+``_random_start``, so its matvec counts compare with the library's.
 """
 
 import itertools
@@ -18,6 +22,7 @@ import itertools
 import numpy as np
 
 from pepslab import tensor as tz
+from pepslab import hamiltonian
 from pepslab.hamiltonian import pseudo_inverse
 
 
@@ -147,6 +152,60 @@ def matvec_by_permutations(ham, vec):
         contrib = (m @ front).reshape([ham.dims[a] for a in perm])
         out += contrib.transpose(np.argsort(perm))
     return out.reshape(-1)
+
+
+def lanczos_with_full_reorthogonalization(op, start, k, scale, rng):
+    """``hamiltonian._thick_restart_lanczos`` with a Gram-Schmidt pass against the whole basis on every step."""
+    tol = hamiltonian.LANCZOS_TOL
+    dim = start.size
+    size = min(hamiltonian.LANCZOS_BASIS, dim)
+    keep = max(k, size // 2)
+    basis = np.empty((size, dim), dtype=np.complex128)
+    real = basis.view(np.float64)
+    t = np.zeros((size, size))
+    basis[0] = start
+    kept, j = 0, 0
+    while True:
+        w = op(basis[j])
+        alpha = float(np.vdot(basis[j], w).real)
+        t[j, j] = alpha
+        scale = max(scale, abs(alpha))
+        w -= alpha * basis[j]
+        if j == kept and kept > 0:
+            w -= (t[:kept, j] @ real[:kept]).view(np.complex128)
+        elif j > 0:
+            w -= t[j - 1, j] * basis[j - 1]
+        w -= (basis[: j + 1] @ w.conj()).conj() @ basis[: j + 1]
+        w = op.project(w)
+        beta = float(np.linalg.norm(w))
+        breakdown = beta <= tol * scale
+        if j + 1 < size and not breakdown:
+            t[j, j + 1] = t[j + 1, j] = beta
+            basis[j + 1] = w / beta
+            j += 1
+            continue
+        if breakdown:
+            beta = 0.0
+        theta, s = np.linalg.eigh(t[: j + 1, : j + 1])
+        scale = max(scale, float(np.max(np.abs(theta))))
+        res = beta * np.abs(s[j])
+        if j + 1 >= k and np.all(res[:k] <= tol * scale):
+            return theta[:k], (s[:, :k].T @ real[: j + 1]).view(np.complex128), res[:k], scale
+        nxt = w / beta if beta > 0 else None
+        if j + 1 < size:
+            j += 1
+        else:
+            kept = keep
+            real[:kept] = s[:, :kept].T @ real
+            t[:] = 0.0
+            t[np.arange(kept), np.arange(kept)] = theta[:kept]
+            t[kept, :kept] = t[:kept, kept] = beta * s[j, :kept]
+            j = kept
+        if nxt is None:
+            nxt = hamiltonian._random_start(rng, op)
+            nxt -= (basis[:j] @ nxt.conj()).conj() @ basis[:j]
+            nxt /= np.linalg.norm(nxt)
+        basis[j] = nxt
 
 
 def dense_norm(net):

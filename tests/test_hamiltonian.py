@@ -15,7 +15,7 @@ from pepslab import tensor as tz
 from pepslab.errors import GuardExceeded
 from pepslab.tensor import NonInjectiveError
 
-from oracles import matvec_by_permutations, parent_term_by_projector
+from oracles import lanczos_with_full_reorthogonalization, matvec_by_permutations, parent_term_by_projector
 
 
 def rnd(shape, seed):
@@ -247,6 +247,70 @@ def test_lanczos_report_on_a_2x3_grid_passes_the_benchmark_checks():
     assert rep.overlap >= 1 - 1e-8
 
 
+def count_full_passes(monkeypatch):
+    """Count the solver's steps and its Gram-Schmidt passes against the whole basis.
+
+    A pass is an ``_overlaps`` call inside ``_thick_restart_lanczos`` on rows
+    other than the operator's locked set, whose projection also calls it.
+    """
+    counts = {"steps": 0, "passes": 0}
+    solver, overlaps = hamiltonian._thick_restart_lanczos, hamiltonian._overlaps
+    running = []
+
+    def counted_solver(op, *args):
+        before = op.matvecs
+        running.append(op)
+        try:
+            return solver(op, *args)
+        finally:
+            running.pop()
+            counts["steps"] += op.matvecs - before
+
+    def counted_overlaps(rows, w):
+        if running and rows is not running[-1].locked:
+            counts["passes"] += 1
+        return overlaps(rows, w)
+
+    monkeypatch.setattr(hamiltonian, "_thick_restart_lanczos", counted_solver)
+    monkeypatch.setattr(hamiltonian, "_overlaps", counted_overlaps)
+    return counts
+
+
+# the Lanczos shapes of the benchmark's spectrum workload
+@pytest.mark.parametrize("seed", [11, 12, 13])
+@pytest.mark.parametrize("rows,cols", [(1, 6), (1, 7), (2, 3)], ids=["1x6", "1x7", "2x3"])
+def test_partial_reorthogonalization_matches_the_full_pass_reference(monkeypatch, rows, cols, seed):
+    net = pl.random_network(rows, cols, delta=0.5, seed=seed)
+    ham = pl.parent_hamiltonian(net)
+    with monkeypatch.context() as m:
+        m.setattr(hamiltonian, "_thick_restart_lanczos", lanczos_with_full_reorthogonalization)
+        want = pl.spectrum_report(ham, net, k=4)
+    counts = count_full_passes(monkeypatch)
+    got = pl.spectrum_report(ham, net, k=4)
+    assert got.solver == want.solver == "lanczos"
+    assert got.matvecs == want.matvecs
+    np.testing.assert_allclose(got.eigenvalues, want.eigenvalues, rtol=0, atol=1e-12 * want.max_term_norm)
+    assert got.overlap == pytest.approx(want.overlap, abs=1e-12)
+    assert 0 < counts["passes"] <= counts["steps"] / 2
+
+
+# Instances that take over a thousand Lanczos products, forced off the dense
+# route: over that many steps a basis kept orthogonal by nothing but the
+# recurrence returns ghost copies of converged eigenvalues.
+@pytest.mark.parametrize("cols,delta,seed", [(5, 0.15, 3), (6, 0.2, 2)], ids=["1x5", "1x6"])
+def test_lanczos_stays_accurate_over_long_solves(monkeypatch, cols, delta, seed):
+    net = pl.random_network(1, cols, delta=delta, seed=seed)
+    ham = pl.parent_hamiltonian(net)
+    want = np.linalg.eigvalsh(ham.to_dense())[:4]
+    monkeypatch.setattr(hamiltonian, "DENSE_EIG_CUTOFF", 1)
+    vals, vecs, solver, matvecs, _ = hamiltonian._low_spectrum(ham, 4, sum(ham.term_norms()))
+    assert solver == "lanczos"
+    assert matvecs > 1000
+    np.testing.assert_allclose(vals, want, rtol=0, atol=1e-9)
+    assert np.abs(vecs.conj().T @ vecs - np.eye(vecs.shape[1])).max() <= 1e-10
+    assert pl.spectrum_report(ham, net, k=4).overlap >= 1 - 1e-8
+
+
 def test_lanczos_report_is_repeatable():
     net = pl.random_network(1, 4, 3, delta=0.6, seed=9)
     ham = pl.parent_hamiltonian(net)
@@ -339,14 +403,23 @@ def test_lanczos_refuses_more_eigenvalues_than_its_basis_keeps():
         pl.spectrum_report(ham, net, k=hamiltonian.LANCZOS_MAX_K + 1)
 
 
-@pytest.mark.parametrize("cutoff", [256, 1], ids=["dense", "lanczos"])
-def test_reported_residual_bounds_the_recomputed_one(monkeypatch, cutoff):
-    net = pl.random_network(2, 2, delta=0.6, seed=4)
+# 1x7 (dim 4096) takes the Lanczos route by default, and most of its steps
+# skip the Gram-Schmidt pass
+@pytest.mark.parametrize(
+    "rows,cols,delta,cutoff,solver",
+    [(2, 2, 0.6, 256, "dense"), (2, 2, 0.6, 1, "lanczos"), (1, 7, 0.5, 256, "lanczos")],
+    ids=["dense", "lanczos", "1x7-lanczos"],
+)
+def test_reported_residual_bounds_the_recomputed_one(monkeypatch, rows, cols, delta, cutoff, solver):
+    net = pl.random_network(rows, cols, delta=delta, seed=4)
     ham = pl.parent_hamiltonian(net)
     monkeypatch.setattr(hamiltonian, "DENSE_EIG_CUTOFF", cutoff)
+    counts = count_full_passes(monkeypatch)
     norms = ham.term_norms()
-    vals, vecs, solver, _, residual = hamiltonian._low_spectrum(ham, 4, sum(norms))
-    assert solver == ("dense" if cutoff == 256 else "lanczos")
+    vals, vecs, got_solver, _, residual = hamiltonian._low_spectrum(ham, 4, sum(norms))
+    assert got_solver == solver
+    if solver == "lanczos":
+        assert 0 < counts["passes"] < counts["steps"] / 2
     for theta, x in zip(vals, vecs.T):
         got = np.linalg.norm(ham.matvec(x) - theta * x)
         assert got <= 10 * residual + 1e-12 * max(norms)
