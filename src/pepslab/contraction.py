@@ -15,24 +15,34 @@ the operator there. An index is kept when, at each end of its bond, it or
 its swap ``(b, a)`` is live (at a cut bond, the closure's diagonal), and each
 layer and closure is sliced to the kept indices. Every product through a
 dropped index is exactly zero, so pruning moves a value only through the
-order of summation, and integer tile counts stay exact. A site tensor with no
-zero entry costs one count and is scanned no further. The indicator tensors
-of a tiling keep at most D of the D**2 indices of each bond. A bond with no
-live index makes the norm and the numerator exactly zero, returned without
-contracting.
+order of summation, and integer tile counts stay exact. The sites of one
+shape are read together (:func:`_read_masks`), each distinct array once: a
+site tensor with no zero entry costs one count and is scanned no further,
+and the nonzero patterns of the others go into one boolean stack, which one
+scan turns into every leg's masks. The bonds between two plain layers are
+then decided together (:func:`_plain_kept`): their end masks are rows of one
+table per bond dim, and one AND of the gathered rows gives every bond's kept
+indices. The indicator tensors of a tiling keep at most D of the D**2
+indices of each bond. A bond with no live index makes the norm and the
+numerator exactly zero, returned without contracting.
 
-The contraction runs in real arithmetic. A double layer is Hermitian under
-the swap of its bra and ket indices, so each fused bond index is rewritten in
-a Hermitian basis of the bond's D x D matrices: ``E_aa`` at ``(a, a)``,
-``(E_ab + E_ba)/sqrt 2`` at ``(a, b)`` and ``i(E_ab - E_ba)/sqrt 2`` at
-``(b, a)``, for ``a < b``. The bond's ``u`` end multiplies its layer's leg by
-the unitary ``Q[(a, a'), k] = B_k[a', a]`` and its ``v`` end by ``conj(Q)``,
-so the pairing across the bond is unchanged, and the plain layers and the
-layer of a one-site (Hermitian) operator come out real: they are stored as
-float64, with half the bytes and a quarter of the flops of complex128. The
-kept indices of a bond are closed under the swap, so the basis is applied as
-the block ``Q[K, K]`` after slicing, and a bond that keeps only diagonal
-pairs (every tiling bond, every cut bond) skips it. The closure ``delta/D``
+The contraction runs in real arithmetic. When every site tensor is real, so
+is every plain layer in the fused ``(bra, ket)`` basis, and the plan makes no
+basis blocks; a one-site operator's layer is then real when the operator is,
+and a complex one (Pauli Y) makes its support steps complex, as an operator
+on several sites does. The choice depends on the sites alone, so the plain
+boundaries the environment cache holds serve every operator. Otherwise, as
+a double layer is Hermitian under the swap of its bra and ket indices, each
+fused bond index is rewritten in a Hermitian basis of the bond's D x D
+matrices: ``E_aa`` at ``(a, a)``, ``(E_ab + E_ba)/sqrt 2`` at ``(a, b)`` and
+``i(E_ab - E_ba)/sqrt 2`` at ``(b, a)``, for ``a < b``. The bond's ``u`` end
+multiplies its layer's leg by the unitary ``Q[(a, a'), k] = B_k[a', a]`` and
+its ``v`` end by ``conj(Q)``, so the pairing across the bond is unchanged, and
+the plain layers and the layer of a one-site (Hermitian) operator come out
+real: they are stored as float64, with half the bytes and a quarter of the
+flops of complex128. The kept indices of a bond are closed under the swap, so
+the basis is applied as the block ``Q[K, K]`` after slicing, and a bond that
+keeps only diagonal pairs (every tiling bond, every cut bond) skips it. The closure ``delta/D``
 is the same in either basis. The layers of an operator on several sites
 carry its operator-bond legs and stay complex, so only the steps through the
 support run in complex128.
@@ -55,10 +65,15 @@ The plan is the one place a layer is finished, so every path squares, slices
 and closes the same way. :meth:`_Plan.layer` squares a site, slices it to the
 kept indices, puts it in the Hermitian basis, and closes each of its cut bonds
 with that bond's closure when it is built; the plan's leg lists are these
-closed legs. :meth:`_Plan.stacks` builds the plain layers of many networks as
-one stack. A pass builds its layers before its steps, then only schedules and
-replays them, and lets each layer go once its step has run (the plain layers
-of the sites between the two cuts are kept for the numerator).
+closed legs. :meth:`_Plan.layers` builds the plain layers of a pass: the
+sites of one shape that keep the same indices at each leg position are
+squared and sliced as one stack (:func:`_stacked_layers`), in chunks whose
+site matrices total at most one boundary of the plan's peak, and each layer
+is bitwise the one :meth:`_Plan.layer` gives. :meth:`_Plan.stacks` builds the
+plain layers of many networks as one stack. A pass builds its layers before
+its steps, then only schedules and replays them, and lets each layer go once
+its step has run (the plain layers of the sites between the two cuts are
+kept for the numerator).
 :meth:`_Plan.norm` checks each norm by :func:`_real_scalar`, whose scale is
 the absolute pass: the contraction of the absolute values of the layers, the
 ``x_abs`` of the forward error bound ``gamma_N * x_abs`` of a chain of
@@ -121,7 +136,10 @@ layer is built.
 Networks that differ only in their entries, such as the samples of a tiling
 extrapolation, take one call to :func:`peps_norms`, which makes one plan for
 all of them, on the union of their nonzero patterns (:func:`_union`), and one
-set of leg ranks. As a step's layout depends only on leg lists, the call
+set of leg ranks. Whether the plan makes basis blocks is judged on the
+networks themselves, never on the union's 0/1 entries, and a real network of
+a set that is not all real is replayed with no basis, as :func:`peps_norm`
+contracts it. As a step's layout depends only on leg lists, the call
 schedules the steps of both passes once, and each network replays that
 schedule. Each site's matrices are squared as one
 stack, which is sliced, put in the Hermitian basis and permuted into its
@@ -143,6 +161,7 @@ bonds: a product operator (r = 1) costs one norm.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -166,6 +185,9 @@ _SWEEPS = ("cols", "rows")
 _EPS = float(np.finfo(np.float64).eps)
 
 _SQRT_HALF = math.sqrt(0.5)
+
+# The fewest sites :meth:`_Plan.layers` squares as one stack; two alone are squared faster.
+_STACK_MIN = 3
 
 # The engine's start: a float64 scalar 1, so that real layers keep real boundaries.
 _ONE = Tensor._trusted((), np.ones(()))
@@ -268,7 +290,7 @@ class _Env:
             if scan or k == cut or k in plan.marks:
                 self.record((d, k), Tensor._trusted(legs, data))
 
-        return _absorb(self.held.get((d, start), _ONE), [plan.layer(net, v) for v in sites],
+        return _absorb(self.held.get((d, start), _ONE), plan.layers(net, sites),
                        self.ahead if forward else self.behind, seen)
 
 
@@ -276,8 +298,10 @@ class _Env:
 class _Slot:
     """What the engine keeps of the last network it contracted, for the next call.
 
-    ``masks`` holds each site's :func:`_live_pairs`: its reach and its plain live masks,
-    ``kept`` the kept indices of each bond between two plain layers (see
+    ``masks`` holds each site's live masks as :func:`_read_masks` reads them,
+    one stack per site shape (None for a site with no zero entry), ``kept``
+    the kept indices of each bond between two plain layers, filled by one
+    :func:`_plain_kept` for the bonds a call has not seen (see
     :func:`_prune`), ``bases`` each bond's basis blocks (see :func:`_bases`),
     and ``env`` the environment cache of the last order (see :class:`_Env`
     and :func:`_contract`).
@@ -356,6 +380,34 @@ def _squares(mats: np.ndarray, real: np.ndarray) -> np.ndarray:
     if real.any():
         sq[real] = _squares(mats[real], real[real])
     return sq
+
+
+def _squared(ts: Sequence[Tensor], dims: Sequence[int]) -> np.ndarray:
+    """The plain squares of site tensors ``ts`` of bond dims ``dims``, fused, as one stack.
+
+    The site matrices are stacked, as float64 when all are real, and squared
+    by one :func:`_squares`; the result is the view :func:`_fused` gives.
+    """
+    real = np.array([t.is_real for t in ts])
+    whole = real.all()
+    mats = np.stack([t.data.real if whole else t.data for t in ts])
+    return _fused(_squares(mats.reshape(len(ts), math.prod(dims), -1), real), dims)
+
+
+def _stacked_layers(net: PepsNetwork, sites: Sequence[int],
+                    keep: dict[str, np.ndarray]) -> list[Tensor]:
+    """The plain double layers of ``sites``, squared and sliced to ``keep`` as one stack.
+
+    The sites have one shape, and at each leg position they keep the same
+    indices. Layer ``i`` is bitwise ``_sliced(double_layer(net, sites[i]),
+    keep)``: the squares are :func:`_squares`', and slicing moves no value.
+    """
+    ts = [net.site(v) for v in sites]
+    dims = ts[0].data.shape[:-1]
+    legs = tuple(zip(ts[0].labels, [d * d for d in dims]))
+    stack = _sliced(Tensor._trusted((("", len(ts)),) + legs, _squared(ts, dims)), keep)
+    dims = [d for _, d in stack.legs[1:]]
+    return [Tensor._trusted(tuple(zip(t.labels, dims)), data) for t, data in zip(ts, stack.data)]
 
 
 def _operator_bonds(factor: Tensor) -> list[tuple[str, int]]:
@@ -460,31 +512,70 @@ def _marks(graph, order: Sequence[int], sweep: str) -> frozenset[int]:
     return frozenset(k for k in range(1, n) if line(order[k]) != line(order[k - 1]))
 
 
-def _live_pairs(net: PepsNetwork, v: int) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Per bond leg of site ``v``, which physical indices each bond index
-    reaches, and which fused pairs of its plain layer are live.
+def _read_masks(net: PepsNetwork, sites: Sequence[int], slot: _Slot) -> None:
+    """Fill ``slot.masks`` for ``sites``: which bond indices reach which physical
+    indices, and which fused pairs of each plain layer are live.
 
     ``reach[a, p]`` is True when the site tensor is nonzero at bond index ``a``
     and physical index ``p`` (for some indices of its other bonds). A fused
     pair ``(a, b)`` of a layer that joins physical pairs ``P`` (the identity
     for the plain layer) is live when ``(reach @ P @ reach.T)[a, b]``; every
     other pair of the layer is exactly zero. The plain masks are these
-    matrices for ``P = I``, raveled. A site tensor with no zero entry costs
-    one count and returns ``({}, {})``: every pair of every leg is live.
+    matrices for ``P = I``.
+
+    The sites of one shape are read together, and each distinct array once
+    (sites may share one). An array with no zero entry costs one count and is
+    scanned no further: its sites get None, every pair of every leg is live.
+    The nonzero patterns of the others go into one boolean stack, with no
+    copy of their data, which is scanned once: each nonzero entry marks its
+    (bond index, physical index) on every leg, in one stack of legs padded to
+    the largest bond dim. Such a site gets ``(reach, plain, s)``: the
+    group's stacks, of shapes ``(k, legs, dim, phys)`` and ``(k, legs, dim,
+    dim)``, and its row ``s``.
     """
+    shapes: dict[tuple, list[int]] = {}
+    for v in sites:
+        shapes.setdefault(net.site(v).data.shape, []).append(v)
+    for shape, group in shapes.items():
+        arrays = {id(a): a for a in (net.site(v).data for v in group)}
+        if len(shape) > 1:  # one count each, and a scan of the arrays with a zero entry
+            arrays = {key: a for key, a in arrays.items() if np.count_nonzero(a) < a.size}
+        if len(shape) == 1 or not arrays:
+            slot.masks.update(dict.fromkeys(group))
+            continue
+        nonzero = np.empty((len(arrays),) + shape, dtype=bool)
+        for row, a in zip(nonzero, arrays.values()):
+            np.not_equal(a, 0, out=row)
+        coords = nonzero.nonzero()
+        dims = shape[:-1]  # the bond legs; phys is last (see PepsNetwork)
+        m = len(dims)
+        reach = np.zeros((len(arrays), m, max(dims), shape[-1]), dtype=bool)
+        reach[coords[0], np.arange(m)[:, None], np.array(coords[1:-1]), coords[-1]] = True
+        plain = reach @ reach.transpose(0, 1, 3, 2)
+        at = dict(zip(arrays, range(len(arrays))))
+        for v in group:
+            s = at.get(id(net.site(v).data))
+            slot.masks[v] = None if s is None else (reach, plain, s)
+
+
+def _mask(net: PepsNetwork, v: int, label: str, slot: _Slot,
+          joins: np.ndarray | None = None) -> np.ndarray | None:
+    """The raveled live mask of leg ``label`` of site ``v`` (None: every pair).
+
+    The plain mask, or with ``joins``, a support site's physical pairs, the
+    mask of its layers, closed under the swap.
+    """
+    held = slot.masks[v]
+    if held is None:
+        return None
+    reach, plain, s = held
     t = net.site(v)
-    dims = t.data.shape[:-1]  # the bond legs; phys is last (see PepsNetwork)
-    if not dims or np.count_nonzero(t.data) == t.size:
-        return {}, {}
-    # one scan: each nonzero entry marks its (bond index, physical index) on
-    # every leg, in one stack of legs padded to the largest bond dim
-    coords = t.data.nonzero()
-    reach = np.zeros((len(dims), max(dims), t.data.shape[-1]), dtype=bool)
-    reach[np.arange(len(dims))[:, None], np.array(coords[:-1]), coords[-1]] = True
-    plain = reach @ reach.transpose(0, 2, 1)
-    legs = list(zip(t.labels, dims))
-    return ({label: reach[i, :d] for i, (label, d) in enumerate(legs)},
-            {label: plain[i, :d, :d].ravel() for i, (label, d) in enumerate(legs)})
+    i = t.labels.index(label)
+    d = t.data.shape[i]
+    if joins is None:
+        return plain[s, i, :d, :d].ravel()
+    r = reach[s, i, :d]
+    return _swap_closed(r @ joins @ r.T)
 
 
 def _sliced(t: Tensor, keep: dict[str, np.ndarray]) -> Tensor:
@@ -502,45 +593,75 @@ def _prune(net: PepsNetwork, sites: Sequence[int], patterns: dict[int, np.ndarra
     """Kept indices of each fused bond leg: those live at both of its ends.
 
     An end is a site of ``sites``, which joins the physical pairs of its
-    pattern at a support site (see :func:`_live_pairs`), or, for a cut bond,
-    its closure. Every end's mask is closed under the swap ``(a, b) <-> (b,
-    a)``, and so is what both ends keep, as the Hermitian basis needs: the
-    plain masks and the closures are symmetric, and a support site's mask is
-    made so (a pair added there multiplies an exact zero at that end). A bond
-    between two plain layers keeps the same indices on every call, so the
-    slot keeps them. Bonds that keep every index are left out; None means
-    some bond keeps none, so every term of the contraction, and the
-    contraction itself, is exactly zero.
+    pattern at a support site (see :func:`_read_masks` and :func:`_mask`),
+    or, for a cut bond, its closure. Every end's mask is closed under the
+    swap ``(a, b) <-> (b, a)``, and so is what both ends keep, as the
+    Hermitian basis needs: the plain masks and the closures are symmetric,
+    and a support site's mask is made so (a pair added there multiplies an
+    exact zero at that end). The slot keeps the masks of every site it has
+    read, and for each bond with both ends in ``sites`` the indices it keeps
+    between two plain layers, which are the same on every call; those of the
+    bonds it has not seen come from one :func:`_plain_kept`, at a support
+    site too, so that a later call with another support finds them. Bonds
+    that keep every index are left out; None means some bond keeps none, so
+    every term of the contraction, and the contraction itself, is exactly
+    zero.
     """
-    inside, masks, keep = set(sites), {}, {}
-
-    def ends(e) -> list[np.ndarray | None]:
-        out = [closures[e.id].data != 0] if e.id in closures else []
-        for v in (e.u, e.v):
-            if v in inside:
-                if v not in masks:
-                    if v not in slot.masks:
-                        slot.masks[v] = _live_pairs(net, v)
-                    reach, plain = slot.masks[v]
-                    masks[v] = plain if v not in patterns else {
-                        l: _swap_closed(r @ patterns[v] @ r.T) for l, r in reach.items()}
-                out.append(masks[v].get(e.id))
-        return out
-
-    for e in net.graph.edges:
+    inside = set(sites)
+    if not inside <= slot.masks.keys():
+        _read_masks(net, [v for v in sites if v not in slot.masks], slot)
+    edges, known = net.graph.edges, slot.kept
+    if len(known) < len(edges):
+        fresh = [e for e in edges if e.id not in known and e.u in inside and e.v in inside]
+        if fresh:
+            known.update(zip((e.id for e in fresh), _plain_kept(net, fresh, slot)))
+    keep, ends = {}, []
+    for e in edges:
         if e.id in closures or e.u in patterns or e.v in patterns:
-            kept = _kept(ends(e))
-        elif e.u in inside and e.v in inside:
-            if e.id not in slot.kept:
-                slot.kept[e.id] = _kept(ends(e))
-            kept = slot.kept[e.id]
-        else:
+            live = [closures[e.id].data != 0] if e.id in closures else []
+            live += [_mask(net, v, e.id, slot, patterns.get(v)) for v in (e.u, e.v) if v in inside]
+            live = [m for m in live if m is not None]
+            if live:
+                ends.append((e.id, live[0] & live[-1]))
+        elif e.u in inside and e.v in inside and known[e.id] is not None:
+            keep[e.id] = known[e.id]
+    for label, live in ends:
+        kept = live.nonzero()[0]
+        if kept.size < live.size:
+            keep[label] = kept
+    return None if any(k.size == 0 for k in keep.values()) else keep
+
+
+def _plain_kept(net: PepsNetwork, bonds: Sequence, slot: _Slot) -> list[np.ndarray | None]:
+    """The kept indices of ``bonds``, each between two plain layers, from one AND per bond dim.
+
+    The plain masks of the bonds' two ends are gathered as rows of one array
+    per bond dim, one fancy index into each of the slot's stacks of masks
+    (see :func:`_read_masks`), with rows of True for an end with every pair
+    live. A bond with every pair live at both ends keeps every index.
+    """
+    out = [None] * len(bonds)
+    by_dim: dict[int, tuple[list, dict]] = {}
+    for j, e in enumerate(bonds):
+        ends = slot.masks[e.u], slot.masks[e.v]
+        if ends[0] is None and ends[1] is None:
             continue
-        if kept is not None:
-            if kept.size == 0:
-                return None
-            keep[e.id] = kept
-    return keep
+        picked, stacks = by_dim.setdefault(e.dim, ([], {}))
+        for side, (v, held) in enumerate(zip((e.u, e.v), ends)):
+            if held is not None:
+                plain, s = held[1], held[2]
+                at, rows = stacks.setdefault(id(plain), (plain, [], []))[1:]
+                at.append(2 * len(picked) + side)
+                rows.append(s * plain.shape[1] + net.site(v).labels.index(e.id))
+        picked.append(j)
+    for d, (picked, stacks) in by_dim.items():
+        ends = np.ones((2 * len(picked), d * d), dtype=bool)
+        for plain, at, rows in stacks.values():
+            table = plain if plain.shape[-1] == d else plain[..., :d, :d]
+            ends[at] = table.reshape(-1, d * d)[rows]
+        for j, kept in zip(picked, _kept(ends[0::2] & ends[1::2])):
+            out[j] = kept
+    return out
 
 
 def _swap_closed(live: np.ndarray) -> np.ndarray:
@@ -548,14 +669,22 @@ def _swap_closed(live: np.ndarray) -> np.ndarray:
     return (live | live.T).ravel()
 
 
-def _kept(ends: list[np.ndarray | None]) -> np.ndarray | None:
-    """Indices live at every end of a bond; None when all are (a mask of None: every index)."""
-    ends = [m for m in ends if m is not None]
-    if not ends:
-        return None
-    live = ends[0] if len(ends) == 1 else ends[0] & ends[1]
-    kept = live.nonzero()[0]
-    return None if kept.size == live.size else kept
+def _kept(live: np.ndarray) -> list[np.ndarray | None]:
+    """Per row of ``live`` (a bond's live fused indices), its nonzero columns; None when all are.
+
+    Rows that keep the same indices share one array, so that
+    :meth:`_Plan.layers` can tell them apart by identity.
+    """
+    counts = live.sum(axis=1).tolist()
+    cols = live.nonzero()[1]
+    out, seen, stop = [], {}, 0
+    for count, row in zip(counts, live):
+        stop += count
+        if count == live.shape[1]:
+            out.append(None)
+        else:
+            out.append(seen.setdefault(row.tobytes(), cols[stop - count:stop]))
+    return out
 
 
 def _same(a: np.ndarray | None, b: np.ndarray | None) -> bool:
@@ -749,20 +878,23 @@ class _Plan:
 
     ``prefactor`` is 1/dim per bond with both ends inside, ``closures`` holds
     the :func:`mixed_closure` of each cut bond sliced to ``keep``, the kept
-    indices of :func:`_prune`, and ``bases`` the blocks of :func:`_bases`.
-    ``legs`` are each site's layer legs sliced to ``keep``, its cut bonds
-    closed, ``peak`` the largest boundary of ``order`` in entries, ``marks``
-    its checkpoint cuts (:func:`_marks`) and ``factors`` the observable's,
-    split along it. The prefix runs over ``order[:first]`` and the suffix over
-    ``order[past:]``.
+    indices of :func:`_prune`. ``real`` says whether every site tensor is
+    real; then ``bases`` is empty, as the plain layers are real in the fused
+    basis, and else it holds the blocks of :func:`_bases`. ``legs`` are each
+    site's layer legs sliced to ``keep``, its cut bonds closed, ``peak`` the
+    largest boundary of ``order`` in entries, ``marks`` its checkpoint cuts
+    (:func:`_marks`) and ``factors`` the observable's, split along it. The
+    prefix runs over ``order[:first]`` and the suffix over ``order[past:]``.
 
-    The plan is the one place a layer is finished (:meth:`layer`,
-    :meth:`stacks`); a pass only schedules and replays the layers it is given.
+    The plan is the one place a layer is finished (:meth:`layers`,
+    :meth:`layer`, :meth:`stacks`); a pass only schedules and replays the
+    layers it is given.
     """
 
     prefactor: float
     closures: dict[str, Tensor]
     keep: dict[str, np.ndarray]
+    real: bool
     bases: dict
     legs: dict[int, list]
     peak: int
@@ -772,6 +904,36 @@ class _Plan:
     first: int
     past: int
 
+    def layers(self, net: PepsNetwork, sites: Sequence[int]) -> list[Tensor]:
+        """The finished plain layers of ``sites``, in their order: the layers of a pass.
+
+        The sites of one shape that keep the same indices at each leg
+        position are squared and sliced as one stack (:func:`_stacked_layers`),
+        in chunks whose site matrices total at most ``peak`` entries, each
+        chunk's layers finished before the next is squared. A chunk of fewer
+        than ``_STACK_MIN`` sites, which a stack would only slow down, and every
+        other site are squared one at a time by :func:`double_layer`. Every
+        layer is bitwise the one :meth:`layer` builds.
+        """
+        keep, groups = self.keep, {}
+        if self.real and len(sites) >= _STACK_MIN:
+            for v in sites:
+                t = net.site(v)
+                key = (t.data.shape, *map(id, map(keep.get, t.labels))) if keep else t.data.shape
+                groups.setdefault(key, []).append(v)
+        out = {}
+        for group in groups.values():
+            per = self.peak // net.site(group[0]).size  # sites whose matrices fit one boundary
+            if per < _STACK_MIN:
+                continue
+            for i in range(0, len(group), per):
+                chunk = group[i:i + per]
+                if len(chunk) >= _STACK_MIN:
+                    layers = _stacked_layers(net, chunk, keep)
+                    out.update(zip(chunk, map(self._closed, layers, chunk)))
+        return [out[v] if v in out else self._closed(_sliced(double_layer(net, v), keep), v)
+                for v in sites]
+
     def layer(self, net: PepsNetwork, v: int, factor: Tensor | None = None,
               absolute: bool = False) -> Tensor:
         """The double layer of site ``v``, finished: its legs are ``legs[v]``.
@@ -780,10 +942,18 @@ class _Plan:
         cut bonds is closed by that bond's closure, one ``tz.contract`` each.
         ``absolute`` takes the absolute value of every entry after the basis
         change and before closing; the closures are nonnegative, so they are
-        their own absolute values.
+        their own absolute values. A one-site operator's layer is real, as
+        the plain ones are, in the Hermitian basis, and on real sites when the
+        operator is real; on real sites a complex one (Pauli Y) keeps its
+        layer complex, so only the steps through its support run in
+        complex128, as for an operator on several sites.
         """
-        real = factor is None or not _operator_bonds(factor)
-        t = _in_basis(_sliced(double_layer(net, v, factor), self.keep), v, self.bases, real)
+        real = factor is None or not _operator_bonds(factor) and (not self.real or factor.is_real)
+        return self._closed(_sliced(double_layer(net, v, factor), self.keep), v, real, absolute)
+
+    def _closed(self, t: Tensor, v: int, real: bool = True, absolute: bool = False) -> Tensor:
+        """Sliced layer ``t`` of site ``v`` in the basis, cut bonds closed (see :meth:`layer`)."""
+        t = _in_basis(t, v, self.bases, real)
         if absolute:
             t = Tensor._trusted(t.legs, np.abs(t.data))
         for label in t.labels:
@@ -796,21 +966,17 @@ class _Plan:
 
         The plan must have no cut bond (it covers the whole graph). Sample
         ``s`` is bitwise ``layer(nets[s], v)``: the site matrices are squared
-        by :func:`_squares`, and :func:`_sliced` and :func:`_in_basis` act on
+        by :func:`_squared`, and :func:`_sliced` and :func:`_in_basis` act on
         the stack as on one layer (no edge id is empty, so the sample leg is
         neither sliced nor put in a basis).
         """
         graph = nets[0].graph
         out = {}
         for v in graph.vertices:
-            ts = [n.site(v) for n in nets]
             edges = graph.incident(v)
-            dims = [e.dim for e in edges]
-            mats = np.stack([t.data.reshape(math.prod(dims), -1) for t in ts])
-            sq = _squares(mats, np.array([t.is_real for t in ts]))
-            legs = (("", len(ts)),) + tuple((e.id, e.dim * e.dim) for e in edges)
-            out[v] = _in_basis(_sliced(Tensor._trusted(legs, _fused(sq, dims)), self.keep), v,
-                               self.bases, True)
+            sq = _squared([n.site(v) for n in nets], [e.dim for e in edges])
+            legs = (("", len(nets)),) + tuple((e.id, e.dim * e.dim) for e in edges)
+            out[v] = _in_basis(_sliced(Tensor._trusted(legs, sq), self.keep), v, self.bases, True)
         return out
 
     def norm(self, value: complex, net: PepsNetwork) -> float:
@@ -828,11 +994,12 @@ class _Plan:
 
 
 def _plan(net: PepsNetwork, sites: Sequence[int], observable: Observable | None,
-          guard: int | None, sweep: str | None, slot: _Slot) -> _Plan | None:
+          guard: int | None, sweep: str | None, slot: _Slot, real: bool) -> _Plan | None:
     """The plan of a contraction over ``sites``, made before any layer is built.
 
     :func:`_prune` picks the kept bond indices; None means some bond keeps
-    none. The dry run tries each sweep (``sweep=None``: every one), with the
+    none. ``real`` says whether every site tensor is real, so that the plan
+    makes no basis blocks. The dry run tries each sweep (``sweep=None``: every one), with the
     observable split along each order, and keeps the smallest peak, the first
     on a tie. The peak counts the operator bonds up to the last support site
     and the plain suffix past it; above ``guard`` it raises
@@ -881,8 +1048,9 @@ def _plan(net: PepsNetwork, sites: Sequence[int], observable: Observable | None,
     else:
         first = past = min(marks or range(1, n) or (n,),
                            key=lambda k: (cuts[k - 1], abs(2 * k - n), k))
-    return _Plan(prefactor, closures, keep, _bases(net, inside, keep, slot), legs, peak, order,
-                 marks, factors, first, past)
+    bases = {} if real else _bases(net, inside, keep, slot)
+    return _Plan(prefactor, closures, keep, real, bases, legs, peak, order, marks, factors,
+                 first, past)
 
 
 def _contract(net: PepsNetwork, sites: Sequence[int], observable: Observable | None = None, *,
@@ -917,7 +1085,8 @@ def _contract(net: PepsNetwork, sites: Sequence[int], observable: Observable | N
     slot, _slot = _slot, None
     if slot is None or slot.net() is not net:
         slot = _Slot(weakref.ref(net))
-    plan = _plan(net, sites, observable, guard, sweep, slot)
+    plan = _plan(net, sites, observable, guard, sweep, slot,
+                 all(net.site(v).is_real for v in sites))
     if plan is None:
         _slot = slot
         return 0.0, (None if observable is None else 0j)
@@ -936,7 +1105,7 @@ def _contract(net: PepsNetwork, sites: Sequence[int], observable: Observable | N
     suffix = env.boundary(False, net, scan)
     prefix = env.boundary(True, net, scan)
     middle = order[first:past]
-    plain = [plan.layer(net, v) for v in middle]
+    plain = plan.layers(net, middle)
     closed = _absorb(prefix, list(plain), env.ahead)
     if scan:
         env.record((1, past), closed)
@@ -997,7 +1166,11 @@ def peps_norms(nets: Sequence[PepsNetwork], *, guard: int | None = BOUNDARY_GUAR
     nonzero at the same entries; otherwise pruning keeps the union of their
     live bond indices (see :func:`_union`), which adds only exact zeros.
     One :func:`_plan` on the union fixes the pruning, the order, the meeting
-    cut and the basis blocks, and the leg ranks are made once. A refusal
+    cut and the basis blocks, and the leg ranks are made once. The plan makes
+    basis blocks unless every site of every network is real (the union's 0/1
+    entries are no guide), and the networks whose sites are all real in a
+    set that is not all real are replayed with no basis, as
+    :func:`peps_norm` contracts each of them. A refusal
     comes from the plan, before any layer is built, and carries the peak
     ``peps_norm`` would report on the same kept indices. The steps of both
     passes are derived once from the leg lists (:func:`_schedule`). Each
@@ -1008,8 +1181,7 @@ def peps_norms(nets: Sequence[PepsNetwork], *, guard: int | None = BOUNDARY_GUAR
     entries, or one network's, are stacked at once (the networks go in
     chunks), plus the call's own boundary buffers: two of the largest
     boundary's size, which a permuted step's copy uses too, and one of the
-    suffix's. The engine's slot is neither
-    read nor cleared.
+    suffix's. The engine's slot is neither read nor cleared.
     """
     nets = list(nets)
     if not nets:
@@ -1020,10 +1192,12 @@ def peps_norms(nets: Sequence[PepsNetwork], *, guard: int | None = BOUNDARY_GUAR
             raise ValueError("peps_norms needs networks on one LatticeGraph object")
         if any(other.site(v).legs != net.site(v).legs for v in graph.vertices):
             raise ValueError("peps_norms needs networks with equal site legs")
+    reals = [all(n.site(v).is_real for v in graph.vertices) for n in nets]
     union = _union(nets)
-    plan = _plan(union, graph.vertices, None, guard, sweep, _Slot(weakref.ref(union)))
+    plan = _plan(union, graph.vertices, None, guard, sweep, _Slot(weakref.ref(union)), all(reals))
+    out = [0.0] * len(nets)
     if plan is None:
-        return [0.0] * len(nets)
+        return out
     ahead, behind = _ranks(plan.order, plan.legs)
     # (sites, steps) of the suffix, then of the prefix; every layer is used once
     passes = [(sites, _schedule((), [plan.legs[v] for v in sites], rank))
@@ -1031,18 +1205,21 @@ def peps_norms(nets: Sequence[PepsNetwork], *, guard: int | None = BOUNDARY_GUAR
                                   (plan.order[:plan.first], ahead))]
     entries = sum(math.prod(e.dim ** 2 for e in graph.incident(v)) for v in graph.vertices)
     chunk = len(nets) if guard is None else max(1, guard // entries)
-    out = []
-    for start in range(0, len(nets), chunk):
-        part = nets[start:start + chunk]
-        stacks = plan.stacks(part)
-        operands = {v: step.operand(stacks.pop(v).data, 1)
-                    for sites, steps in passes for v, step in zip(sites, steps)}
-        buffers = _buffers([steps for _, steps in passes])
-        for s, sample in enumerate(part):
-            suffix, prefix = (_replay(steps, _ONE, [operands[v][s] for v in sites], outs)
-                              for (sites, steps), outs in zip(passes, buffers))
-            out.append(plan.norm(_pair(prefix, suffix), sample))
-        del operands, buffers
+    # the real networks of a mixed set go as peps_norm takes each: with no basis
+    for real in sorted(set(reals)):
+        which = [i for i, r in enumerate(reals) if r == real]
+        used = plan if real == plan.real else dataclasses.replace(plan, real=True, bases={})
+        for start in range(0, len(which), chunk):
+            part = which[start:start + chunk]
+            stacks = used.stacks([nets[i] for i in part])
+            operands = {v: step.operand(stacks.pop(v).data, 1)
+                        for sites, steps in passes for v, step in zip(sites, steps)}
+            buffers = _buffers([steps for _, steps in passes])
+            for s, i in enumerate(part):
+                suffix, prefix = (_replay(steps, _ONE, [operands[v][s] for v in sites], outs)
+                                  for (sites, steps), outs in zip(passes, buffers))
+                out[i] = used.norm(_pair(prefix, suffix), nets[i])
+            del operands, buffers
     return out
 
 

@@ -15,6 +15,10 @@ keeps the thick-restart Lanczos the library replaced by partial
 reorthogonalization: one classical Gram-Schmidt pass on every step.  It drives
 the library's counted operator and draws its fresh vectors through
 ``_random_start``, so its matvec counts compare with the library's.
+``prune_per_site`` keeps the contraction engine's pruning before it read
+the sites of one shape in one scan and decided the bonds in one AND: one
+scan per site (``live_pairs_per_site``) and one AND per bond
+(``kept_per_bond``).
 """
 
 import itertools
@@ -285,6 +289,71 @@ def dense_patch_nev(net, sites, support, matrix):
     opsi = np.moveaxis(np.tensordot(m, psi, axes=(list(range(n, 2 * n)), axes)),
                        list(range(n)), axes)
     return float(np.real(np.vdot(psi.ravel(), opsi.ravel()) / np.vdot(psi.ravel(), psi.ravel())))
+
+
+def live_pairs_per_site(net, v):
+    """Per bond leg of site ``v``, which physical indices each bond index
+    reaches, and which fused pairs of its plain layer are live: one scan of
+    the site's nonzero entries.
+
+    This is the per-site scan the engine replaced by one scan per site shape.
+    ``reach[a, p]`` is True when the site tensor is nonzero at bond index
+    ``a`` and physical index ``p``; the plain mask of a leg is ``reach @
+    reach.T``, raveled. A site tensor with no zero entry returns ``({}, {})``:
+    every pair of every leg is live.
+    """
+    t = net.site(v)
+    dims = t.data.shape[:-1]  # the bond legs; phys is last
+    if not dims or np.count_nonzero(t.data) == t.size:
+        return {}, {}
+    coords = t.data.nonzero()
+    reach = np.zeros((len(dims), max(dims), t.data.shape[-1]), dtype=bool)
+    reach[np.arange(len(dims))[:, None], np.array(coords[:-1]), coords[-1]] = True
+    plain = reach @ reach.transpose(0, 2, 1)
+    legs = list(zip(t.labels, dims))
+    return ({label: reach[i, :d] for i, (label, d) in enumerate(legs)},
+            {label: plain[i, :d, :d].ravel() for i, (label, d) in enumerate(legs)})
+
+
+def kept_per_bond(ends):
+    """Indices live at every end of a bond; None when all are (a mask of None: every index)."""
+    ends = [m for m in ends if m is not None]
+    if not ends:
+        return None
+    live = ends[0] if len(ends) == 1 else ends[0] & ends[1]
+    kept = live.nonzero()[0]
+    return None if kept.size == live.size else kept
+
+
+def prune_per_site(net, sites, patterns, closures):
+    """The kept indices of every bond, found one site and one bond at a time.
+
+    The engine's pruning before it stacked its scans: each site's masks by
+    :func:`live_pairs_per_site`, a support site's joined through its pattern
+    and closed under the swap, and each bond's kept indices by
+    :func:`kept_per_bond` over its ends (a cut bond's closure is one). Bonds
+    that keep every index are left out; None when some bond keeps none.
+    """
+    inside, keep = set(sites), {}
+    for e in net.graph.edges:
+        if not (e.u in inside or e.v in inside):
+            continue
+        ends = [closures[e.id].data != 0] if e.id in closures else []
+        for v in (e.u, e.v):
+            if v in inside:
+                reach, plain = live_pairs_per_site(net, v)
+                if v in patterns:
+                    r = reach.get(e.id)
+                    ends.append(None if r is None else
+                                ((live := r @ patterns[v] @ r.T) | live.T).ravel())
+                else:
+                    ends.append(plain.get(e.id))
+        kept = kept_per_bond(ends)
+        if kept is not None:
+            if kept.size == 0:
+                return None
+            keep[e.id] = kept
+    return keep
 
 
 def count_tilings_python(ts, rows, cols):

@@ -129,9 +129,11 @@ def test_nev_builds_each_double_layer_once(capsys, tmp_path, monkeypatch, suppor
     netf = write_json(tmp_path / "net.json", network_to_json(net))
     obsf = write_json(tmp_path / "obs.json", observable_to_json(obs))
     built = []
-    real = contraction.double_layer
+    real, stacked = contraction.double_layer, contraction._stacked_layers
     monkeypatch.setattr(contraction, "double_layer",
                         lambda *args, **kwargs: built.append(args[1]) or real(*args, **kwargs))
+    monkeypatch.setattr(contraction, "_stacked_layers",
+                        lambda net, sites, keep: built.extend(sites) or stacked(net, sites, keep))
     value = pl.nev_report(net, obs)["value"]
     assert len(built) == 9 + len(support)
     assert value == pytest.approx(dense_nev(net, support, obs.matrix()), abs=1e-11)

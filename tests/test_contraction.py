@@ -412,12 +412,18 @@ def test_centre_value_after_the_norm_builds_one_column(monkeypatch):
     obs = pl.observable_from_matrix((centre,), random_hermitian(net.phys_dim(centre), 9))
     pl.peps_norm(net)
     built = []
+    stacked = contraction._stacked_layers
 
     def recorded(net, v, factor=None):
         built.append(v)
         return double_layer(net, v, factor)
 
+    def recorded_stack(net, sites, keep):
+        built.extend(sites)
+        return stacked(net, sites, keep)
+
     monkeypatch.setattr(contraction, "double_layer", recorded)
+    monkeypatch.setattr(contraction, "_stacked_layers", recorded_stack)
     got = pl.nev_report(net, obs)
     assert len(built) <= 8 + 2
     assert {v % 8 for v in built} == {4}
@@ -1060,13 +1066,13 @@ def test_site_tensors_are_read_once_per_network(monkeypatch):
     # every wire of two compiled circuits read out with Z and with X, as the
     # benchmark's circuit jobs do with Z; X keeps other bond indices
     reads = collections.Counter()
-    live_pairs = contraction._live_pairs
+    read_masks = contraction._read_masks
 
-    def counted(net, v):
-        reads[id(net), v] += 1
-        return live_pairs(net, v)
+    def counted(net, sites, slot):
+        reads.update((id(net), v) for v in sites)
+        return read_masks(net, sites, slot)
 
-    monkeypatch.setattr(contraction, "_live_pairs", counted)
+    monkeypatch.setattr(contraction, "_read_masks", counted)
     nets, calls = [], []
     for seed, (width, depth) in enumerate([(6, 4), (8, 6)]):
         compiled = pl.compile_circuit(random_circuit(width, depth, seed=seed), 0.3)

@@ -98,19 +98,26 @@ def test_tile_layers_are_squared_in_float64(monkeypatch):
     # indicator tensors are real, so their double layers are built real, not
     # built complex and copied to float64; the counts stay exact
     dtypes = []
-    layer = contraction.double_layer
+    layer, stacked = contraction.double_layer, contraction._stacked_layers
 
     def recorded(net, v, factor=None):
         out = layer(net, v, factor)
         dtypes.append(out.data.dtype)
         return out
 
+    def recorded_stack(net, sites, keep):
+        out = stacked(net, sites, keep)
+        dtypes.extend(t.data.dtype for t in out)
+        return out
+
     monkeypatch.setattr(contraction, "double_layer", recorded)
+    monkeypatch.setattr(contraction, "_stacked_layers", recorded_stack)
     for ts, shape in ((README4, (3, 3)), (README4, (2, 4)), (random_tileset(4), (3, 3))):
         report = tiling_count_via_norm(ts, *shape)
         assert report["count"] == count_tilings_python(ts, *shape)
         assert report["residue"] == 0.0
-    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+    assert len(dtypes) == 9 + 8 + 9  # each site's plain layer, stacked or alone
+    assert set(dtypes) == {np.dtype(np.float64)}
 
 
 def test_norm_route_reports_the_scaled_norm():
